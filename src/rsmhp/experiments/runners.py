@@ -11,9 +11,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .. import __version__
 from ..estimators import estimate_mean, estimate_nbo, estimate_weighted
@@ -315,7 +315,7 @@ def run_covariance_decay(spec: ExperimentSpec, workers: int = 1):
             rows.append((i, j, j - i, covariance, z))
 
     header = ["i", "j", "lag", "covariance", "z"]
-    critical = float(stats.norm.ppf(0.995))
+    critical = NormalDist().inv_cdf(0.995)
     far = [row for row in rows if row[2] > branch]
     summary = {
         "rows": len(rows),

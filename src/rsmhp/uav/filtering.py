@@ -1,10 +1,11 @@
 """Kalman filtering of the constant-velocity target.
 
-Single-belief predict/update operate on a TargetBelief; the module also
-keeps vectorized twins that carry a stack of covariances (and optionally
-means) through the same recursion, used by the planner to push many
-sampled futures at once.  Updates use the Joseph form and re-symmetrize,
-so covariances stay symmetric and cannot go indefinite from rounding.
+Predict and update operate on a TargetBelief.  Updates use the Joseph form
+and re-symmetrize, so covariances stay symmetric and cannot go indefinite
+from rounding.  The transition, process noise, observation and isotropic
+sensor noise all act on each axis separately, so a belief without
+cross-axis covariance keeps none; the planner relies on this and checks it
+with ``require_per_axis``.
 """
 from __future__ import annotations
 
@@ -21,6 +22,19 @@ __all__ = [
 ]
 
 _EIG_TOL = -1e-9
+
+# Entries coupling the x axis (px, vx) with the y axis (py, vy).
+_CROSS_AXIS = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def require_per_axis(cov, label: str) -> None:
+    """Raise ValueError naming the first nonzero cross-axis entry of a 4x4 covariance."""
+    for i, j in _CROSS_AXIS:
+        if cov[i, j] != 0.0 or cov[j, i] != 0.0:
+            raise ValueError(
+                f"{label} must have no cross-axis covariance, "
+                f"got [{i},{j}] = {float(cov[i, j])!r}, [{j},{i}] = {float(cov[j, i])!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,45 +94,3 @@ def kalman_update(belief: TargetBelief, measurement, noise_cov) -> TargetBelief:
     closed = np.eye(4) - gain @ h
     cov = closed @ p @ closed.T + gain @ noise_cov @ gain.T
     return TargetBelief(mean=mean, covariance=0.5 * (cov + cov.T))
-
-
-def _batch_predict(means, covs, f, q):
-    """Vectorized time update for stacked means (n, 4) and covariances (n, 4, 4).
-
-    The result of f P f' + q is symmetric up to rounding whenever P is; the
-    update step re-symmetrizes, so no extra pass is spent here.
-    """
-    return means @ f.T, f @ covs @ f.T + q
-
-
-def _joseph_cov_update(covs, noise_vars):
-    """Joseph-form covariance update for a position observation.
-
-    ``noise_vars`` is (n,) since the sensor noise is isotropic; the 2x2
-    innovation covariance is inverted in closed form.  Returns the gains
-    (n, 4, 2) and the updated, re-symmetrized covariances.
-    """
-    s00 = covs[:, 0, 0] + noise_vars
-    s01 = covs[:, 0, 1]
-    s11 = covs[:, 1, 1] + noise_vars
-    det = s00 * s11 - s01 * s01
-    inv = np.empty(covs.shape[:1] + (2, 2))
-    inv[:, 0, 0] = s11 / det
-    inv[:, 0, 1] = -s01 / det
-    inv[:, 1, 0] = inv[:, 0, 1]
-    inv[:, 1, 1] = s00 / det
-    # Gain K = P H' S^{-1}: columns 0..1 of P times the 2x2 inverse.
-    gain = covs[:, :, :2] @ inv
-    closed = np.broadcast_to(np.eye(4), covs.shape).copy()
-    closed[:, :, :2] -= gain
-    covs = closed @ covs @ closed.swapaxes(-1, -2)
-    covs = covs + (gain * noise_vars[:, None, None]) @ gain.swapaxes(-1, -2)
-    return gain, 0.5 * (covs + np.swapaxes(covs, -1, -2))
-
-
-def _batch_update(means, covs, measurements, noise_vars):
-    """Vectorized position update: Joseph covariance step plus the mean shift."""
-    gain, covs = _joseph_cov_update(covs, noise_vars)
-    innovation = measurements - means[:, :2]
-    means = means + (gain @ innovation[:, :, None])[:, :, 0]
-    return means, covs

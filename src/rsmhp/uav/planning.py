@@ -2,22 +2,32 @@
 
 The planner scores a candidate control sequence by the accumulated trace
 of the filter covariance along the planned vehicle path.  Two scorers are
-provided: a nominal one (future noise replaced by its mean, so one
-deterministic covariance recursion) and a sampled one (average over
-independently drawn target futures with sampled measurements).  A budgeted
-simplex search with restarts minimizes the scorer over the flattened
-(acceleration, bank) sequence.
+provided: a nominal one (future noise replaced by its mean, so one target
+future pinned to the noiseless prediction) and a sampled one (average over
+independently drawn target futures).  A budgeted simplex search with
+restarts minimizes the scorer over the flattened (acceleration, bank)
+sequence.
+
+The covariance recursion of a future depends on the controls only through
+the range-dependent sensor noise, and on the future only through the
+target positions.  Measurements and belief means never reach the value, so
+none are simulated: the target paths are fixed once per objective, and an
+evaluation is the vehicle path, the noise variances, and H steps of the
+Kalman covariance recursion.  With a position sensor of isotropic noise and
+a prior without cross-axis covariance, that recursion splits into two
+independent per-axis recursions over (P_pp, P_pv, P_vv).
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import UavControl, target_process_cov, target_transition_matrix
-from .filtering import TargetBelief, _batch_predict, _batch_update, _joseph_cov_update
+from .filtering import TargetBelief, require_per_axis
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -56,122 +66,138 @@ class PlannerConfig:
             raise ValueError(f"objective must be a PlannerObjective, got {self.objective!r}")
 
 
-def _as_control_pairs(controls, horizon: int) -> np.ndarray:
-    arr = np.asarray(
-        [(c.forward_acceleration, c.bank_angle) for c in controls], dtype=float
-    )
-    if arr.shape != (horizon, 2):
-        raise ValueError(f"expected {horizon} controls, got {arr.shape[0]}")
-    return arr
+def _as_control_pairs(controls, horizon: int) -> list:
+    """Flat [accel_0, bank_0, accel_1, ...] list of a checked control sequence."""
+    if len(controls) == 0:
+        raise ValueError("control sequence is empty")
+    if len(controls) != horizon:
+        raise ValueError(f"expected {horizon} controls, got {len(controls)}")
+    flat = []
+    for k, c in enumerate(controls):
+        for name in ("forward_acceleration", "bank_angle"):
+            value = float(getattr(c, name))
+            if not math.isfinite(value):
+                raise ValueError(f"control {k} has non-finite {name} {value}")
+            flat.append(value)
+    return flat
 
 
-def _planned_path(uav, control_pairs, scenario) -> np.ndarray:
+def _planned_path(uav, flat_controls, scenario) -> np.ndarray:
     """Vehicle positions after each of the H planned steps, shape (H, 2).
 
-    Same kinematics as uav_step, inlined with scalars since the path does
-    not depend on the sampled futures and sits inside the optimizer's inner
-    loop.
+    Same kinematics as uav_step, on Python floats since the path does not
+    depend on the sampled futures and sits inside the optimizer's inner loop.
     """
-    horizon = control_pairs.shape[0]
-    x, y = float(uav.position[0]), float(uav.position[1])
+    x, y = uav.position.tolist()
     heading = uav.heading
     speed = uav.speed
     dt = scenario.dt
-    path = np.empty((horizon, 2))
-    for k in range(horizon):
-        accel, bank = control_pairs[k]
+    path = []
+    for accel, bank in zip(flat_controls[0::2], flat_controls[1::2]):
         speed = min(max(speed + accel * dt, scenario.v_min), scenario.v_max)
-        heading = heading + scenario.gravity * np.tan(bank) / speed * dt
-        x += speed * np.cos(heading) * dt
-        y += speed * np.sin(heading) * dt
-        path[k, 0] = x
-        path[k, 1] = y
-    return path
+        heading = heading + scenario.gravity * math.tan(bank) / speed * dt
+        x += speed * math.cos(heading) * dt
+        y += speed * math.sin(heading) * dt
+        path.append((x, y))
+    return np.array(path)
 
 
-def _target_matrices(scenario):
-    """Transition, process covariance, and its factor for one time step."""
+def _target_paths(belief, scenario, process_raw) -> np.ndarray:
+    """Target positions per axis, step and future, shape (2, H, n).
+
+    ``process_raw`` holds the frozen standard-normal process draws, shaped
+    (n, H, 4); all zeros gives the noiseless prediction of the belief mean.
+    """
+    n, horizon, _ = process_raw.shape
     f = target_transition_matrix(scenario.dt)
-    q = target_process_cov(scenario.process_intensity, scenario.dt)
     if scenario.process_intensity > 0.0:
-        q_root = np.linalg.cholesky(q)
+        q_root = np.linalg.cholesky(target_process_cov(scenario.process_intensity, scenario.dt))
     else:
         q_root = np.zeros((4, 4))
-    return f, q, q_root
-
-
-def _trace_rollout(uav, belief, control_pairs, scenario, truths, process_raw, meas_raw, mats=None):
-    """Accumulated covariance trace per sampled future along one vehicle path.
-
-    ``truths`` is the (n, 4) stack of sampled current target states;
-    ``process_raw`` and ``meas_raw`` hold the frozen standard-normal draws,
-    shaped (n, H, 4) and (n, H, 2).  Passing ``truths = None`` runs the
-    nominal recursion instead: one future pinned to the belief mean, zero
-    innovations, covariance arithmetic only.  Returns (n,) totals.
-    """
-    horizon = control_pairs.shape[0]
-    f, q, q_root = mats if mats is not None else _target_matrices(scenario)
-    path = _planned_path(uav, control_pairs, scenario)
-    nominal = truths is None
-    n = 1 if nominal else truths.shape[0]
-    covs = np.broadcast_to(belief.covariance, (n, 4, 4)).copy()
-    totals = np.zeros(n)
-    sigma0_sq = scenario.sigma0**2
-    eta = scenario.eta
-    if nominal:
-        # Zero innovations leave the mean on its noiseless prediction, so
-        # only that prediction and the covariances need computing.
-        mean = belief.mean
-        for k in range(horizon):
-            mean = f @ mean
-            covs = f @ covs @ f.T + q
-            dx = mean[0] - path[k, 0]
-            dy = mean[1] - path[k, 1]
-            noise_vars = np.array([sigma0_sq + eta * (dx * dx + dy * dy)])
-            _, covs = _joseph_cov_update(covs, noise_vars)
-            totals += np.einsum("nii->n", covs)
-        return totals
-    means = np.broadcast_to(belief.mean, (n, 4)).copy()
-    truths = truths.copy()
+    truths = np.broadcast_to(belief.mean, (n, 4))
+    paths = np.empty((2, horizon, n))
     for k in range(horizon):
         truths = truths @ f.T + process_raw[:, k] @ q_root.T
-        means, covs = _batch_predict(means, covs, f, q)
-        delta = truths[:, :2] - path[k]
-        noise_vars = sigma0_sq + eta * (delta[:, 0] ** 2 + delta[:, 1] ** 2)
-        measurements = truths[:, :2] + np.sqrt(noise_vars)[:, None] * meas_raw[:, k]
-        means, covs = _batch_update(means, covs, measurements, noise_vars)
-        totals += np.einsum("nii->n", covs)
+        paths[:, k] = truths[:, :2].T
+    return paths
+
+
+def _trace_objective(uav, belief, scenario, process_raw):
+    """Per-future accumulated covariance trace as a function of the controls.
+
+    Everything that does not depend on the controls is fixed here: the
+    target paths, the prior per-axis covariance entries and the process
+    noise.  The returned function maps a flat control list to (n,) totals.
+    """
+    require_per_axis(belief.covariance, "belief covariance")
+    targets = _target_paths(belief, scenario, process_raw)
+    n = targets.shape[2]
+    cov = 0.5 * (belief.covariance + belief.covariance.T)
+    # Entries P_pp, P_pv, P_vv, each a (2, n) array: x and y axis by future.
+    prior = np.array([np.diag(cov)[:2], np.diag(cov, 2), np.diag(cov)[2:]])
+    prior = np.ascontiguousarray(np.broadcast_to(prior[:, :, None], (3, 2, n)))
+    q = target_process_cov(scenario.process_intensity, scenario.dt)
+    q_axis = np.array([q[0, 0], q[0, 2], q[2, 2]])[:, None, None]
+    dt = scenario.dt
+    sigma0_sq = scenario.sigma0**2
+    eta = scenario.eta
+
+    def totals(flat_controls) -> np.ndarray:
+        delta = targets - _planned_path(uav, flat_controls, scenario).T[:, :, None]
+        np.square(delta, out=delta)
+        # (H, n): one isotropic variance per step and future, shared by both axes.
+        noise_vars = sigma0_sq + eta * (delta[0] + delta[1])
+        p = prior.copy()
+        pp, pv, vv = p
+        upper, lower = p[:2], p[1:]
+        accumulated = np.zeros_like(p)
+        for r in noise_vars:
+            # Predict: F P F' + Q per axis, with F = [[1, dt], [0, 1]].
+            upper += dt * lower
+            pp += dt * pv
+            p += q_axis
+            # Update with a scalar position measurement of variance r.
+            s = pp + r
+            vv -= pv / s * pv
+            upper *= r / s
+            accumulated += p
+        return (accumulated[0] + accumulated[2]).sum(axis=0)
+
     return totals
 
 
-def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig) -> float:
-    """Nominal tracking objective: noise-free target, zero innovations.
+def _future_mean(terms: np.ndarray) -> float:
+    """Average over futures; exactly the common value when all futures agree."""
+    return float(terms[0] + (terms - terms[0]).sum() / terms.size)
 
-    The target mean follows the noiseless constant-velocity prediction, the
-    measurement is assumed to land exactly there, and only the covariance
-    recursion (with range-dependent noise along the planned path) matters.
+
+def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig) -> float:
+    """Nominal tracking objective: one future, the noise-free target.
+
+    The target follows the noiseless constant-velocity prediction of the
+    belief mean, and only the covariance recursion (with range-dependent
+    noise along the planned path) matters.
     """
-    pairs = _as_control_pairs(controls, len(controls))
-    totals = _trace_rollout(uav, belief, pairs, scenario, None, None, None)
-    return float(totals[0])
+    flat = _as_control_pairs(controls, len(controls))
+    nominal = np.zeros((1, len(controls), 4))
+    return float(_trace_objective(uav, belief, scenario, nominal)(flat)[0])
 
 
 def _frozen_draws(config: PlannerConfig, horizon: int, rng: np.random.Generator):
-    """Per-future frozen standard normals, derived one sub-seed per future.
+    """Per-future frozen process standard normals (n, H, 4), one sub-seed per future.
 
     Each future gets its own child seed, so the first future of an
     n_trajectories = 2 evaluation is draw-identical to an n_trajectories = 1
-    evaluation started from the same generator state.
+    evaluation started from the same generator state.  Each child stream
+    yields an (H, 6) block whose last two columns are not used: the
+    objective simulates no measurements, and drawing them keeps every
+    future's process draws at the same place in its stream.
     """
     seeds = rng.integers(np.iinfo(np.int64).max, size=config.n_trajectories)
     process_raw = np.empty((config.n_trajectories, horizon, 4))
-    meas_raw = np.empty((config.n_trajectories, horizon, 2))
     for i, seed in enumerate(seeds):
-        child = np.random.default_rng(int(seed))
-        block = child.standard_normal((horizon, 6))
-        process_raw[i] = block[:, :4]
-        meas_raw[i] = block[:, 4:]
-    return process_raw, meas_raw
+        process_raw[i] = np.random.default_rng(int(seed)).standard_normal((horizon, 6))[:, :4]
+    return process_raw
 
 
 def scenario_objective_terms(
@@ -183,10 +209,9 @@ def scenario_objective_terms(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-future accumulated covariance traces for the sampled objective."""
-    pairs = _as_control_pairs(controls, config.horizon)
-    process_raw, meas_raw = _frozen_draws(config, config.horizon, rng)
-    truths = np.broadcast_to(belief.mean, (config.n_trajectories, 4))
-    return _trace_rollout(uav, belief, pairs, scenario, truths, process_raw, meas_raw)
+    flat = _as_control_pairs(controls, config.horizon)
+    process_raw = _frozen_draws(config, config.horizon, rng)
+    return _trace_objective(uav, belief, scenario, process_raw)(flat)
 
 
 def objective_mhp(
@@ -198,8 +223,7 @@ def objective_mhp(
     rng: np.random.Generator,
 ) -> float:
     """Sampled tracking objective: average trace total over drawn futures."""
-    terms = scenario_objective_terms(uav, belief, controls, scenario, config, rng)
-    return float(terms.mean())
+    return _future_mean(scenario_objective_terms(uav, belief, controls, scenario, config, rng))
 
 
 def plan_step(
@@ -224,26 +248,15 @@ def plan_step(
     horizon = config.horizon
     dim = 2 * horizon
     scales = np.tile([scenario.accel_max, scenario.bank_max], horizon)
-    mats = _target_matrices(scenario)
 
     if config.objective is PlannerObjective.RSMHP:
-        process_raw, meas_raw = _frozen_draws(config, horizon, rng)
-        truths0 = np.broadcast_to(belief.mean, (config.n_trajectories, 4))
+        process_raw = _frozen_draws(config, horizon, rng)
     else:
-        process_raw = None
-        meas_raw = None
-        truths0 = None
+        process_raw = np.zeros((1, horizon, 4))
+    totals = _trace_objective(uav, belief, scenario, process_raw)
 
     budget = config.eval_budget
     state = {"evals": 0, "best_y": np.zeros(dim), "best_value": None}
-
-    def score(y):
-        y = np.clip(y, -1.0, 1.0)
-        pairs = (y * scales).reshape(horizon, 2)
-        totals = _trace_rollout(
-            uav, belief, pairs, scenario, truths0, process_raw, meas_raw, mats
-        )
-        return float(totals.mean())
 
     def objective(y):
         if state["evals"] >= budget:
@@ -251,10 +264,11 @@ def plan_step(
             # moving; best-so-far is already recorded.
             return state["best_value"]
         state["evals"] += 1
-        value = score(y)
+        y = np.clip(y, -1.0, 1.0)
+        value = _future_mean(totals((y * scales).tolist()))
         if state["best_value"] is None or value < state["best_value"]:
             state["best_value"] = value
-            state["best_y"] = np.clip(y, -1.0, 1.0)
+            state["best_y"] = y
         return value
 
     objective(state["best_y"])  # score the straight-flight guess first

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import GRAVITY
+from .filtering import require_per_axis
 
 __all__ = ["ScenarioConfig"]
 
@@ -76,6 +77,7 @@ class ScenarioConfig:
             raise ValueError("target_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-9:
             raise ValueError("target_cov must be positive semidefinite")
+        require_per_axis(cov, "target_cov")
         mean = mean.copy()
         cov = cov.copy()
         mean.setflags(write=False)

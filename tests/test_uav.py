@@ -1,6 +1,8 @@
 """Tracking case study: kinematics, filter, planner objectives, episodes."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,52 @@ def test_objective_mhp_concentrates_across_scenario_configurations():
     assert wins >= int(np.ceil(0.9 * len(configs)))
 
 
+def test_objectives_reject_an_empty_control_sequence():
+    sc = ScenarioConfig()
+    with pytest.raises(ValueError, match="empty"):
+        objective_nbo(_uav(), _belief(), [], sc)
+    cfg = PlannerConfig(horizon=1, n_trajectories=3, objective=PlannerObjective.RSMHP)
+    with pytest.raises(ValueError, match="empty"):
+        objective_mhp(_uav(), _belief(), [], sc, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_objectives_reject_non_finite_controls_naming_the_entry(bad):
+    sc = ScenarioConfig()
+    controls = _straight(4)
+    controls[2] = UavControl(0.0, bad)
+    with pytest.raises(ValueError, match="control 2 has non-finite bank_angle"):
+        objective_nbo(_uav(), _belief(), controls, sc)
+    controls = _straight(4)
+    controls[1] = UavControl(bad, 0.0)
+    cfg = PlannerConfig(horizon=4, n_trajectories=3, objective=PlannerObjective.RSMHP)
+    with pytest.raises(ValueError, match="control 1 has non-finite forward_acceleration"):
+        objective_mhp(_uav(), _belief(), controls, sc, cfg, np.random.default_rng(0))
+
+
+def _coupled_cov(i, j, value=1.0):
+    cov = np.diag([400.0, 400.0, 16.0, 16.0])
+    cov[i, j] = cov[j, i] = value
+    return cov
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 2), (2, 3)])
+def test_planner_rejects_cross_axis_belief_covariance(entry):
+    sc = ScenarioConfig()
+    belief = TargetBelief(np.array([600.0, 400.0, 5.0, 0.0]), _coupled_cov(*entry))
+    cfg = PlannerConfig(horizon=3, n_trajectories=4, objective=PlannerObjective.RSMHP, eval_budget=20)
+    match = rf"belief covariance .*\[{entry[0]},{entry[1]}\]"
+    with pytest.raises(ValueError, match=match):
+        objective_nbo(_uav(), belief, _straight(3), sc)
+    with pytest.raises(ValueError, match=match):
+        objective_mhp(_uav(), belief, _straight(3), sc, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=match):
+        scenario_objective_terms(_uav(), belief, _straight(3), sc, cfg, np.random.default_rng(0))
+    for objective in PlannerObjective:
+        with pytest.raises(ValueError, match=match):
+            plan_step(_uav(), belief, sc, replace(cfg, objective=objective), np.random.default_rng(0))
+
+
 # ------------------------------------------------------------------- planner
 
 
@@ -472,6 +520,18 @@ def test_scenario_validation():
         ScenarioConfig(sigma0=-1.0)
     with pytest.raises(ValueError):
         ScenarioConfig(target_mean=np.zeros(3))
+
+
+def test_scenario_accepts_unequal_per_axis_blocks():
+    cov = np.diag([900.0, 100.0, 25.0, 4.0])
+    cov[0, 2] = cov[2, 0] = 30.0
+    np.testing.assert_array_equal(ScenarioConfig(target_cov=cov).target_cov, cov)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 2), (2, 3)])
+def test_scenario_rejects_cross_axis_target_cov_naming_the_entry(entry):
+    with pytest.raises(ValueError, match=rf"target_cov .*\[{entry[0]},{entry[1]}\]"):
+        ScenarioConfig(target_cov=_coupled_cov(*entry))
 
 
 def test_planner_config_validation():
