@@ -31,8 +31,8 @@ def build_model():
     return StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: x + w,
-        stage_cost=lambda x, u: float(x[0]),
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: xs[:, 0],
         noise=DiscreteNoise(VALUES, PROBS),
         horizon=3,
         initial_state=[1.0],

@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker threads for internal replications (never changes results)",
+        help="worker processes for a study's replications or episodes, capped at "
+        "the task count (never changes results)",
     )
 
     validate_parser = commands.add_parser(

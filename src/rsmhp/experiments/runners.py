@@ -2,14 +2,16 @@
 
 Each runner maps a validated spec to CSV tables plus a summary dict.  All
 randomness is derived from the spec's master seed through named spawn keys,
-so results are a pure function of the spec; worker counts only split work
-across threads and never change a single value.  ``run_experiment`` is the
-dispatch point that also writes the artifacts.
+so results are a pure function of the spec.  The independent tasks of a
+study (replications, tracking episodes) go through ``_map``, the one place
+where ``workers`` acts: it spreads them over forked worker processes and
+never changes a single value.  ``run_experiment`` is the dispatch point
+that also writes the artifacts.
 """
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from statistics import NormalDist
 
@@ -27,7 +29,7 @@ from ..linear import (
     var_p,
 )
 from ..sampling import NoiseSharing, SamplerConfig, sample_independent, sample_tree, sample_tree_pruned
-from ..uav import PlannerConfig, PlannerObjective, ScenarioConfig, run_monte_carlo
+from ..uav import PlannerConfig, PlannerObjective, ScenarioConfig, run_episode
 from .io import write_csv, write_json
 from .spec import ExperimentKind, ExperimentSpec
 
@@ -42,11 +44,33 @@ __all__ = [
 ]
 
 
+_task = None
+
+
+def _install_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(item):
+    return _task(item)
+
+
 def _map(fn, items, workers: int) -> list:
-    if workers <= 1:
+    """``[fn(item) for item in items]``, spread over up to ``workers`` processes.
+
+    Results come back in item order whatever the process count.  A forked
+    worker receives ``fn`` through the pool initializer without pickling,
+    which the runners' closures would not survive, and calls it through the
+    module-level ``_run_task``.  Without the ``fork`` start method the tasks
+    run serially.
+    """
+    items = list(items)
+    if workers == 1 or len(items) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    context = multiprocessing.get_context("fork")
+    with context.Pool(min(workers, len(items)), _install_task, (fn,)) as pool:
+        return pool.map(_run_task, items)
 
 
 def _derived_seed(master_seed: int, *key: int) -> int:
@@ -262,10 +286,15 @@ def run_uav_monte_carlo(spec: ExperimentSpec, workers: int = 1):
             ))
         )
 
+    def one(item):
+        arm, run = item
+        return float(run_episode(scenario, arms[arm][1], run).mean())
+
+    episodes = [(arm, run) for arm in range(len(arms)) for run in range(p["n_runs"])]
+    means = np.array(_map(one, episodes, workers)).reshape(len(arms), p["n_runs"])
     tables = {}
     summary = {"arms": {}}
-    for name, config in arms:
-        errors = run_monte_carlo(scenario, config, p["n_runs"], workers=workers)
+    for (name, _), errors in zip(arms, means):
         order = np.argsort(errors, kind="stable")
         ordered = errors[order]
         rows = [

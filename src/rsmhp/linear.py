@@ -219,13 +219,18 @@ def lqg_cost_variance(params: LqgParams, controls) -> float:
 
 
 def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticModel:
-    """Simulation twin of a LinearModel (with vectorized fast paths).
+    """Simulation twin of a LinearModel.
 
     The cost is sum_{k=0}^{H-1} (c'x_k + d'u_k) plus a terminal c'x_H, so
     each noise draw w_k reaches the cost through states x_{k+1}..x_H; that
     is the convention var_p describes.  (The deterministic c'x_0 term only
     shifts the mean.)  The expected cost therefore equals the nominal-path
     cost, and estimate_nbo gives the exact expectation.
+
+    The state products are per-row dot products (``np.vecdot``), so a row's
+    result does not depend on how many rows are stacked with it, as it can
+    with BLAS matrix products, and a rollout matches its row of a sampled
+    batch bit for bit.
     """
     a_matrix = model.a_matrix
     b_matrix = model.b_matrix
@@ -236,23 +241,14 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     else:
         noise = GaussianNoise(np.zeros(model.state_dim), model.noise_cov)
 
-    def transition(x, u, w):
-        return a_matrix @ x + b_matrix @ u + w
+    def transition(xs, u, ws):
+        return np.vecdot(xs[:, None, :], a_matrix) + b_matrix @ u + ws
 
-    def transition_batch(xs, u, ws):
-        return xs @ a_matrix.T + b_matrix @ u + ws
+    def stage_cost(xs, u):
+        return np.vecdot(xs, c) + float(d @ u)
 
-    def stage_cost(x, u):
-        return float(c @ x + d @ u)
-
-    def stage_cost_batch(xs, u):
-        return xs @ c + float(d @ u)
-
-    def terminal_cost(x):
-        return float(c @ x)
-
-    def terminal_cost_batch(xs):
-        return xs @ c
+    def terminal_cost(xs):
+        return np.vecdot(xs, c)
 
     return StochasticModel(
         state_dim=model.state_dim,
@@ -262,15 +258,12 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
         noise=noise,
         horizon=model.horizon,
         initial_state=initial_state,
-        transition_batch=transition_batch,
-        stage_cost_batch=stage_cost_batch,
         terminal_cost=terminal_cost,
-        terminal_cost_batch=terminal_cost_batch,
     )
 
 
 def lqg_stochastic_model(params: LqgParams) -> StochasticModel:
-    """Simulation twin of the scalar tracking benchmark (vectorized fast paths)."""
+    """Simulation twin of the scalar tracking benchmark."""
     a = params.a
     r = params.r
     target = params.target
@@ -279,19 +272,13 @@ def lqg_stochastic_model(params: LqgParams) -> StochasticModel:
     else:
         noise = GaussianNoise([0.0], [[params.sigma**2]])
 
-    def transition(x, u, w):
-        return (1.0 - a) * x + a * u + w
+    def transition(xs, u, ws):
+        return (1.0 - a) * xs + a * u + ws
 
-    def stage_cost(x, u):
-        return float(u[0] * u[0])
-
-    def stage_cost_batch(xs, u):
+    def stage_cost(xs, u):
         return np.full(xs.shape[0], u[0] * u[0])
 
-    def terminal_cost(x):
-        return float(r * (x[0] - target) ** 2)
-
-    def terminal_cost_batch(xs):
+    def terminal_cost(xs):
         return r * (xs[:, 0] - target) ** 2
 
     return StochasticModel(
@@ -303,7 +290,4 @@ def lqg_stochastic_model(params: LqgParams) -> StochasticModel:
         horizon=params.horizon,
         initial_state=[params.x0],
         terminal_cost=terminal_cost,
-        transition_batch=transition,
-        stage_cost_batch=stage_cost_batch,
-        terminal_cost_batch=terminal_cost_batch,
     )

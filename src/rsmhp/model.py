@@ -4,8 +4,11 @@ A model is a finite-horizon controlled Markov chain
 
     x_{k+1} = f(x_k, u_k, w_k),   k = 0..H-1
 
-with additive cost  sum_k g(x_k, u_k) + g_H(x_H).  Everything downstream
-(samplers, estimators) works against this interface only.
+with additive cost  sum_k g(x_k, u_k) + g_H(x_H).  The model's callables
+act on row-stacked states, one row per path, so the samplers step a whole
+batch of paths at once and a single-path ``rollout`` is a batch of one
+through the same checked stepping code.  Everything downstream (samplers,
+estimators) works against this interface only.
 """
 from __future__ import annotations
 
@@ -44,11 +47,14 @@ class DimensionError(ValueError):
 class NoiseLaw:
     """Per-step disturbance distribution.
 
-    ``sample`` returns ``(draw, weight)`` where the weight is the probability
-    mass of the draw for discrete laws and the probability density for
-    continuous ones.  Only relative weights matter downstream (they are
-    normalized per trajectory set), so the two conventions mix freely.
-    Weights must be strictly positive for every drawable value.
+    ``sample_batch(rng, count)`` returns ``(draws (count, dim), weights
+    (count,))``, where a weight is the probability mass of its draw for
+    discrete laws and the probability density for continuous ones.  Only
+    relative weights matter downstream (they are normalized per trajectory
+    set), so the two conventions mix freely.  Weights must be strictly
+    positive for every drawable value.  Batches are consumed positionally
+    by the samplers, so a law only has to be deterministic given the
+    generator state.
     """
 
     mean: Array
@@ -57,21 +63,8 @@ class NoiseLaw:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def sample(self, rng: Rng) -> tuple[Array, float]:
-        raise NotImplementedError
-
     def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
-        """Draw ``count`` times; returns (draws (count, dim), weights (count,)).
-
-        Base implementation loops over ``sample``; subclasses override with
-        vectorized draws.  Batches are consumed positionally by the samplers,
-        so a law only has to be deterministic given the generator state.
-        """
-        draws = np.empty((count, self.dim))
-        weights = np.empty(count)
-        for i in range(count):
-            draws[i], weights[i] = self.sample(rng)
-        return draws, weights
+        raise NotImplementedError
 
 
 class GaussianNoise(NoiseLaw):
@@ -107,12 +100,6 @@ class GaussianNoise(NoiseLaw):
         std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
         return cls(mean, np.diag(std**2))
 
-    def sample(self, rng: Rng) -> tuple[Array, float]:
-        z = rng.standard_normal(self.dim)
-        draw = self.mean + self._chol @ z
-        weight = math.exp(self._log_norm - 0.5 * float(z @ z))
-        return draw, weight
-
     def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
         z = rng.standard_normal((count, self.dim))
         draws = self.mean + z @ self._chol.T
@@ -139,10 +126,6 @@ class DiscreteNoise(NoiseLaw):
         self.probs = probs / total
         self.mean = self.probs @ self.values
 
-    def sample(self, rng: Rng) -> tuple[Array, float]:
-        idx = int(rng.choice(self.values.shape[0], p=self.probs))
-        return self.values[idx].copy(), float(self.probs[idx])
-
     def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
         idx = rng.choice(self.values.shape[0], size=count, p=self.probs)
         return self.values[idx], self.probs[idx]
@@ -158,38 +141,34 @@ class DegenerateNoise(NoiseLaw):
     def __init__(self, value) -> None:
         self.mean = np.atleast_1d(np.asarray(value, dtype=float))
 
-    def sample(self, rng: Rng) -> tuple[Array, float]:
-        return self.mean.copy(), 1.0
-
     def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
         return np.broadcast_to(self.mean, (count, self.dim)).copy(), np.ones(count)
 
 
-def _zero_terminal(x: Array) -> float:
-    return 0.0
+def _zero_terminal(xs: Array) -> Array:
+    return np.zeros(xs.shape[0])
 
 
 @dataclass(frozen=True)
 class StochasticModel:
-    """Finite-horizon problem definition.
+    """Finite-horizon problem definition over row-stacked states.
 
-    ``transition``, ``stage_cost``, ``terminal_cost`` act on single vectors.
-    The ``*_batch`` callables are optional vectorized twins operating on
-    stacked rows (n, dim); samplers use them when present, which is what
-    makes large sample counts cheap.  Both routes must implement the same map.
+    ``transition(xs, u, ws)``, ``stage_cost(xs, u)`` and ``terminal_cost(xs)``
+    act on n paths at once: ``xs`` is (n, state_dim), ``ws`` is
+    (n, noise_dim) and ``u`` is the step's control vector, shared by every
+    row.  They return the successor states (n, state_dim) and the costs
+    (n,); any other shape is a ``DimensionError`` naming the callable and
+    the step.  Row i of an output must depend on row i of the inputs only.
     """
 
     state_dim: int
     control_dim: int
     transition: Callable[[Array, Array, Array], Array]
-    stage_cost: Callable[[Array, Array], float]
+    stage_cost: Callable[[Array, Array], Array]
     noise: NoiseLaw
     horizon: int
     initial_state: Array
-    terminal_cost: Callable[[Array], float] = _zero_terminal
-    transition_batch: Callable[[Array, Array, Array], Array] | None = None
-    stage_cost_batch: Callable[[Array, Array], Array] | None = None
-    terminal_cost_batch: Callable[[Array], Array] | None = None
+    terminal_cost: Callable[[Array], Array] = _zero_terminal
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -203,17 +182,6 @@ class StochasticModel:
             )
         x0.flags.writeable = False
         object.__setattr__(self, "initial_state", x0)
-
-    @property
-    def has_batch(self) -> bool:
-        return self.transition_batch is not None and self.stage_cost_batch is not None
-
-    def _terminal_batch(self, states: Array) -> Array:
-        if self.terminal_cost_batch is not None:
-            return np.asarray(self.terminal_cost_batch(states), dtype=float)
-        if self.terminal_cost is _zero_terminal:
-            return np.zeros(states.shape[0])
-        return np.array([self.terminal_cost(x) for x in states], dtype=float)
 
 
 class SamplingScheme(Enum):
@@ -238,8 +206,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for arr in (self.states, self.step_weights):
-            if arr.flags.writeable and arr.flags.owndata:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
 
     @property
     def horizon(self) -> int:
@@ -362,39 +329,56 @@ def as_controls(model: StochasticModel, controls) -> Array:
     return arr
 
 
-def _rollout_arrays(model: StochasticModel, u: Array, draws: Array, weights: Array) -> Trajectory:
-    """Simulate one path from validated arrays; the shared hot loop."""
-    horizon = model.horizon
-    states = np.empty((horizon + 1, model.state_dim))
-    x = model.initial_state
-    states[0] = x
-    cost = 0.0
-    transition = model.transition
-    stage_cost = model.stage_cost
-    for k in range(horizon):
-        uk = u[k]
-        cost += stage_cost(x, uk)
-        x = np.asarray(transition(x, uk, draws[k]), dtype=float)
-        if x.shape != (model.state_dim,):
-            raise DimensionError(
-                f"transition returned shape {x.shape} at step {k}, "
-                f"expected ({model.state_dim},)"
-            )
-        states[k + 1] = x
-    cost += model.terminal_cost(x)
-    return Trajectory(
-        states=states,
-        step_weights=weights,
-        raw_likeliness=float(np.prod(weights)),
-        cost=float(cost),
-    )
+def _checked(out, expected: tuple, name: str, step: int) -> Array:
+    out = np.asarray(out, dtype=float)
+    if out.shape != expected:
+        raise DimensionError(
+            f"{name} returned shape {out.shape} at step {step}, expected {expected}"
+        )
+    return out
+
+
+def _stage_costs(model: StochasticModel, states: Array, u_k: Array, step: int) -> Array:
+    return _checked(model.stage_cost(states, u_k), states.shape[:1], "stage_cost", step)
+
+
+def _terminal_costs(model: StochasticModel, states: Array) -> Array:
+    return _checked(model.terminal_cost(states), states.shape[:1], "terminal_cost", model.horizon)
+
+
+def _transitions(model: StochasticModel, states: Array, u_k: Array, draws: Array, step: int) -> Array:
+    return _checked(model.transition(states, u_k, draws), states.shape, "transition", step)
+
+
+def _simulate_paths(
+    model: StochasticModel, u: Array, draws: Array, weights: Array
+) -> tuple[Array, Array, Array]:
+    """Step n paths from the initial state through their own H draws each.
+
+    ``draws`` is (n, H, noise_dim) and ``weights`` is (n, H).  Returns the
+    state histories (n, H+1, state_dim), the raw likeliness (n,) and the
+    costs (n,).  Both ``rollout`` (n = 1) and ``sample_independent`` run here.
+    """
+    count = draws.shape[0]
+    history = np.empty((count, model.horizon + 1, model.state_dim))
+    history[:, 0] = model.initial_state
+    states = history[:, 0].copy()
+    costs = np.zeros(count)
+    for k in range(model.horizon):
+        costs += _stage_costs(model, states, u[k], k)
+        states = _transitions(model, states, u[k], draws[:, k], k)
+        history[:, k + 1] = states
+    costs += _terminal_costs(model, states)
+    return history, np.prod(weights, axis=1), costs
 
 
 def rollout(model: StochasticModel, controls, noise_draws) -> Trajectory:
     """Simulate one trajectory from explicit per-step (draw, weight) pairs.
 
-    ``noise_draws`` must supply exactly one pair per step.  The function is
-    pure: repeated calls with the same arguments return identical values.
+    ``noise_draws`` must supply exactly one pair per step.  The path runs
+    as a batch of one, so it matches the same draws' row of a sampled
+    batch bit for bit.  The function is pure: repeated calls with the same
+    arguments return identical values.
     """
     u = as_controls(model, controls)
     if len(noise_draws) != model.horizon:
@@ -402,23 +386,30 @@ def rollout(model: StochasticModel, controls, noise_draws) -> Trajectory:
             f"need {model.horizon} noise draws, got {len(noise_draws)}"
         )
     dim = model.noise.dim
-    draws = np.empty((model.horizon, dim))
-    weights = np.empty(model.horizon)
+    draws = np.empty((1, model.horizon, dim))
+    weights = np.empty((1, model.horizon))
     for k, (draw, weight) in enumerate(noise_draws):
         vec = np.atleast_1d(np.asarray(draw, dtype=float))
         if vec.shape != (dim,):
             raise DimensionError(
                 f"noise draw at step {k} must have shape ({dim},), got {vec.shape}"
             )
-        draws[k] = vec
-        weights[k] = weight
-    return _rollout_arrays(model, u, draws, weights)
+        draws[0, k] = vec
+        weights[0, k] = weight
+    states, likeliness, costs = _simulate_paths(model, u, draws, weights)
+    return Trajectory(
+        states=states[0],
+        step_weights=weights[0],
+        raw_likeliness=float(likeliness[0]),
+        cost=float(costs[0]),
+    )
 
 
 def trajectory_cost(model: StochasticModel, states, controls) -> float:
     """Cumulative cost of a given state path: sum of stage costs + terminal.
 
-    Pure recomputation from states and controls; does not touch the noise.
+    Pure recomputation from states and controls, as a batch of one; does
+    not touch the noise.
     """
     u = as_controls(model, controls)
     states = np.asarray(states, dtype=float)
@@ -429,8 +420,8 @@ def trajectory_cost(model: StochasticModel, states, controls) -> float:
             f"states must have shape ({model.horizon + 1}, {model.state_dim}), "
             f"got {states.shape}"
         )
-    cost = 0.0
+    cost = np.zeros(1)
     for k in range(model.horizon):
-        cost += model.stage_cost(states[k], u[k])
-    cost += model.terminal_cost(states[model.horizon])
-    return float(cost)
+        cost += _stage_costs(model, states[k : k + 1], u[k], k)
+    cost += _terminal_costs(model, states[model.horizon :])
+    return float(cost[0])

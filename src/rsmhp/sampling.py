@@ -5,15 +5,15 @@ overlapping trajectories that share prefixes; the final step is completed
 with the noise mean at neutral weight 1, so every trajectory carries a full
 H+1 state path.  The independent scheme draws all H steps fresh per path.
 
-Randomness comes from counter-based Philox streams derived from the master
-seed with structured spawn keys (one stream per tree depth, one per
-independent batch), with batch rows assigned positionally to nodes.  Output
-is therefore bit-identical for a given config regardless of worker count.
+Every scheme steps its whole population of paths at once through the
+model's row-stacked callables, with the checked stepping code of
+``model``.  Randomness comes from counter-based Philox streams derived from
+the master seed with structured spawn keys (one stream per tree depth, one
+per independent batch), with batch rows assigned positionally to nodes, so
+output is a pure function of the model, controls and config.
 """
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,10 +21,13 @@ import numpy as np
 
 from .model import (
     Array,
-    DimensionError,
     SamplingScheme,
     StochasticModel,
     TrajectorySet,
+    _simulate_paths,
+    _stage_costs,
+    _terminal_costs,
+    _transitions,
     as_controls,
 )
 
@@ -65,8 +68,7 @@ class SamplerConfig:
     ``branch_factor`` is N (branches per node for trees, path count for the
     independent scheme).  ``prune_width`` caps the number of survivors per
     depth for the pruned tree and must be None otherwise.  ``tree_cap``
-    bounds the width any sampler call may materialize.  ``workers`` only
-    parallelizes pure recomputation; it never changes results.
+    bounds the width any sampler call may materialize.
     """
 
     branch_factor: int
@@ -74,7 +76,6 @@ class SamplerConfig:
     noise_sharing: NoiseSharing = NoiseSharing.FRESH_PER_NODE
     master_seed: int = 0
     tree_cap: int = 10**6
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.branch_factor < 1:
@@ -83,8 +84,6 @@ class SamplerConfig:
             raise ValueError(f"prune_width must be >= 1, got {self.prune_width}")
         if self.tree_cap < 1:
             raise ValueError("tree_cap must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
 
@@ -105,26 +104,6 @@ class PruneRecord:
 
 def _stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key)))
-
-
-def _stage_costs(model: StochasticModel, states: Array, u_k: Array) -> Array:
-    if model.stage_cost_batch is not None:
-        return np.asarray(model.stage_cost_batch(states, u_k), dtype=float)
-    return np.array([model.stage_cost(x, u_k) for x in states], dtype=float)
-
-
-def _transitions(model: StochasticModel, states: Array, u_k: Array, draws: Array, step: int) -> Array:
-    if model.transition_batch is not None:
-        out = np.asarray(model.transition_batch(states, u_k, draws), dtype=float)
-    else:
-        out = np.empty_like(states)
-        for i in range(states.shape[0]):
-            out[i] = model.transition(states[i], u_k, draws[i])
-    if out.shape != states.shape:
-        raise DimensionError(
-            f"transition returned shape {out.shape} at step {step}, expected {states.shape}"
-        )
-    return out
 
 
 def _grow_tree(
@@ -169,7 +148,7 @@ def _grow_tree(
         else:
             draws, draw_w = law.sample_batch(stream, n_children)
 
-        stage = _stage_costs(model, states, u[level])
+        stage = _stage_costs(model, states, u[level], level)
         parents = np.repeat(states, n_branch, axis=0)
         children = _transitions(model, parents, u[level], draws, level)
 
@@ -208,11 +187,11 @@ def _grow_tree(
 
     # Final step: nominal completion with the noise mean at neutral weight 1.
     last = horizon - 1
-    costs = costs + _stage_costs(model, states, u[last])
+    costs = costs + _stage_costs(model, states, u[last], last)
     terminal_draws = np.broadcast_to(law.mean, (states.shape[0], law.dim))
     final_states = _transitions(model, states, u[last], terminal_draws, last)
     history[:, horizon] = final_states
-    costs = costs + model._terminal_batch(final_states)
+    costs = costs + _terminal_costs(model, final_states)
 
     scheme = SamplingScheme.TREE if prune_to is None else SamplingScheme.TREE_PRUNED
     return TrajectorySet(
@@ -261,8 +240,8 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     """Draw branch_factor non-overlapping paths, each with H fresh noise draws.
 
     All draws come from one derived stream in C order (path-major), so the
-    first paths of a larger batch coincide with a smaller one.  ``workers``
-    only splits the deterministic re-simulation of precomputed draws.
+    first paths of a larger batch coincide with a smaller one, and each
+    path equals the ``rollout`` of its own draws.
     """
     u = as_controls(model, controls)
     horizon = model.horizon
@@ -276,46 +255,5 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     flat_draws, flat_w = law.sample_batch(stream, count * horizon)
     draws = np.ascontiguousarray(flat_draws).reshape(count, horizon, law.dim)
     weights = np.ascontiguousarray(flat_w).reshape(count, horizon)
-
-    history = np.empty((count, horizon + 1, model.state_dim))
-    history[:, 0] = model.initial_state
-    costs = np.zeros(count)
-
-    if model.has_batch:
-        states = np.tile(model.initial_state, (count, 1))
-        for k in range(horizon):
-            costs += _stage_costs(model, states, u[k])
-            states = _transitions(model, states, u[k], draws[:, k], k)
-            history[:, k + 1] = states
-        costs += model._terminal_batch(states)
-    else:
-        def fill(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                x = model.initial_state
-                acc = 0.0
-                for k in range(horizon):
-                    acc += model.stage_cost(x, u[k])
-                    x = np.asarray(model.transition(x, u[k], draws[i, k]), dtype=float)
-                    if x.shape != (model.state_dim,):
-                        raise DimensionError(
-                            f"transition returned shape {x.shape} at step {k}, "
-                            f"expected ({model.state_dim},)"
-                        )
-                    history[i, k + 1] = x
-                costs[i] = acc + model.terminal_cost(x)
-
-        if config.workers > 1 and count > 1:
-            bounds = np.linspace(0, count, config.workers + 1).astype(int)
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(fill, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if hi > lo
-                ]
-                for fut in futures:
-                    fut.result()
-        else:
-            fill(0, count)
-
-    likeliness = np.prod(weights, axis=1)
+    history, likeliness, costs = _simulate_paths(model, u, draws, weights)
     return TrajectorySet(history, weights, likeliness, costs, SamplingScheme.INDEPENDENT)

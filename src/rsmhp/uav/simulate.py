@@ -7,10 +7,10 @@ target paths and identical raw measurement noise (common random numbers).
 The per-step measurement noise is stored as standard normals and scaled by
 the geometry-dependent standard deviation at use time, which is what makes
 the pairing exact even though planners steer different vehicle paths.
+Episodes are independent given their run index, which is what lets the
+experiment runner fan them out over worker processes.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -82,25 +82,11 @@ def run_episode(
 
 
 def run_monte_carlo(
-    scenario: ScenarioConfig,
-    config: PlannerConfig,
-    n_runs: int,
-    workers: int = 1,
+    scenario: ScenarioConfig, config: PlannerConfig, n_runs: int
 ) -> np.ndarray:
-    """Replicated episodes; returns the per-run time-averaged position errors.
-
-    Runs are independent given their derived seeds, so any worker count
-    produces the same values in the same order.
-    """
+    """Replicated episodes; returns the per-run time-averaged position errors."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def one(run_index: int) -> float:
-        return float(run_episode(scenario, config, run_index).mean())
-
-    if workers == 1:
-        return np.array([one(i) for i in range(n_runs)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(n_runs))))
+    return np.array(
+        [float(run_episode(scenario, config, i).mean()) for i in range(n_runs)]
+    )

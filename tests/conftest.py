@@ -25,11 +25,6 @@ class CyclicNoise(NoiseLaw):
         self.mean = self.probs @ self.values
         self._next = 0
 
-    def sample(self, rng):
-        i = self._next % self.probs.shape[0]
-        self._next += 1
-        return self.values[i].copy(), float(self.probs[i])
-
     def sample_batch(self, rng, count):
         idx = (self._next + np.arange(count)) % self.probs.shape[0]
         self._next += count
@@ -39,15 +34,15 @@ class CyclicNoise(NoiseLaw):
 def accumulator_model(noise, horizon, with_terminal=False, x0=0.0):
     """Scalar x' = x + w with stage cost x (control ignored)."""
 
-    def transition(x, u, w):
-        return x + w
+    def transition(xs, u, ws):
+        return xs + ws
 
-    def stage_cost(x, u):
-        return float(x[0])
+    def stage_cost(xs, u):
+        return xs[:, 0]
 
     kwargs = {}
     if with_terminal:
-        kwargs["terminal_cost"] = lambda x: float(x[0])
+        kwargs["terminal_cost"] = lambda xs: xs[:, 0]
     return StochasticModel(
         state_dim=1,
         control_dim=1,

@@ -72,8 +72,8 @@ def test_nbo_of_zero_cost_model_is_zero():
     model = StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: x + w,
-        stage_cost=lambda x, u: 0.0,
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: np.zeros(len(xs)),
         noise=GaussianNoise([0.0], [[1.0]]),
         horizon=3,
         initial_state=[0.0],

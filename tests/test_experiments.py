@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from rsmhp.experiments import (
     load_spec,
     run_experiment,
 )
+from rsmhp.experiments import runners
 from rsmhp.experiments.cli import main
 from rsmhp.experiments.io import format_cell, read_csv, write_csv
 
@@ -422,6 +424,21 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         run_experiment(spec, workers=workers)
         blobs.append((Path(spec.output) / "results.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_map_fans_out_over_processes_in_item_order():
+    offset = 10  # a closure: forked workers must not need to pickle the task
+    out = runners._map(lambda i: (i + offset, os.getpid()), range(6), workers=2)
+    assert [value for value, _ in out] == list(range(10, 16))
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids
+    assert len(pids) <= 2
+
+
+def test_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.setattr(runners.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    out = runners._map(lambda i: (i, os.getpid()), range(4), workers=2)
+    assert out == [(i, os.getpid()) for i in range(4)]
 
 
 def test_experiment_writes_only_inside_output_dir(tmp_path, monkeypatch):

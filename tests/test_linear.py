@@ -266,29 +266,6 @@ def test_linear_model_validation():
         LinearModel(0.5, 1.0, 1.0, 0.0, 1.0, horizon=0)
 
 
-def test_linear_builder_batch_twins_agree_with_plain_callables():
-    rng = np.random.default_rng(31)
-    a = rng.normal(scale=0.3, size=(2, 2))
-    b = rng.normal(size=(2, 2))
-    c = rng.normal(size=2)
-    d = rng.normal(size=2)
-    sigma = np.eye(2) * 0.4
-    lin = LinearModel(a, b, c, d, sigma, horizon=3)
-    model = linear_stochastic_model(lin, [0.1, -0.4])
-    xs = rng.normal(size=(9, 2))
-    u = rng.normal(size=2)
-    ws = rng.normal(size=(9, 2))
-    batch_next = model.transition_batch(xs, u, ws)
-    batch_stage = model.stage_cost_batch(xs, u)
-    batch_term = model.terminal_cost_batch(xs)
-    for i in range(9):
-        np.testing.assert_allclose(
-            batch_next[i], model.transition(xs[i], u, ws[i]), rtol=1e-12
-        )
-        assert batch_stage[i] == pytest.approx(model.stage_cost(xs[i], u), rel=1e-12)
-        assert batch_term[i] == pytest.approx(model.terminal_cost(xs[i]), rel=1e-12)
-
-
 def test_lqg_cost_variance_hand_value():
     # V = 1.25, mu = 0.2225 - 1 = -0.7775:
     # 100 * (2 * 1.5625 + 4 * 0.60450625 * 1.25) = 614.753125

@@ -26,18 +26,18 @@ from rsmhp import (
 def _tracking_model(a=0.5, r=10.0, target=1.0, horizon=2, x0=0.0, sigma=1.0):
     noise = GaussianNoise([0.0], [[sigma**2]]) if sigma > 0 else DegenerateNoise([0.0])
 
-    def transition(x, u, w):
-        return (1.0 - a) * x + a * u + w
+    def transition(xs, u, ws):
+        return (1.0 - a) * xs + a * u + ws
 
     return StochasticModel(
         state_dim=1,
         control_dim=1,
         transition=transition,
-        stage_cost=lambda x, u: float(u[0] ** 2),
+        stage_cost=lambda xs, u: np.full(len(xs), u[0] ** 2),
         noise=noise,
         horizon=horizon,
         initial_state=[x0],
-        terminal_cost=lambda x: float(r * (x[0] - target) ** 2),
+        terminal_cost=lambda xs: r * (xs[:, 0] - target) ** 2,
     )
 
 
@@ -54,8 +54,8 @@ def test_rollout_zero_cost_single_step():
     model = StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: x + w,
-        stage_cost=lambda x, u: 0.0,
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: np.zeros(len(xs)),
         noise=noise,
         horizon=1,
         initial_state=[0.0],
@@ -69,8 +69,8 @@ def test_rollout_linear_stage_cost_sums_visited_states():
     model = StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: x + w,
-        stage_cost=lambda x, u: float(x[0]),
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: xs[:, 0],
         noise=GaussianNoise([0.0], [[1.0]]),
         horizon=2,
         initial_state=[0.0],
@@ -122,12 +122,12 @@ def test_trajectory_cost_terminal_only():
     model = StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: x + w,
-        stage_cost=lambda x, u: 0.0,
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: np.zeros(len(xs)),
         noise=GaussianNoise([0.0], [[1.0]]),
         horizon=2,
         initial_state=[0.0],
-        terminal_cost=lambda x: float(x[0] ** 2),
+        terminal_cost=lambda xs: xs[:, 0] ** 2,
     )
     assert trajectory_cost(model, [[0.0], [1.0], [2.0]], [0.0, 0.0]) == 4.0
 
@@ -143,8 +143,8 @@ def test_trajectory_cost_constant_stage():
     model = StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: x + w,
-        stage_cost=lambda x, u: 5.0,
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: np.full(len(xs), 5.0),
         noise=GaussianNoise([0.0], [[1.0]]),
         horizon=1,
         initial_state=[0.0],
@@ -167,15 +167,15 @@ def test_cost_additivity_over_split_halves():
         return StochasticModel(
             state_dim=1,
             control_dim=1,
-            transition=lambda x, u, w: 0.7 * x + 0.3 * u + w,
-            stage_cost=lambda x, u: float(x[0] ** 2 + u[0] ** 2),
+            transition=lambda xs, u, ws: 0.7 * xs + 0.3 * u + ws,
+            stage_cost=lambda xs, u: xs[:, 0] ** 2 + u[0] ** 2,
             noise=noise,
             horizon=horizon,
             initial_state=[x0],
             **kwargs,
         )
 
-    terminal = lambda x: float(3.0 * x[0])
+    terminal = lambda xs: 3.0 * xs[:, 0]
     for _ in range(25):
         controls = rng.normal(size=4)
         draws = [(rng.normal(size=1), 1.0) for _ in range(4)]
@@ -200,7 +200,8 @@ def test_as_controls_accepts_flat_scalars_and_rejects_mismatch():
 def test_gaussian_noise_weight_is_the_density():
     law = GaussianNoise([1.0], [[4.0]])
     rng = np.random.default_rng(0)
-    draw, weight = law.sample(rng)
+    draws, weights = law.sample_batch(rng, 1)
+    draw, weight = draws[0], weights[0]
     expected = math.exp(-0.5 * (draw[0] - 1.0) ** 2 / 4.0) / math.sqrt(2 * math.pi * 4.0)
     assert weight == pytest.approx(expected, rel=1e-12)
     draws, weights = law.sample_batch(np.random.default_rng(1), 64)
@@ -269,8 +270,8 @@ def test_model_validates_initial_state_shape():
         StochasticModel(
             state_dim=2,
             control_dim=1,
-            transition=lambda x, u, w: x,
-            stage_cost=lambda x, u: 0.0,
+            transition=lambda xs, u, ws: xs,
+            stage_cost=lambda xs, u: np.zeros(len(xs)),
             noise=GaussianNoise([0.0], [[1.0]]),
             horizon=1,
             initial_state=[0.0],
@@ -282,8 +283,8 @@ def test_model_rejects_nonpositive_horizon():
         StochasticModel(
             state_dim=1,
             control_dim=1,
-            transition=lambda x, u, w: x,
-            stage_cost=lambda x, u: 0.0,
+            transition=lambda xs, u, ws: xs,
+            stage_cost=lambda xs, u: np.zeros(len(xs)),
             noise=GaussianNoise([0.0], [[1.0]]),
             horizon=0,
             initial_state=[0.0],

@@ -1,14 +1,20 @@
 """Samplers: tree growth, likeliness pruning, independent paths, determinism."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CyclicNoise, accumulator_model, likeliness_rank, set_arrays_equal
 
 from rsmhp import (
     DegenerateNoise,
+    DimensionError,
     GaussianNoise,
+    LinearModel,
     LqgParams,
     NoiseSharing,
     SamplerConfig,
@@ -16,12 +22,14 @@ from rsmhp import (
     StochasticModel,
     TreeSizeError,
     estimate_nbo,
+    linear_stochastic_model,
     lqg_stochastic_model,
+    rollout,
     sample_independent,
     sample_tree,
     sample_tree_pruned,
 )
-from rsmhp.sampling import _sample_tree_pruned_logged
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _sample_tree_pruned_logged, _stream
 
 
 def _lqg(horizon=2, sigma=1.0):
@@ -31,16 +39,16 @@ def _lqg(horizon=2, sigma=1.0):
 
 
 def _loop_only_model(horizon=2):
-    """Scalar model without vectorized callables (exercises the loop path)."""
+    """The LQG benchmark written out by hand, not by the library builder."""
     return StochasticModel(
         state_dim=1,
         control_dim=1,
-        transition=lambda x, u, w: 0.5 * x + 0.5 * u + w,
-        stage_cost=lambda x, u: float(u[0] ** 2),
+        transition=lambda xs, u, ws: 0.5 * xs + 0.5 * u + ws,
+        stage_cost=lambda xs, u: np.full(len(xs), u[0] ** 2),
         noise=GaussianNoise([0.0], [[1.0]]),
         horizon=horizon,
         initial_state=[0.0],
-        terminal_cost=lambda x: float(10.0 * (x[0] - 1.0) ** 2),
+        terminal_cost=lambda xs: 10.0 * (xs[:, 0] - 1.0) ** 2,
     )
 
 
@@ -243,19 +251,6 @@ def test_independent_prefix_stability():
     assert np.array_equal(small.states, large.states[:10])
 
 
-def test_independent_bit_identical_across_worker_counts():
-    model = _loop_only_model()
-    outs = [
-        sample_independent(
-            model,
-            [0.55, 0.17],
-            SamplerConfig(branch_factor=101, master_seed=5, workers=w),
-        )
-        for w in (1, 4)
-    ]
-    assert set_arrays_equal(outs[0], outs[1])
-
-
 def test_loop_and_batch_paths_agree():
     loop = sample_independent(
         _loop_only_model(), [0.55, 0.17], SamplerConfig(branch_factor=64, master_seed=12)
@@ -265,6 +260,61 @@ def test_loop_and_batch_paths_agree():
     )
     np.testing.assert_allclose(loop.costs, fast.costs, rtol=1e-12)
     np.testing.assert_allclose(loop.states, fast.states, rtol=1e-12)
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=3),
+    horizon=st.integers(min_value=1, max_value=6),
+    count=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rollout_is_a_batch_of_one(dim, horizon, count, seed):
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(dim, dim))
+    lin = LinearModel(
+        rng.normal(scale=0.5, size=(dim, dim)),
+        rng.normal(size=(dim, 2)),
+        rng.normal(size=dim),
+        rng.normal(size=2),
+        root @ root.T + 0.1 * np.eye(dim),
+        horizon=horizon,
+    )
+    model = linear_stochastic_model(lin, rng.normal(size=dim))
+    controls = rng.normal(size=(horizon, 2))
+    config = SamplerConfig(branch_factor=count, master_seed=seed)
+    batch = sample_independent(model, controls, config)
+    # The same draws the sampler takes: one sample_batch call, path-major.
+    stream = _stream(config.master_seed, _INDEPENDENT_DOMAIN)
+    draws, weights = model.noise.sample_batch(stream, count * horizon)
+    draws = draws.reshape(count, horizon, dim)
+    weights = weights.reshape(count, horizon)
+    for i in range(count):
+        path = rollout(model, controls, list(zip(draws[i], weights[i])))
+        assert np.array_equal(path.states, batch.states[i])
+        assert path.cost == batch.costs[i]
+        assert path.raw_likeliness == batch.raw_likeliness[i]
+
+
+@pytest.mark.parametrize(
+    "name, step, tree_step", [("stage_cost", 0, 1), ("terminal_cost", 3, 3)]
+)
+def test_wrong_shaped_cost_names_the_callable_and_step(name, step, tree_step):
+    model = accumulator_model(GaussianNoise([0.0], [[1.0]]), horizon=3, with_terminal=True)
+    controls = np.zeros(3)
+    # One cost for the whole batch, shape (1,), would broadcast over it.  The
+    # tree has a single root, so its first wrong stage cost comes at step 1.
+    first_row = {"stage_cost": lambda xs, u: xs[:1, 0], "terminal_cost": lambda xs: xs[:1, 0]}
+    bad = dataclasses.replace(model, **{name: first_row[name]})
+    with pytest.raises(DimensionError, match=rf"{name} returned shape \(1,\) at step {step}"):
+        sample_independent(bad, controls, SamplerConfig(branch_factor=4))
+    with pytest.raises(DimensionError, match=rf"{name} returned shape \(1,\) at step {tree_step}"):
+        sample_tree(bad, controls, SamplerConfig(branch_factor=4))
+    # A rollout is a batch of one, where a scalar cost is the wrong shape.
+    scalar = {"stage_cost": lambda xs, u: float(xs[0, 0]), "terminal_cost": lambda xs: float(xs[0, 0])}
+    bad = dataclasses.replace(model, **{name: scalar[name]})
+    with pytest.raises(DimensionError, match=rf"{name} returned shape \(\) at step {step}"):
+        rollout(bad, controls, [(np.zeros(1), 1.0)] * 3)
 
 
 def test_samplers_are_deterministic_given_config():

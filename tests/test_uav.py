@@ -481,16 +481,6 @@ def test_monte_carlo_identical_seeds_identical_output():
     np.testing.assert_array_equal(a, b)
 
 
-def test_monte_carlo_bit_identical_across_worker_counts():
-    sc = _small_scenario(n_steps=6)
-    cfg = _small_planner(
-        objective=PlannerObjective.RSMHP, n_trajectories=10, eval_budget=30
-    )
-    serial = run_monte_carlo(sc, cfg, n_runs=4, workers=1)
-    threaded = run_monte_carlo(sc, cfg, n_runs=4, workers=3)
-    np.testing.assert_array_equal(serial, threaded)
-
-
 def test_monte_carlo_runs_differ_across_run_indices():
     sc = _small_scenario(n_steps=6)
     out = run_monte_carlo(sc, _small_planner(), n_runs=3)
@@ -501,8 +491,6 @@ def test_monte_carlo_validates_arguments():
     sc = _small_scenario()
     with pytest.raises(ValueError):
         run_monte_carlo(sc, _small_planner(), n_runs=0)
-    with pytest.raises(ValueError):
-        run_monte_carlo(sc, _small_planner(), n_runs=1, workers=0)
 
 
 def test_scenario_validation():
