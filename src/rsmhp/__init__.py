@@ -21,11 +21,13 @@ from .model import (
 )
 from .sampling import (
     NoiseSharing,
+    PruneRecord,
     SamplerConfig,
     TreeSizeError,
     sample_independent,
     sample_tree,
     sample_tree_pruned,
+    sample_tree_pruned_logged,
 )
 from .estimators import (
     Estimate,
@@ -64,11 +66,13 @@ __all__ = [
     "rollout",
     "trajectory_cost",
     "NoiseSharing",
+    "PruneRecord",
     "SamplerConfig",
     "TreeSizeError",
     "sample_independent",
     "sample_tree",
     "sample_tree_pruned",
+    "sample_tree_pruned_logged",
     "Estimate",
     "EstimatorScheme",
     "estimate_mean",

@@ -2,10 +2,14 @@
 
 Each runner maps a validated spec to CSV tables plus a summary dict.  All
 randomness is derived from the spec's master seed through named spawn keys,
-so results are a pure function of the spec.  The independent tasks of a
-study (replications, tracking episodes) go through ``_map``, the one place
-where ``workers`` acts: it spreads them over forked worker processes and
-never changes a single value.  ``run_experiment`` is the dispatch point
+so results are a pure function of the spec.  The replicated studies derive
+one seed per replication and cut the seeds into chunks of about
+``_CHUNK_ROWS`` sampled rows (``_replicate``); each chunk is one stacked
+sampler call, split back into per-replication sets.  The independent tasks
+of a study (chunks, grid points, tracking episodes) go through ``_map``, the
+one place where ``workers`` acts: it spreads them over forked worker
+processes and never changes a single value.  Neither the chunk size nor the
+worker count changes a CSV byte.  ``run_experiment`` is the dispatch point
 that also writes the artifacts.
 """
 from __future__ import annotations
@@ -79,6 +83,36 @@ def _derived_seed(master_seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+# Rows one stacked sampler call may hold.  Larger chunks cut per-call
+# overhead further but raise peak memory; at 2^14 rows the arrays of one
+# covariance_decay call take about 1.6 MB.
+_CHUNK_ROWS = 2**14
+
+
+def _chunks(seeds: list[int], rows_each: int) -> list[tuple[int, ...]]:
+    """Consecutive runs of ``seeds`` that differ in length by at most one.
+
+    Each run holds at most ``_CHUNK_ROWS // rows_each`` seeds, and at least one.
+    """
+    per_chunk = max(1, _CHUNK_ROWS // rows_each)
+    count = -(-len(seeds) // per_chunk)
+    base, extra = divmod(len(seeds), count)
+    bounds = [i * base + min(i, extra) for i in range(count + 1)]
+    return [tuple(seeds[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _replicate(fn, master_seed: int, index: int, reps: int, rows_each: int, workers: int) -> list:
+    """Per-replication results of ``reps`` replications, in replication order.
+
+    Replication r runs on ``_derived_seed(master_seed, index, r)``.  ``fn``
+    takes a chunk of seeds, makes one stacked sampler call of about
+    ``rows_each`` rows per seed, and returns one result per seed.
+    """
+    seeds = [_derived_seed(master_seed, index, rep) for rep in range(reps)]
+    chunks = _map(fn, _chunks(seeds, rows_each), workers)
+    return [result for chunk in chunks for result in chunk]
+
+
 def _scalar_benchmark(params: dict):
     """The shared scalar linear test model and its exact expected cost.
 
@@ -148,15 +182,12 @@ def run_chebyshev_coverage(spec: ExperimentSpec, workers: int = 1):
 
     rows = []
     for n_index, count in enumerate(p["n_values"]):
-        def one(rep, _count=count, _n_index=n_index):
-            config = SamplerConfig(
-                branch_factor=_count,
-                master_seed=_derived_seed(spec.master_seed, _n_index, rep),
-            )
-            value = estimate_mean(sample_independent(stochastic, controls, config)).value
-            return abs(value - exact)
+        def chunk(seeds, _count=count):
+            config = SamplerConfig(branch_factor=_count, seeds=seeds)
+            sets = sample_independent(stochastic, controls, config).split(len(seeds))
+            return [abs(estimate_mean(one).value - exact) for one in sets]
 
-        errors = np.array(_map(one, range(p["reps"]), workers))
+        errors = np.array(_replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers))
         for epsilon in epsilons:
             exceed = float(np.mean(errors >= epsilon))
             bound = chebyshev_bound(model, count, epsilon)
@@ -179,14 +210,12 @@ def run_variance_scaling(spec: ExperimentSpec, workers: int = 1):
 
     rows = []
     for n_index, count in enumerate(p["n_values"]):
-        def one(rep, _count=count, _n_index=n_index):
-            config = SamplerConfig(
-                branch_factor=_count,
-                master_seed=_derived_seed(spec.master_seed, _n_index, rep),
-            )
-            return estimate_mean(sample_independent(stochastic, controls, config)).value
+        def chunk(seeds, _count=count):
+            config = SamplerConfig(branch_factor=_count, seeds=seeds)
+            sets = sample_independent(stochastic, controls, config).split(len(seeds))
+            return [estimate_mean(one).value for one in sets]
 
-        values = np.array(_map(one, range(p["reps"]), workers))
+        values = np.array(_replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers))
         rows.append((count, p["reps"], float(np.var(values, ddof=1))))
 
     header = ["n", "reps", "variance"]
@@ -202,23 +231,27 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
     p = spec.params
     _, stochastic, controls, exact = _scalar_benchmark(p)
 
+    full = p["branch_factor"] ** (p["horizon"] - 1)
     rows = []
     for m_index, width in enumerate(p["m_values"]):
-        def one(rep, _width=width, _m_index=m_index):
+        def chunk(seeds, _width=width):
             config = SamplerConfig(
                 branch_factor=p["branch_factor"],
                 prune_width=_width,
                 noise_sharing=NoiseSharing.FRESH_PER_NODE,
-                master_seed=_derived_seed(spec.master_seed, _m_index, rep),
+                seeds=seeds,
             )
-            trajectories = sample_tree_pruned(stochastic, controls, config)
-            return (
-                len(trajectories),
-                abs(estimate_mean(trajectories).value - exact),
-                abs(estimate_weighted(trajectories).value - exact),
-            )
+            sets = sample_tree_pruned(stochastic, controls, config).split(len(seeds))
+            return [
+                (
+                    len(one),
+                    abs(estimate_mean(one).value - exact),
+                    abs(estimate_weighted(one).value - exact),
+                )
+                for one in sets
+            ]
 
-        results = _map(one, range(p["reps"]), workers)
+        results = _replicate(chunk, spec.master_seed, m_index, p["reps"], min(width, full), workers)
         leaves = results[0][0]
         mean_errors = np.array([r[1] for r in results])
         weighted_errors = np.array([r[2] for r in results])
@@ -323,15 +356,15 @@ def run_covariance_decay(spec: ExperimentSpec, workers: int = 1):
     reps = p["reps"]
     n_leaves = branch ** (p["horizon"] - 1)
 
-    def one(rep):
+    def chunk(seeds):
         config = SamplerConfig(
             branch_factor=branch,
             noise_sharing=NoiseSharing.FRESH_PER_NODE,
-            master_seed=_derived_seed(spec.master_seed, 0, rep),
+            seeds=seeds,
         )
-        return sample_tree(stochastic, controls, config).costs
+        return sample_tree(stochastic, controls, config).costs.reshape(len(seeds), n_leaves)
 
-    costs = np.array(_map(one, range(reps), workers))
+    costs = np.array(_replicate(chunk, spec.master_seed, 0, reps, n_leaves, workers))
     centered = costs - costs.mean(axis=0)
 
     rows = []

@@ -293,6 +293,29 @@ class TrajectorySet:
             branch_paths=self.branch_paths,
         )
 
+    def split(self, parts: int) -> list["TrajectorySet"]:
+        """Cut the set into ``parts`` equal blocks of consecutive rows.
+
+        The blocks are views, in row order, so a call over several
+        replications splits back into one set per replication.  They carry
+        no normalized weights, which are relative to the whole set.
+        """
+        n = len(self)
+        if parts < 1 or n % parts:
+            raise ValueError(f"cannot split {n} trajectories into {parts} equal parts")
+        size = n // parts
+        return [
+            TrajectorySet(
+                self.states[start : start + size],
+                self.step_weights[start : start + size],
+                self.raw_likeliness[start : start + size],
+                self.costs[start : start + size],
+                self.scheme,
+                branch_paths=None if self.branch_paths is None else self.branch_paths[start : start + size],
+            )
+            for start in range(0, n, size)
+        ]
+
     def __len__(self) -> int:
         return self.states.shape[0]
 

@@ -5,17 +5,26 @@ overlapping trajectories that share prefixes; the final step is completed
 with the noise mean at neutral weight 1, so every trajectory carries a full
 H+1 state path.  The independent scheme draws all H steps fresh per path.
 
-Every scheme steps its whole population of paths at once through the
-model's row-stacked callables, with the checked stepping code of
+One call can also grow many independent replications side by side: with
+``SamplerConfig.seeds`` set, each seed is one replication, its rows come out
+as one contiguous block (replication-major), and block r equals the
+single-replication call with ``master_seed = seeds[r]`` bit for bit.  Pruning
+ranks within each replication.  ``TrajectorySet.split`` cuts the output back
+into per-replication sets.
+
+Every scheme steps its whole population of paths, all replications at once,
+through the model's row-stacked callables, with the checked stepping code of
 ``model``.  Randomness comes from counter-based Philox streams derived from
-the master seed with structured spawn keys (one stream per tree depth, one
-per independent batch), with batch rows assigned positionally to nodes, so
-output is a pure function of the model, controls and config.
+each replication's seed with structured spawn keys (one stream per tree
+depth, one per independent batch), with batch rows assigned positionally to
+nodes, so output is a pure function of the model, controls and config.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +47,7 @@ __all__ = [
     "PruneRecord",
     "sample_tree",
     "sample_tree_pruned",
+    "sample_tree_pruned_logged",
     "sample_independent",
 ]
 
@@ -67,8 +77,11 @@ class SamplerConfig:
 
     ``branch_factor`` is N (branches per node for trees, path count for the
     independent scheme).  ``prune_width`` caps the number of survivors per
-    depth for the pruned tree and must be None otherwise.  ``tree_cap``
-    bounds the width any sampler call may materialize.
+    depth for the pruned tree and must be None otherwise.  ``seeds`` holds
+    one seed per replication; empty means a single replication at
+    ``master_seed``, which must then be left at 0 when ``seeds`` is given.
+    ``tree_cap`` bounds the total width, over all replications, that any
+    sampler call may materialize.
     """
 
     branch_factor: int
@@ -76,16 +89,32 @@ class SamplerConfig:
     noise_sharing: NoiseSharing = NoiseSharing.FRESH_PER_NODE
     master_seed: int = 0
     tree_cap: int = 10**6
+    seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.branch_factor < 1:
-            raise ValueError(f"branch_factor must be >= 1, got {self.branch_factor}")
-        if self.prune_width is not None and self.prune_width < 1:
-            raise ValueError(f"prune_width must be >= 1, got {self.prune_width}")
-        if self.tree_cap < 1:
-            raise ValueError("tree_cap must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+        _check_int("branch_factor", self.branch_factor, 1)
+        if self.prune_width is not None:
+            _check_int("prune_width", self.prune_width, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        _check_int("tree_cap", self.tree_cap, 1)
+        seeds = tuple(self.seeds)
+        for index, seed in enumerate(seeds):
+            _check_int(f"seeds[{index}]", seed, 0)
+        if seeds and self.master_seed != 0:
+            raise ValueError("give either seeds or a nonzero master_seed, not both")
+        object.__setattr__(self, "seeds", seeds)
+
+    @property
+    def replication_seeds(self) -> tuple[int, ...]:
+        """One seed per replication the config grows."""
+        return self.seeds or (self.master_seed,)
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +131,28 @@ class PruneRecord:
     kept: np.ndarray
 
 
-def _stream(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key)))
+def _streams(seeds, *key: int) -> Iterator[np.random.Generator]:
+    """Each seed's stream ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` in turn.
+
+    One Philox generator is re-keyed per seed, with its counter and buffer
+    reset, which draws the same values as a fresh one at a fraction of the
+    set-up cost.  A yielded stream is valid until the next one is taken.
+    """
+    bit_generator = np.random.Philox(0)
+    stream = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for seed in seeds:
+        state["state"]["key"] = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+        bit_generator.state = state
+        yield stream
+
+
+def _joined(blocks: list[tuple[Array, Array]]) -> tuple[Array, Array]:
+    """The replications' (draws, weights) blocks stacked in replication order."""
+    if len(blocks) == 1:
+        return blocks[0]  # no copy of a lone block, which may be the largest array of the call
+    draws, weights = zip(*blocks)
+    return np.concatenate(draws), np.concatenate(weights)
 
 
 def _grow_tree(
@@ -117,36 +166,42 @@ def _grow_tree(
     horizon = model.horizon
     n_branch = config.branch_factor
     law = model.noise
+    seeds = config.replication_seeds
+    n_reps = len(seeds)
 
-    if prune_to is None and n_branch ** max(horizon - 1, 0) > config.tree_cap:
+    if prune_to is None and n_reps * n_branch ** max(horizon - 1, 0) > config.tree_cap:
         raise TreeSizeError(
-            f"unpruned tree has {n_branch}^{horizon - 1} trajectories, over the cap "
+            f"unpruned tree has {n_reps} x {n_branch}^{horizon - 1} trajectories, over the cap "
             f"{config.tree_cap}; use sample_tree_pruned or sample_independent, or raise tree_cap"
         )
 
-    states = model.initial_state[None, :].copy()
-    history = np.empty((1, horizon + 1, model.state_dim))
+    # Every replication holds the same number of rows at every depth, in one
+    # contiguous block per replication.
+    states = np.repeat(model.initial_state[None, :], n_reps, axis=0)
+    history = np.empty((n_reps, horizon + 1, model.state_dim))
     history[:, 0] = states
-    weights_hist = np.ones((1, horizon))
-    likeliness = np.ones(1)
-    costs = np.zeros(1)
-    paths = np.zeros((1, max(horizon - 1, 0)), dtype=np.intp)
+    weights_hist = np.ones((n_reps, horizon))
+    likeliness = np.ones(n_reps)
+    costs = np.zeros(n_reps)
+    paths = np.zeros((n_reps, max(horizon - 1, 0)), dtype=np.intp)
 
     for level in range(horizon - 1):
         count = states.shape[0]
-        n_children = count * n_branch
-        if n_children > config.tree_cap:
+        per_rep = count // n_reps * n_branch
+        if count * n_branch > config.tree_cap:
             raise TreeSizeError(
-                f"tree width {n_children} at depth {level + 1} exceeds the cap "
+                f"tree width {count * n_branch} at depth {level + 1} exceeds the cap "
                 f"{config.tree_cap}; lower prune_width or raise tree_cap"
             )
-        stream = _stream(config.master_seed, _TREE_DOMAIN, level)
-        if config.noise_sharing is NoiseSharing.SHARED_PER_DEPTH:
-            shared_draws, shared_w = law.sample_batch(stream, n_branch)
-            draws = np.tile(shared_draws, (count, 1))
-            draw_w = np.tile(shared_w, count)
-        else:
-            draws, draw_w = law.sample_batch(stream, n_children)
+        blocks = []
+        for stream in _streams(seeds, _TREE_DOMAIN, level):
+            if config.noise_sharing is NoiseSharing.SHARED_PER_DEPTH:
+                shared_draws, shared_w = law.sample_batch(stream, n_branch)
+                repeats = per_rep // n_branch
+                blocks.append((np.tile(shared_draws, (repeats, 1)), np.tile(shared_w, repeats)))
+            else:
+                blocks.append(law.sample_batch(stream, per_rep))
+        draws, draw_w = _joined(blocks)
 
         stage = _stage_costs(model, states, u[level], level)
         parents = np.repeat(states, n_branch, axis=0)
@@ -162,13 +217,14 @@ def _grow_tree(
         paths[:, level] = np.tile(np.arange(n_branch, dtype=np.intp), count)
         states = children
 
-        if prune_to is not None and states.shape[0] > prune_to:
-            # Rank by likeliness descending, ties by branch digits
-            # (most significant first); lexsort keys go least to most
-            # significant with the primary key last.
-            keys = tuple(paths[:, col] for col in range(level, -1, -1)) + (-likeliness,)
-            order = np.lexsort(keys)
-            kept = order[:prune_to]
+        if prune_to is not None and per_rep > prune_to:
+            # Within each replication, rank by likeliness descending, ties
+            # by branch digits (most significant first); lexsort keys go
+            # least to most significant, so the replication index comes last.
+            keys = tuple(paths[:, col] for col in range(level, -1, -1))
+            replication = np.repeat(np.arange(n_reps, dtype=np.intp), per_rep)
+            order = np.lexsort(keys + (-likeliness, replication))
+            kept = order.reshape(n_reps, per_rep)[:, :prune_to].ravel()
             if log is not None:
                 log.append(
                     PruneRecord(
@@ -203,7 +259,8 @@ def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> Traj
     """Grow the full branching tree: N^(H-1) trajectories in branch order.
 
     Trajectory i's branch digits are the base-N representation of i, most
-    significant digit at the earliest depth.
+    significant digit at the earliest depth.  With several seeds, each
+    replication's tree is one block of N^(H-1) rows.
     """
     if config.prune_width is not None:
         raise ValueError("sample_tree requires prune_width=None; use sample_tree_pruned")
@@ -218,19 +275,27 @@ def sample_tree_pruned(model: StochasticModel, controls, config: SamplerConfig) 
     the top prune_width survive; depths at or under the width are untouched.
     When no pruning ever triggers the output is bit-identical to
     ``sample_tree`` with the same config, in the same order; otherwise
-    trajectories appear in final rank order.
+    trajectories appear in final rank order.  With several seeds, ranking
+    and the cut act within each replication's block.
     """
     if config.prune_width is None:
         raise ValueError("sample_tree_pruned requires prune_width to be set")
     return _grow_tree(model, controls, config, prune_to=config.prune_width, log=None)
 
 
-def _sample_tree_pruned_logged(
+def sample_tree_pruned_logged(
     model: StochasticModel, controls, config: SamplerConfig
 ) -> tuple[TrajectorySet, list[PruneRecord]]:
-    """Pruned sampling that also reports every pruning event (for diagnostics)."""
+    """``sample_tree_pruned`` that also returns every pruning event, in depth order.
+
+    Diagnostics for a single replication: a config with more than one seed
+    is rejected, since the record indexes refer to one candidate pool.
+    """
     if config.prune_width is None:
-        raise ValueError("prune_width must be set")
+        raise ValueError("sample_tree_pruned_logged requires prune_width to be set")
+    if len(config.replication_seeds) > 1:
+        raise ValueError("sample_tree_pruned_logged takes a single replication, got "
+                         f"{len(config.seeds)} seeds")
     log: list[PruneRecord] = []
     out = _grow_tree(model, controls, config, prune_to=config.prune_width, log=log)
     return out, log
@@ -239,21 +304,24 @@ def _sample_tree_pruned_logged(
 def sample_independent(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
     """Draw branch_factor non-overlapping paths, each with H fresh noise draws.
 
-    All draws come from one derived stream in C order (path-major), so the
-    first paths of a larger batch coincide with a smaller one, and each
-    path equals the ``rollout`` of its own draws.
+    Each replication's draws come from one derived stream in C order
+    (path-major), so the first paths of a larger batch coincide with a
+    smaller one, and each path equals the ``rollout`` of its own draws.
     """
     u = as_controls(model, controls)
     horizon = model.horizon
     count = config.branch_factor
-    if count > config.tree_cap:
+    seeds = config.replication_seeds
+    total = len(seeds) * count
+    if total > config.tree_cap:
         raise TreeSizeError(
-            f"independent batch of {count} paths exceeds the cap {config.tree_cap}"
+            f"independent batch of {total} paths exceeds the cap {config.tree_cap}"
         )
     law = model.noise
-    stream = _stream(config.master_seed, _INDEPENDENT_DOMAIN)
-    flat_draws, flat_w = law.sample_batch(stream, count * horizon)
-    draws = np.ascontiguousarray(flat_draws).reshape(count, horizon, law.dim)
-    weights = np.ascontiguousarray(flat_w).reshape(count, horizon)
+    flat_draws, flat_w = _joined(
+        [law.sample_batch(stream, count * horizon) for stream in _streams(seeds, _INDEPENDENT_DOMAIN)]
+    )
+    draws = flat_draws.reshape(total, horizon, law.dim)
+    weights = flat_w.reshape(total, horizon)
     history, likeliness, costs = _simulate_paths(model, u, draws, weights)
     return TrajectorySet(history, weights, likeliness, costs, SamplingScheme.INDEPENDENT)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmhp import __version__
 from rsmhp.experiments import (
@@ -424,6 +426,70 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         run_experiment(spec, workers=workers)
         blobs.append((Path(spec.output) / "results.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+_REPLICATED_STUDIES = [
+    (ExperimentKind.CHEBYSHEV_COVERAGE, dict(
+        _bench_params(), n_values=[20, 50], epsilons=[0.25, 0.5],
+        epsilon_unit="deviation", reps=37,
+    )),
+    (ExperimentKind.VARIANCE_SCALING, dict(_bench_params(), n_values=[20, 50], reps=23)),
+    (ExperimentKind.PRUNING_STUDY, dict(
+        _bench_params(horizon=3), branch_factor=3, m_values=[1, 2, 9], reps=19,
+    )),
+    (ExperimentKind.COVARIANCE_DECAY, dict(_bench_params(horizon=3), branch_factor=2, reps=101)),
+]
+
+
+@pytest.mark.parametrize("kind, params", _REPLICATED_STUDIES)
+def test_chunking_never_changes_a_byte(kind, params, tmp_path, monkeypatch):
+    sizes = []
+    cut = runners._chunks
+
+    def spy(seeds, rows_each):
+        chunks = cut(seeds, rows_each)
+        sizes.append([len(chunk) for chunk in chunks])
+        return chunks
+
+    monkeypatch.setattr(runners, "_chunks", spy)
+    blobs = {}
+    # One replication per chunk, chunks of unequal sizes, one chunk.
+    for budget in (1, 60, 2**30):
+        monkeypatch.setattr(runners, "_CHUNK_ROWS", budget)
+        for workers in (1, 2):
+            sizes.clear()
+            out = tmp_path / f"{budget}_{workers}"
+            run_experiment(ExperimentSpec(kind, 5, str(out), params), workers=workers)
+            blobs[budget, workers] = (out / "results.csv").read_bytes()
+            for chunk_sizes in sizes:
+                assert sum(chunk_sizes) == params["reps"]
+                assert max(chunk_sizes) - min(chunk_sizes) <= 1
+            if budget == 1:
+                assert all(len(chunk_sizes) == params["reps"] for chunk_sizes in sizes)
+            if budget == 60:
+                assert any(len(set(chunk_sizes)) == 2 for chunk_sizes in sizes)
+            if budget == 2**30:
+                assert all(len(chunk_sizes) == 1 for chunk_sizes in sizes)
+    assert len(set(blobs.values())) == 1
+
+
+@given(
+    count=st.integers(min_value=1, max_value=300),
+    rows_each=st.integers(min_value=1, max_value=500),
+    budget=st.integers(min_value=1, max_value=2000),
+)
+@settings(max_examples=200, deadline=None)
+def test_chunks_are_equal_ordered_and_within_budget(count, rows_each, budget):
+    seeds = list(range(100, 100 + count))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runners, "_CHUNK_ROWS", budget)
+        chunks = runners._chunks(seeds, rows_each)
+    assert [seed for chunk in chunks for seed in chunk] == seeds
+    lengths = [len(chunk) for chunk in chunks]
+    assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+    assert max(lengths) == 1 or max(lengths) * rows_each <= budget
+    # As few chunks as the budget allows.
+    assert len(chunks) == -(-count // max(1, budget // rows_each))
 
 
 def test_map_fans_out_over_processes_in_item_order():

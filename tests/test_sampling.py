@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CyclicNoise, accumulator_model, likeliness_rank, set_arrays_equal
@@ -13,6 +13,7 @@ from conftest import CyclicNoise, accumulator_model, likeliness_rank, set_arrays
 from rsmhp import (
     DegenerateNoise,
     DimensionError,
+    DiscreteNoise,
     GaussianNoise,
     LinearModel,
     LqgParams,
@@ -28,14 +29,20 @@ from rsmhp import (
     sample_independent,
     sample_tree,
     sample_tree_pruned,
+    sample_tree_pruned_logged,
 )
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _sample_tree_pruned_logged, _stream
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _streams
 
 
 def _lqg(horizon=2, sigma=1.0):
     return lqg_stochastic_model(
         LqgParams(a=0.5, r=10.0, target=1.0, sigma=sigma, x0=0.0, horizon=horizon)
     )
+
+
+def _fresh_stream(seed, *key):
+    """A replication's stream as documented: a new Philox generator per seed and key."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _loop_only_model(horizon=2):
@@ -162,7 +169,7 @@ def test_pruned_count_is_min_of_width_and_tree_size():
 def test_pruned_survivors_match_rank_oracle():
     controls = [0.5, 0.2, 0.1, 0.3]
     full = sample_tree(_lqg(4), controls, SamplerConfig(branch_factor=2, master_seed=77))
-    pruned, log = _sample_tree_pruned_logged(
+    pruned, log = sample_tree_pruned_logged(
         _lqg(4), controls, SamplerConfig(branch_factor=2, prune_width=3, master_seed=77)
     )
     assert len(pruned) == 3
@@ -182,7 +189,7 @@ def test_pruned_survivors_match_rank_oracle():
 def test_pruning_dominance_at_every_cut():
     rng = np.random.default_rng(4)
     for seed in rng.integers(0, 2**32, size=8):
-        _, log = _sample_tree_pruned_logged(
+        _, log = sample_tree_pruned_logged(
             _lqg(4),
             [0.5, 0.2, 0.1, 0.3],
             SamplerConfig(branch_factor=3, prune_width=5, master_seed=int(seed)),
@@ -195,7 +202,7 @@ def test_pruning_dominance_at_every_cut():
 
 
 def test_pruned_single_path_follows_highest_weight_at_each_depth():
-    out, log = _sample_tree_pruned_logged(
+    out, log = sample_tree_pruned_logged(
         _lqg(4),
         [0.5, 0.2, 0.1, 0.3],
         SamplerConfig(branch_factor=4, prune_width=1, master_seed=13),
@@ -285,7 +292,7 @@ def test_rollout_is_a_batch_of_one(dim, horizon, count, seed):
     config = SamplerConfig(branch_factor=count, master_seed=seed)
     batch = sample_independent(model, controls, config)
     # The same draws the sampler takes: one sample_batch call, path-major.
-    stream = _stream(config.master_seed, _INDEPENDENT_DOMAIN)
+    stream = _fresh_stream(config.master_seed, _INDEPENDENT_DOMAIN)
     draws, weights = model.noise.sample_batch(stream, count * horizon)
     draws = draws.reshape(count, horizon, dim)
     weights = weights.reshape(count, horizon)
@@ -367,3 +374,168 @@ def test_independent_costs_are_uncorrelated():
             z = abs(float(ranks[:, i] @ ranks[:, j])) * np.sqrt(reps - 1)
             worst = max(worst, z)
     assert worst < 3.5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("branch_factor", 2.5),
+        ("branch_factor", 2.0),
+        ("branch_factor", True),
+        ("prune_width", 2.5),
+        ("prune_width", False),
+        ("master_seed", 1.5),
+        ("master_seed", "3"),
+        ("master_seed", True),
+        ("tree_cap", 1e6),
+        ("tree_cap", True),
+    ],
+)
+def test_config_rejects_non_integers_naming_the_field(field, value):
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}"):
+        SamplerConfig(**{"branch_factor": 2, field: value})
+
+
+@pytest.mark.parametrize(
+    "seeds, error, message",
+    [
+        ((4, 2.5), TypeError, r"seeds\[1\] must be an integer, got 2\.5"),
+        (("7",), TypeError, r"seeds\[0\] must be an integer, got '7'"),
+        ((True, 3), TypeError, r"seeds\[0\] must be an integer, got True"),
+        ((1, -2), ValueError, r"seeds\[1\] must be >= 0, got -2"),
+    ],
+)
+def test_config_rejects_bad_seeds_naming_the_entry(seeds, error, message):
+    with pytest.raises(error, match=message):
+        SamplerConfig(branch_factor=2, seeds=seeds)
+
+
+def test_config_rejects_seeds_with_a_master_seed():
+    with pytest.raises(ValueError, match="seeds or a nonzero master_seed"):
+        SamplerConfig(branch_factor=2, master_seed=3, seeds=(1, 2))
+    config = SamplerConfig(branch_factor=2, seeds=[np.uint64(5), 6])
+    assert config.seeds == (5, 6)
+    assert config.replication_seeds == (5, 6)
+    assert SamplerConfig(branch_factor=2, master_seed=3).replication_seeds == (3,)
+
+
+def test_tree_cap_bounds_the_rows_of_all_replications():
+    seeds = (1, 2, 3, 4)
+    with pytest.raises(TreeSizeError):
+        sample_tree(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, seeds=seeds, tree_cap=35))
+    assert len(sample_tree(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, seeds=seeds, tree_cap=36))) == 36
+    with pytest.raises(TreeSizeError):
+        sample_tree_pruned(
+            _lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, prune_width=2, seeds=seeds, tree_cap=23)
+        )
+    with pytest.raises(TreeSizeError):
+        sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=10, seeds=seeds, tree_cap=39))
+
+
+def test_split_gives_equal_read_only_views():
+    whole = sample_tree(_lqg(3), [0.5, 0.2, 0.1], SamplerConfig(branch_factor=2, seeds=(1, 2, 3)))
+    parts = whole.split(3)
+    assert [len(part) for part in parts] == [4, 4, 4]
+    assert np.array_equal(np.concatenate([part.costs for part in parts]), whole.costs)
+    assert np.array_equal(parts[2].branch_paths, whole.branch_paths[8:])
+    assert np.shares_memory(parts[1].states, whole.states)
+    assert not parts[1].costs.flags.writeable
+    for parts_count in (0, 5):
+        with pytest.raises(ValueError, match="equal parts"):
+            whole.split(parts_count)
+
+
+def test_logged_pruning_takes_one_replication():
+    controls = [0.5, 0.2, 0.1]
+    with pytest.raises(ValueError, match="single replication"):
+        sample_tree_pruned_logged(
+            _lqg(3), controls, SamplerConfig(branch_factor=3, prune_width=2, seeds=(1, 2))
+        )
+    one_seed, log = sample_tree_pruned_logged(
+        _lqg(3), controls, SamplerConfig(branch_factor=3, prune_width=2, seeds=(8,))
+    )
+    plain = sample_tree_pruned(_lqg(3), controls, SamplerConfig(branch_factor=3, prune_width=2, master_seed=8))
+    assert set_arrays_equal(one_seed, plain)
+    assert [rec.level for rec in log] == [0, 1]
+
+
+_STACKED = [
+    (sample_tree, NoiseSharing.FRESH_PER_NODE, None),
+    (sample_tree, NoiseSharing.SHARED_PER_DEPTH, None),
+    (sample_tree_pruned, NoiseSharing.FRESH_PER_NODE, "prunes"),
+    (sample_tree_pruned, NoiseSharing.SHARED_PER_DEPTH, "prunes"),
+    (sample_tree_pruned, NoiseSharing.FRESH_PER_NODE, "never"),
+    (sample_independent, NoiseSharing.FRESH_PER_NODE, None),
+]
+
+
+@pytest.mark.parametrize("sampler, sharing, width_mode", _STACKED)
+@given(
+    dim=st.integers(min_value=1, max_value=3),
+    horizon=st.integers(min_value=1, max_value=4),
+    branch=st.integers(min_value=1, max_value=3),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    discrete=st.booleans(),
+    model_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_stacked_block_equals_its_single_seed_call(
+    sampler, sharing, width_mode, dim, horizon, branch, seeds, discrete, model_seed
+):
+    rng = np.random.default_rng(model_seed)
+    root = rng.normal(size=(dim, dim))
+    lin = LinearModel(
+        rng.normal(scale=0.5, size=(dim, dim)),
+        rng.normal(size=(dim, 2)),
+        rng.normal(size=dim),
+        rng.normal(size=2),
+        root @ root.T + 0.1 * np.eye(dim),
+        horizon=horizon,
+    )
+    model = linear_stochastic_model(lin, rng.normal(size=dim))
+    if discrete:
+        # Two of three outcomes share a mass, so pruning meets likeliness ties.
+        support = rng.normal(size=(3, dim))
+        model = dataclasses.replace(model, noise=DiscreteNoise(support, [0.25, 0.25, 0.5]))
+    controls = rng.normal(size=(horizon, 2))
+    full = branch ** (horizon - 1)
+    width = None
+    if width_mode == "prunes":
+        assume(full > 1)
+        width = max(1, full // 2)
+    elif width_mode == "never":
+        width = full + int(rng.integers(0, 3))
+
+    def config(**seed):
+        return SamplerConfig(branch_factor=branch, prune_width=width, noise_sharing=sharing, **seed)
+
+    blocks = sampler(model, controls, config(seeds=tuple(seeds))).split(len(seeds))
+    for seed, block in zip(seeds, blocks):
+        alone = sampler(model, controls, config(master_seed=seed))
+        assert set_arrays_equal(block, alone)
+        if alone.branch_paths is None:
+            assert block.branch_paths is None
+        else:
+            assert np.array_equal(block.branch_paths, alone.branch_paths)
+
+
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
+    key=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=2),
+    odd=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_rekeyed_streams_draw_like_fresh_generators(seeds, key, odd):
+    def draws(stream):
+        # An odd count of 32-bit draws leaves half a word buffered, which
+        # must not leak into the next seed's stream.
+        return (
+            stream.integers(0, 2**32, size=odd, dtype=np.uint32),
+            stream.standard_normal(odd + 2),
+            stream.choice(3, size=odd, p=[0.25, 0.25, 0.5]),
+        )
+
+    got = [draws(stream) for stream in _streams(seeds, *key)]
+    for seed, values in zip(seeds, got, strict=True):
+        for ours, fresh in zip(values, draws(_fresh_stream(seed, *key))):
+            assert np.array_equal(ours, fresh)
