@@ -20,7 +20,6 @@ from .model import (
     trajectory_cost,
 )
 from .sampling import (
-    NoiseSharing,
     PruneRecord,
     SamplerConfig,
     TreeSizeError,
@@ -65,7 +64,6 @@ __all__ = [
     "as_controls",
     "rollout",
     "trajectory_cost",
-    "NoiseSharing",
     "PruneRecord",
     "SamplerConfig",
     "TreeSizeError",

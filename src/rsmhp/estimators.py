@@ -2,11 +2,15 @@
 
 Two families: plain sample averages of trajectory costs, and weighted
 averages where each cost is scaled by its normalized likeliness (weights sum
-to the set size, so equal weights reduce to the plain mean).  The nominal
-estimator simulates a single path with every disturbance at its mean.
+to the set size, so equal weights reduce to the plain mean).  The weighted
+estimator derives the normalized weights from the set's raw likeliness on
+every call, through ``normalize_weights``, which also rejects weights that
+do not sum to the set size.  The nominal estimator simulates a single path
+with every disturbance at its mean.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,10 +103,12 @@ def estimate_mean(trajectories: TrajectorySet) -> Estimate:
     )
 
 
-def normalize_weights(trajectories: TrajectorySet) -> TrajectorySet:
-    """Return a copy whose normalized weights sum to the set size.
+def normalize_weights(trajectories: TrajectorySet) -> np.ndarray:
+    """The set's normalized weights, an (n,) array that sums to the set size.
 
-    q_i = likeliness_i * n / sum(likeliness).  The input set is not mutated.
+    q_i = likeliness_i * n / sum(likeliness).  A set whose weights do not
+    sum to n is rejected: that happens when the likeliness underflows, so
+    ``n / total`` overflows and the weights come out NaN.
     """
     lik = trajectories.raw_likeliness
     if np.any(lik < 0.0):
@@ -110,23 +116,24 @@ def normalize_weights(trajectories: TrajectorySet) -> TrajectorySet:
     total = float(lik.sum())
     if total == 0.0:
         raise ValueError("cannot normalize all-zero likeliness")
-    q = lik * (len(trajectories) / total)
-    return trajectories.with_weights(q)
+    n = len(trajectories)
+    q = lik * (n / total)
+    q_total = q.sum()
+    if not math.isclose(q_total, float(n), rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(f"normalized weights must sum to the set size {n}, got {q_total}")
+    return q
 
 
 def estimate_weighted(trajectories: TrajectorySet) -> Estimate:
     """Likeliness-weighted average: (1/n) * sum_i q_i * cost_i.
 
-    Uses the set's normalized weights, computing them on the fly when absent.
-    Rescaling all raw likeliness values by a common factor leaves the
-    estimate unchanged.
+    The weights q come from ``normalize_weights``.  Rescaling all raw
+    likeliness values by a common factor leaves the estimate unchanged.
     """
     n = len(trajectories)
     if n == 0:
         raise ValueError("cannot estimate from an empty trajectory set")
-    if trajectories.normalized_weights is None:
-        trajectories = normalize_weights(trajectories)
-    terms = trajectories.normalized_weights * trajectories.costs
+    terms = normalize_weights(trajectories) * trajectories.costs
     return Estimate(
         value=float(terms.sum() / n),
         n_samples=n,

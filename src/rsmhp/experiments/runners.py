@@ -32,7 +32,7 @@ from ..linear import (
     lqg_stochastic_model,
     var_p,
 )
-from ..sampling import NoiseSharing, SamplerConfig, sample_independent, sample_tree, sample_tree_pruned
+from ..sampling import SamplerConfig, sample_independent, sample_tree, sample_tree_pruned
 from ..uav import PlannerConfig, PlannerObjective, ScenarioConfig, run_episode
 from .io import write_csv, write_json
 from .spec import ExperimentKind, ExperimentSpec
@@ -235,12 +235,7 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
     rows = []
     for m_index, width in enumerate(p["m_values"]):
         def chunk(seeds, _width=width):
-            config = SamplerConfig(
-                branch_factor=p["branch_factor"],
-                prune_width=_width,
-                noise_sharing=NoiseSharing.FRESH_PER_NODE,
-                seeds=seeds,
-            )
+            config = SamplerConfig(branch_factor=p["branch_factor"], prune_width=_width, seeds=seeds)
             sets = sample_tree_pruned(stochastic, controls, config).split(len(seeds))
             return [
                 (
@@ -357,11 +352,7 @@ def run_covariance_decay(spec: ExperimentSpec, workers: int = 1):
     n_leaves = branch ** (p["horizon"] - 1)
 
     def chunk(seeds):
-        config = SamplerConfig(
-            branch_factor=branch,
-            noise_sharing=NoiseSharing.FRESH_PER_NODE,
-            seeds=seeds,
-        )
+        config = SamplerConfig(branch_factor=branch, seeds=seeds)
         return sample_tree(stochastic, controls, config).costs.reshape(len(seeds), n_leaves)
 
     costs = np.array(_replicate(chunk, spec.master_seed, 0, reps, n_leaves, workers))

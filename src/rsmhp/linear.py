@@ -236,7 +236,7 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     b_matrix = model.b_matrix
     c = model.cost_state
     d = model.cost_control
-    if np.allclose(model.noise_cov, 0.0):
+    if not model.noise_cov.any():
         noise = DegenerateNoise(np.zeros(model.state_dim))
     else:
         noise = GaussianNoise(np.zeros(model.state_dim), model.noise_cov)

@@ -9,13 +9,17 @@ act on row-stacked states, one row per path, so the samplers step a whole
 batch of paths at once and a single-path ``rollout`` is a batch of one
 through the same checked stepping code.  Everything downstream (samplers,
 estimators) works against this interface only.
+
+A sampled path's weight is its raw likeliness, the product of its step
+weights.  It is the one weight a ``TrajectorySet`` stores; normalized
+weights are derived from it where an estimator needs them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -192,113 +196,66 @@ class SamplingScheme(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated path with its per-step noise weights.
+    """One simulated path: its H+1 states, raw likeliness and cost.
 
-    ``raw_likeliness`` is the product of the step weights; ``cost`` is the
-    accumulated stage cost plus terminal cost.  Values are immutable after
-    construction (arrays are marked read-only).
+    ``raw_likeliness`` is the product of the path's step weights; ``cost``
+    is the accumulated stage cost plus terminal cost.  The states are
+    marked read-only.
     """
 
     states: Array
-    step_weights: Array
     raw_likeliness: float
     cost: float
 
     def __post_init__(self) -> None:
-        for arr in (self.states, self.step_weights):
-            arr.flags.writeable = False
+        self.states.flags.writeable = False
 
     @property
     def horizon(self) -> int:
-        return self.step_weights.shape[0]
+        return self.states.shape[0] - 1
 
 
 class TrajectorySet:
     """Batch of trajectories from one sampling call (columnar storage).
 
     Arrays are stacked along the leading axis: ``states`` is (n, H+1, dim),
-    ``step_weights`` is (n, H).  ``normalized_weights`` is filled by
-    ``estimators.normalize_weights`` and sums to n.  ``branch_paths`` records
-    each tree trajectory's branch digits (most significant first) and is None
-    for the independent scheme.
+    ``raw_likeliness`` and ``costs`` are (n,).  The raw likeliness is the
+    only weight a set stores; ``estimators.normalize_weights`` derives the
+    normalized weights from it.  ``branch_paths`` records each tree
+    trajectory's branch digits (most significant first) and is None for the
+    independent scheme.
     """
 
     def __init__(
         self,
         states: Array,
-        step_weights: Array,
         raw_likeliness: Array,
         costs: Array,
         scheme: SamplingScheme,
-        normalized_weights: Array | None = None,
         branch_paths: NDArray[np.intp] | None = None,
     ) -> None:
         states = np.asarray(states, dtype=float)
-        step_weights = np.asarray(step_weights, dtype=float)
         raw_likeliness = np.asarray(raw_likeliness, dtype=float)
         costs = np.asarray(costs, dtype=float)
-        n = states.shape[0]
         if states.ndim != 3:
             raise DimensionError(f"states must be (n, H+1, dim), got {states.shape}")
-        if step_weights.shape != (n, states.shape[1] - 1):
-            raise DimensionError(
-                f"step_weights must be ({n}, {states.shape[1] - 1}), got {step_weights.shape}"
-            )
+        n = states.shape[0]
         if raw_likeliness.shape != (n,) or costs.shape != (n,):
             raise DimensionError("raw_likeliness and costs must be (n,)")
-        if normalized_weights is not None:
-            normalized_weights = np.asarray(normalized_weights, dtype=float)
-            if normalized_weights.shape != (n,):
-                raise DimensionError("normalized_weights must be (n,)")
-            total = normalized_weights.sum()
-            if n and not math.isclose(total, float(n), rel_tol=1e-9, abs_tol=1e-9):
-                raise ValueError(
-                    f"normalized weights must sum to the set size {n}, got {total}"
-                )
-        for arr in (states, step_weights, raw_likeliness, costs, normalized_weights):
-            if arr is not None and arr.flags.owndata:
+        for arr in (states, raw_likeliness, costs):
+            if arr.flags.owndata:
                 arr.flags.writeable = False
         self.states = states
-        self.step_weights = step_weights
         self.raw_likeliness = raw_likeliness
         self.costs = costs
         self.scheme = scheme
-        self.normalized_weights = normalized_weights
         self.branch_paths = branch_paths
-
-    @classmethod
-    def from_trajectories(
-        cls,
-        trajectories: Sequence[Trajectory],
-        scheme: SamplingScheme,
-        normalized_weights: Array | None = None,
-    ) -> "TrajectorySet":
-        if not trajectories:
-            raise ValueError("trajectory set must not be empty")
-        states = np.stack([t.states for t in trajectories])
-        step_weights = np.stack([t.step_weights for t in trajectories])
-        lik = np.array([t.raw_likeliness for t in trajectories])
-        costs = np.array([t.cost for t in trajectories])
-        return cls(states, step_weights, lik, costs, scheme, normalized_weights)
-
-    def with_weights(self, normalized_weights: Array) -> "TrajectorySet":
-        """Copy of the set carrying the given normalized weights."""
-        return TrajectorySet(
-            self.states,
-            self.step_weights,
-            self.raw_likeliness,
-            self.costs,
-            self.scheme,
-            normalized_weights=normalized_weights,
-            branch_paths=self.branch_paths,
-        )
 
     def split(self, parts: int) -> list["TrajectorySet"]:
         """Cut the set into ``parts`` equal blocks of consecutive rows.
 
         The blocks are views, in row order, so a call over several
-        replications splits back into one set per replication.  They carry
-        no normalized weights, which are relative to the whole set.
+        replications splits back into one set per replication.
         """
         n = len(self)
         if parts < 1 or n % parts:
@@ -307,7 +264,6 @@ class TrajectorySet:
         return [
             TrajectorySet(
                 self.states[start : start + size],
-                self.step_weights[start : start + size],
                 self.raw_likeliness[start : start + size],
                 self.costs[start : start + size],
                 self.scheme,
@@ -322,14 +278,9 @@ class TrajectorySet:
     def __getitem__(self, i: int) -> Trajectory:
         return Trajectory(
             states=self.states[i],
-            step_weights=self.step_weights[i],
             raw_likeliness=float(self.raw_likeliness[i]),
             cost=float(self.costs[i]),
         )
-
-    @property
-    def trajectories(self) -> list[Trajectory]:
-        return [self[i] for i in range(len(self))]
 
 
 def as_controls(model: StochasticModel, controls) -> Array:
@@ -420,12 +371,7 @@ def rollout(model: StochasticModel, controls, noise_draws) -> Trajectory:
         draws[0, k] = vec
         weights[0, k] = weight
     states, likeliness, costs = _simulate_paths(model, u, draws, weights)
-    return Trajectory(
-        states=states[0],
-        step_weights=weights[0],
-        raw_likeliness=float(likeliness[0]),
-        cost=float(costs[0]),
-    )
+    return Trajectory(states=states[0], raw_likeliness=float(likeliness[0]), cost=float(costs[0]))
 
 
 def trajectory_cost(model: StochasticModel, states, controls) -> float:

@@ -1,9 +1,11 @@
 """Trajectory samplers: branching tree, likeliness-pruned tree, independent paths.
 
 Tree schemes branch N ways at each of the first H-1 steps, giving N^(H-1)
-overlapping trajectories that share prefixes; the final step is completed
-with the noise mean at neutral weight 1, so every trajectory carries a full
-H+1 state path.  The independent scheme draws all H steps fresh per path.
+overlapping trajectories that share prefixes; every parent draws its own N
+children.  The final step is completed with the noise mean at neutral
+weight 1, so every trajectory carries a full H+1 state path.  The
+independent scheme draws all H steps fresh per path.  A trajectory keeps
+one weight, its raw likeliness: the running product of its step weights.
 
 One call can also grow many independent replications side by side: with
 ``SamplerConfig.seeds`` set, each seed is one replication, its rows come out
@@ -21,13 +23,12 @@ nodes, so output is a pure function of the model, controls and config.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
+from ._checks import check_int
 from .model import (
     Array,
     SamplingScheme,
@@ -41,7 +42,6 @@ from .model import (
 )
 
 __all__ = [
-    "NoiseSharing",
     "SamplerConfig",
     "TreeSizeError",
     "PruneRecord",
@@ -53,18 +53,6 @@ __all__ = [
 
 _TREE_DOMAIN = 0
 _INDEPENDENT_DOMAIN = 1
-
-
-class NoiseSharing(Enum):
-    """How tree branches draw their noise at each depth.
-
-    FRESH_PER_NODE gives every parent its own N draws, so costs of
-    trajectories from different parents are independent.  SHARED_PER_DEPTH
-    draws N values once per depth and reuses them across all parents.
-    """
-
-    FRESH_PER_NODE = "fresh_per_node"
-    SHARED_PER_DEPTH = "shared_per_depth"
 
 
 class TreeSizeError(ValueError):
@@ -86,20 +74,19 @@ class SamplerConfig:
 
     branch_factor: int
     prune_width: int | None = None
-    noise_sharing: NoiseSharing = NoiseSharing.FRESH_PER_NODE
     master_seed: int = 0
     tree_cap: int = 10**6
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_int("branch_factor", self.branch_factor, 1)
+        check_int("branch_factor", self.branch_factor, 1)
         if self.prune_width is not None:
-            _check_int("prune_width", self.prune_width, 1)
-        _check_int("master_seed", self.master_seed, 0)
-        _check_int("tree_cap", self.tree_cap, 1)
+            check_int("prune_width", self.prune_width, 1)
+        check_int("master_seed", self.master_seed, 0)
+        check_int("tree_cap", self.tree_cap, 1)
         seeds = tuple(self.seeds)
         for index, seed in enumerate(seeds):
-            _check_int(f"seeds[{index}]", seed, 0)
+            check_int(f"seeds[{index}]", seed, 0)
         if seeds and self.master_seed != 0:
             raise ValueError("give either seeds or a nonzero master_seed, not both")
         object.__setattr__(self, "seeds", seeds)
@@ -108,13 +95,6 @@ class SamplerConfig:
     def replication_seeds(self) -> tuple[int, ...]:
         """One seed per replication the config grows."""
         return self.seeds or (self.master_seed,)
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +160,6 @@ def _grow_tree(
     states = np.repeat(model.initial_state[None, :], n_reps, axis=0)
     history = np.empty((n_reps, horizon + 1, model.state_dim))
     history[:, 0] = states
-    weights_hist = np.ones((n_reps, horizon))
     likeliness = np.ones(n_reps)
     costs = np.zeros(n_reps)
     paths = np.zeros((n_reps, max(horizon - 1, 0)), dtype=np.intp)
@@ -193,15 +172,9 @@ def _grow_tree(
                 f"tree width {count * n_branch} at depth {level + 1} exceeds the cap "
                 f"{config.tree_cap}; lower prune_width or raise tree_cap"
             )
-        blocks = []
-        for stream in _streams(seeds, _TREE_DOMAIN, level):
-            if config.noise_sharing is NoiseSharing.SHARED_PER_DEPTH:
-                shared_draws, shared_w = law.sample_batch(stream, n_branch)
-                repeats = per_rep // n_branch
-                blocks.append((np.tile(shared_draws, (repeats, 1)), np.tile(shared_w, repeats)))
-            else:
-                blocks.append(law.sample_batch(stream, per_rep))
-        draws, draw_w = _joined(blocks)
+        draws, draw_w = _joined(
+            [law.sample_batch(stream, per_rep) for stream in _streams(seeds, _TREE_DOMAIN, level)]
+        )
 
         stage = _stage_costs(model, states, u[level], level)
         parents = np.repeat(states, n_branch, axis=0)
@@ -209,8 +182,6 @@ def _grow_tree(
 
         history = np.repeat(history, n_branch, axis=0)
         history[:, level + 1] = children
-        weights_hist = np.repeat(weights_hist, n_branch, axis=0)
-        weights_hist[:, level] = draw_w
         likeliness = np.repeat(likeliness, n_branch) * draw_w
         costs = np.repeat(costs + stage, n_branch)
         paths = np.repeat(paths, n_branch, axis=0)
@@ -236,7 +207,6 @@ def _grow_tree(
                 )
             states = states[kept]
             history = history[kept]
-            weights_hist = weights_hist[kept]
             likeliness = likeliness[kept]
             costs = costs[kept]
             paths = paths[kept]
@@ -250,9 +220,7 @@ def _grow_tree(
     costs = costs + _terminal_costs(model, final_states)
 
     scheme = SamplingScheme.TREE if prune_to is None else SamplingScheme.TREE_PRUNED
-    return TrajectorySet(
-        history, weights_hist, likeliness, costs, scheme, branch_paths=paths
-    )
+    return TrajectorySet(history, likeliness, costs, scheme, branch_paths=paths)
 
 
 def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
@@ -324,4 +292,4 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     draws = flat_draws.reshape(total, horizon, law.dim)
     weights = flat_w.reshape(total, horizon)
     history, likeliness, costs = _simulate_paths(model, u, draws, weights)
-    return TrajectorySet(history, weights, likeliness, costs, SamplingScheme.INDEPENDENT)
+    return TrajectorySet(history, likeliness, costs, SamplingScheme.INDEPENDENT)

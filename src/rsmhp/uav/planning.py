@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .._checks import check_int
 from .dynamics import UavControl, target_process_cov, target_transition_matrix
 from .filtering import TargetBelief, require_per_axis
 from .scenario import ScenarioConfig
@@ -56,12 +57,10 @@ class PlannerConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.n_trajectories < 1:
-            raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if self.eval_budget < 1:
-            raise ValueError(f"eval_budget must be >= 1, got {self.eval_budget}")
+        check_int("horizon", self.horizon, 1)
+        check_int("n_trajectories", self.n_trajectories, 1)
+        check_int("eval_budget", self.eval_budget, 1)
+        check_int("master_seed", self.master_seed, 0)
         if not isinstance(self.objective, PlannerObjective):
             raise ValueError(f"objective must be a PlannerObjective, got {self.objective!r}")
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._checks import check_int
 from .dynamics import GRAVITY
 from .filtering import require_per_axis
 
@@ -53,8 +54,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        check_int("n_steps", self.n_steps, 1)
+        check_int("master_seed", self.master_seed, 0)
         if not 0.0 < self.v_min <= self.v_max:
             raise ValueError(f"need 0 < v_min <= v_max, got [{self.v_min}, {self.v_max}]")
         if not self.v_min <= self.uav_speed <= self.v_max:

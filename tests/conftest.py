@@ -78,7 +78,6 @@ def set_arrays_equal(a, b) -> bool:
     """Bitwise equality of two trajectory sets' payload arrays."""
     return (
         np.array_equal(a.states, b.states)
-        and np.array_equal(a.step_weights, b.step_weights)
         and np.array_equal(a.raw_likeliness, b.raw_likeliness)
         and np.array_equal(a.costs, b.costs)
     )

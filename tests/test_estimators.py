@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CyclicNoise, accumulator_model, enumerate_expectation, set_arrays_equal
+from conftest import CyclicNoise, accumulator_model, enumerate_expectation
 
 from rsmhp import (
     DegenerateNoise,
@@ -14,11 +14,9 @@ from rsmhp import (
     GaussianNoise,
     LinearModel,
     LqgParams,
-    NoiseSharing,
     SamplerConfig,
     SamplingScheme,
     StochasticModel,
-    Trajectory,
     TrajectorySet,
     estimate_mean,
     estimate_nbo,
@@ -33,16 +31,14 @@ from rsmhp import (
 )
 
 
-def _manual_set(costs, likeliness, weights=None, scheme=SamplingScheme.TREE):
+def _manual_set(costs, likeliness, scheme=SamplingScheme.TREE):
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
     return TrajectorySet(
         states=np.zeros((n, 2, 1)),
-        step_weights=np.asarray(likeliness, dtype=float)[:, None],
         raw_likeliness=np.asarray(likeliness, dtype=float),
         costs=costs,
         scheme=scheme,
-        normalized_weights=None if weights is None else np.asarray(weights, dtype=float),
     )
 
 
@@ -116,7 +112,6 @@ def test_mean_scheme_tracks_sampling_scheme():
 def test_mean_on_empty_set_is_an_error():
     empty = TrajectorySet(
         np.zeros((0, 3, 1)),
-        np.zeros((0, 2)),
         np.zeros(0),
         np.zeros(0),
         SamplingScheme.INDEPENDENT,
@@ -133,11 +128,8 @@ def test_tree_mean_equals_exhaustive_enumeration_for_fair_two_point_noise():
     values = [-1.0, 2.0]
     probs = [0.5, 0.5]
     model = accumulator_model(CyclicNoise(values, probs), horizon=3, with_terminal=True, x0=1.0)
-    out = sample_tree(
-        model,
-        np.zeros(3),
-        SamplerConfig(branch_factor=2, noise_sharing=NoiseSharing.SHARED_PER_DEPTH),
-    )
+    # The cyclic law hands every parent the same draws, one per support point.
+    out = sample_tree(model, np.zeros(3), SamplerConfig(branch_factor=2))
     oracle_model = accumulator_model(
         CyclicNoise(values, probs), horizon=3, with_terminal=True, x0=1.0
     )
@@ -147,21 +139,46 @@ def test_tree_mean_equals_exhaustive_enumeration_for_fair_two_point_noise():
 
 
 def test_normalize_equal_likeliness_gives_unit_weights():
-    out = normalize_weights(_manual_set([1.0, 2.0, 3.0], [0.4, 0.4, 0.4]))
-    np.testing.assert_allclose(out.normalized_weights, np.ones(3), rtol=1e-12)
+    q = normalize_weights(_manual_set([1.0, 2.0, 3.0], [0.4, 0.4, 0.4]))
+    np.testing.assert_allclose(q, np.ones(3), rtol=1e-12)
 
 
 def test_normalize_hand_case():
-    out = normalize_weights(_manual_set([0.0, 0.0, 0.0], [0.2, 0.1, 0.1]))
-    np.testing.assert_allclose(out.normalized_weights, [1.5, 0.75, 0.75], rtol=1e-12)
+    q = normalize_weights(_manual_set([0.0, 0.0, 0.0], [0.2, 0.1, 0.1]))
+    np.testing.assert_allclose(q, [1.5, 0.75, 0.75], rtol=1e-12)
 
 
 def test_normalize_does_not_mutate_input():
     ts = _manual_set([1.0, 2.0], [0.3, 0.6])
-    out = normalize_weights(ts)
-    assert ts.normalized_weights is None
-    assert out is not ts
-    assert set_arrays_equal(ts, out)
+    q = normalize_weights(ts)
+    np.testing.assert_array_equal(ts.raw_likeliness, [0.3, 0.6])
+    assert not np.shares_memory(q, ts.raw_likeliness)
+    assert q.shape == (2,)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+def test_normalize_rejects_weights_that_miss_the_set_size():
+    # Subnormal likeliness: n / total overflows, so the weights come out inf,
+    # or NaN where a likeliness is 0.
+    with pytest.raises(ValueError, match="normalized weights must sum to the set size 2, got inf"):
+        normalize_weights(_manual_set([1.0, 2.0], [1e-310, 1e-310]))
+    with pytest.raises(ValueError, match="normalized weights must sum to the set size 2, got nan"):
+        normalize_weights(_manual_set([1.0, 2.0], [1e-310, 0.0]))
+    np.testing.assert_array_equal(normalize_weights(_manual_set([1.0, 2.0], [1.5, 0.5])), [1.5, 0.5])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+def test_weighted_raises_on_an_underflowed_independent_set():
+    # The long-horizon bulk set: 200 Gaussian densities at variance 100
+    # multiply to 0 or a subnormal.  Two paths are the fewest that give NaN
+    # weights: one likeliness is 0, so 0 * (n / total) = 0 * inf.  The
+    # estimate must raise, not return NaN.
+    model = linear_stochastic_model(LinearModel(0.9, 1.0, 1.0, 0.1, 100.0, horizon=200), [0.0])
+    paths = sample_independent(model, np.zeros(200), SamplerConfig(branch_factor=2, master_seed=3))
+    assert paths.raw_likeliness.min() == 0.0
+    assert 0.0 < paths.raw_likeliness.sum() < np.finfo(float).tiny
+    with pytest.raises(ValueError, match="normalized weights must sum to the set size 2, got nan"):
+        estimate_weighted(paths)
 
 
 def test_normalize_rejects_degenerate_likeliness():
@@ -181,8 +198,7 @@ def test_normalize_rejects_degenerate_likeliness():
 @settings(max_examples=200, deadline=None)
 def test_normalized_weights_sum_to_set_size(likeliness):
     ts = _manual_set(np.zeros(len(likeliness)), likeliness)
-    out = normalize_weights(ts)
-    total = out.normalized_weights.sum()
+    total = normalize_weights(ts).sum()
     assert total == pytest.approx(len(likeliness), rel=1e-9)
 
 
@@ -192,7 +208,7 @@ def test_weighted_with_uniform_weights_is_plain_mean():
 
 
 def test_weighted_degenerate_weight_concentrates():
-    ts = _manual_set([10.0, 0.0], [1.0, 1.0], weights=[2.0, 0.0])
+    ts = _manual_set([10.0, 0.0], [1.0, 0.0])
     est = estimate_weighted(ts)
     assert est.value == 10.0
     assert est.n_samples == 2
@@ -202,11 +218,8 @@ def test_weighted_tree_equals_exhaustive_enumeration_for_biased_noise():
     values = [-1.0, 1.0]
     probs = [0.7, 0.3]
     model = accumulator_model(CyclicNoise(values, probs), horizon=3, with_terminal=True)
-    out = sample_tree(
-        model,
-        np.zeros(3),
-        SamplerConfig(branch_factor=2, noise_sharing=NoiseSharing.SHARED_PER_DEPTH),
-    )
+    # The cyclic law hands every parent the same draws, one per support point.
+    out = sample_tree(model, np.zeros(3), SamplerConfig(branch_factor=2))
     oracle_model = accumulator_model(CyclicNoise(values, probs), horizon=3, with_terminal=True)
     exact = enumerate_expectation(oracle_model, np.zeros(3), values, probs)
     assert estimate_weighted(out).value == pytest.approx(exact, abs=1e-12)

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from rsmhp import (
+    DegenerateNoise,
+    GaussianNoise,
     LinearModel,
     LqgParams,
     SamplerConfig,
@@ -62,6 +65,21 @@ def test_power_sum_rejects_out_of_range_step():
 def test_var_p_is_zero_for_zero_noise_covariance():
     model = LinearModel(0.5, 1.0, 1.0, 0.0, 0.0, horizon=4)
     assert var_p(model) == 0.0
+
+
+def test_tiny_noise_covariance_stays_gaussian():
+    # Only an exactly zero covariance means no noise; 1e-9 is a real law.
+    zero = linear_stochastic_model(LinearModel(0.5, 0.0, 1.0, 0.0, 0.0, 3), [0.0])
+    assert isinstance(zero.noise, DegenerateNoise)
+    model = LinearModel(0.5, 0.0, 1.0, 0.0, 1e-9, 3)
+    stochastic = linear_stochastic_model(model, [0.0])
+    assert isinstance(stochastic.noise, GaussianNoise)
+    n = 1000
+    paths = sample_independent(stochastic, np.zeros(3), SamplerConfig(branch_factor=n, master_seed=0))
+    assert np.all(paths.raw_likeliness != 1.0)
+    # The sample variance against var_p, inside the 99.9% chi-square band.
+    ratio = np.var(paths.costs, ddof=1) / var_p(model)
+    assert chi2.ppf(0.0005, n - 1) / (n - 1) < ratio < chi2.ppf(0.9995, n - 1) / (n - 1)
 
 
 def test_var_p_scalar_hand_value():

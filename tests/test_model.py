@@ -241,28 +241,24 @@ def test_cyclic_noise_fixture_enumerates_in_order():
     assert np.all(weights == 0.5)
 
 
-def test_trajectory_set_validates_weight_sum():
-    traj = Trajectory(
-        states=np.zeros((3, 1)), step_weights=np.ones(2), raw_likeliness=1.0, cost=0.0
-    )
-    with pytest.raises(ValueError):
-        TrajectorySet.from_trajectories(
-            [traj, traj], SamplingScheme.INDEPENDENT, normalized_weights=np.array([1.0, 0.5])
-        )
-    ok = TrajectorySet.from_trajectories(
-        [traj, traj], SamplingScheme.INDEPENDENT, normalized_weights=np.array([1.5, 0.5])
-    )
-    assert len(ok) == 2
-
-
 def test_trajectory_set_round_trips_trajectories():
-    a = Trajectory(np.zeros((3, 1)), np.ones(2), 1.0, 4.0)
-    b = Trajectory(np.ones((3, 1)), np.full(2, 0.5), 0.25, 7.0)
-    ts = TrajectorySet.from_trajectories([a, b], SamplingScheme.TREE)
+    states = np.stack([np.zeros((3, 1)), np.ones((3, 1))])
+    ts = TrajectorySet(states, [1.0, 0.25], [4.0, 7.0], SamplingScheme.TREE)
     assert len(ts) == 2
     assert ts[1].cost == 7.0
     assert ts[1].raw_likeliness == 0.25
-    assert np.array_equal(ts.trajectories[0].states, a.states)
+    assert ts[1].horizon == 2
+    assert isinstance(ts[0], Trajectory)
+    assert np.array_equal(ts[0].states, states[0])
+
+
+@pytest.mark.parametrize("states", [np.float64(1.0), np.zeros(3), np.zeros((1, 3))], ids=["0-d", "1-d", "2-d"])
+def test_trajectory_set_checks_the_states_rank_first(states):
+    # A 0-d array has no leading axis to count rows on.
+    with pytest.raises(DimensionError, match=r"states must be \(n, H\+1, dim\)"):
+        TrajectorySet(states, [1.0], [0.0], SamplingScheme.TREE)
+    with pytest.raises(DimensionError, match="raw_likeliness and costs"):
+        TrajectorySet(np.zeros((2, 3, 1)), [1.0], [0.0, 0.0], SamplingScheme.TREE)
 
 
 def test_model_validates_initial_state_shape():

@@ -17,7 +17,6 @@ from rsmhp import (
     GaussianNoise,
     LinearModel,
     LqgParams,
-    NoiseSharing,
     SamplerConfig,
     SamplingScheme,
     StochasticModel,
@@ -81,19 +80,23 @@ def test_tree_branch_order_is_left_to_right_digits():
 
 
 def test_tree_enumerates_sign_sequences_with_shared_draws():
+    # The cyclic law hands every parent the same two draws, -1 then +1.
     noise = CyclicNoise([-1.0, 1.0], [0.5, 0.5])
     model = accumulator_model(noise, horizon=3)
-    cfg = SamplerConfig(branch_factor=2, noise_sharing=NoiseSharing.SHARED_PER_DEPTH)
-    out = sample_tree(model, np.zeros(3), cfg)
+    out = sample_tree(model, np.zeros(3), SamplerConfig(branch_factor=2))
     assert len(out) == 4
     steps = np.diff(out.states[:, :, 0], axis=1)
     np.testing.assert_array_equal(
         steps[:, :2], [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     )
-    # Final step is completed with the mean (0) at neutral weight 1.
+    # Final step is completed with the mean (0) at neutral weight 1, so each
+    # path matches the rollout of its two drawn steps and a unit-weight mean.
     np.testing.assert_array_equal(steps[:, 2], np.zeros(4))
-    np.testing.assert_array_equal(out.step_weights[:, 2], np.ones(4))
     np.testing.assert_allclose(out.raw_likeliness, np.full(4, 0.25), rtol=1e-12)
+    for i, signs in enumerate(steps[:, :2]):
+        path = rollout(model, np.zeros(3), [(s, 0.5) for s in signs] + [(0.0, 1.0)])
+        assert np.array_equal(path.states, out.states[i])
+        assert path.raw_likeliness == out.raw_likeliness[i]
 
 
 def test_tree_single_step_horizon_has_one_nominal_path():
@@ -102,21 +105,6 @@ def test_tree_single_step_horizon_has_one_nominal_path():
     assert len(out) == 1
     assert out.raw_likeliness[0] == 1.0
     assert out.costs[0] == estimate_nbo(model, [0.3]).value
-
-
-def test_shared_per_depth_reuses_draws_across_parents():
-    cfg = SamplerConfig(
-        branch_factor=2, noise_sharing=NoiseSharing.SHARED_PER_DEPTH, master_seed=9
-    )
-    out = sample_tree(_lqg(3), [0.5, 0.2, 0.1], cfg)
-    w = out.step_weights
-    # Depth-1 weights repeat the same two values across both parents.
-    assert w[0, 1] == w[2, 1]
-    assert w[1, 1] == w[3, 1]
-    fresh = sample_tree(
-        _lqg(3), [0.5, 0.2, 0.1], SamplerConfig(branch_factor=2, master_seed=9)
-    )
-    assert len(np.unique(fresh.step_weights[:, 1])) == 4
 
 
 def test_sampled_likeliness_is_positive():
@@ -168,7 +156,10 @@ def test_pruned_count_is_min_of_width_and_tree_size():
 
 def test_pruned_survivors_match_rank_oracle():
     controls = [0.5, 0.2, 0.1, 0.3]
-    full = sample_tree(_lqg(4), controls, SamplerConfig(branch_factor=2, master_seed=77))
+    # The H = 3 tree from the same seed draws the same first two depths, and
+    # its last step has weight 1, so its likeliness is the depth-2 partial
+    # likeliness of the H = 4 tree.
+    partial = sample_tree(_lqg(3), controls[:3], SamplerConfig(branch_factor=2, master_seed=77)).raw_likeliness
     pruned, log = sample_tree_pruned_logged(
         _lqg(4), controls, SamplerConfig(branch_factor=2, prune_width=3, master_seed=77)
     )
@@ -178,7 +169,6 @@ def test_pruned_survivors_match_rank_oracle():
     # At the first cut no earlier pruning has occurred, so the pool matches
     # the unpruned tree's partial likeliness and the survivors are its top 3.
     first = log[0]
-    partial = np.prod(full.step_weights[:, :2][::2], axis=1)  # unique depth-2 prefixes
     pool = np.sort(first.likeliness)[::-1]
     np.testing.assert_allclose(np.sort(partial)[::-1][:4], pool[:4], rtol=1e-12)
     survivors = first.likeliness[first.kept]
@@ -218,11 +208,9 @@ def test_pruned_ties_break_by_branch_digits():
     out = sample_tree_pruned(
         model,
         np.zeros(3),
-        SamplerConfig(
-            branch_factor=2, prune_width=2, noise_sharing=NoiseSharing.SHARED_PER_DEPTH
-        ),
+        SamplerConfig(branch_factor=2, prune_width=2),
     )
-    # All four candidates tie at likeliness 0.25; lexicographic branch order wins.
+    # The cyclic law hands both parents the same two draws, so all four candidates tie at likeliness 0.25; lexicographic branch order wins.
     assert out.branch_paths.tolist() == [[0, 0], [0, 1]]
 
 
@@ -243,12 +231,19 @@ def test_independent_zero_variance_collapses_to_nominal_path():
 
 
 def test_independent_draws_every_step_fresh():
-    out = sample_independent(
-        _lqg(3), [0.5, 0.2, 0.1], SamplerConfig(branch_factor=5, master_seed=8)
-    )
-    # No nominal completion here: all H step weights are genuine densities.
-    assert np.all(out.step_weights < 1.0)
-    assert len(np.unique(out.step_weights)) == 15
+    config = SamplerConfig(branch_factor=5, master_seed=8)
+    controls = [0.5, 0.2, 0.1]
+    out = sample_independent(_lqg(3), controls, config)
+    # No nominal completion here: each path is the rollout of its own H
+    # drawn steps, and all of their weights are genuine, distinct densities.
+    stream = _fresh_stream(config.master_seed, _INDEPENDENT_DOMAIN)
+    draws, weights = _lqg(3).noise.sample_batch(stream, 15)
+    assert np.all(weights < 1.0)
+    assert len(np.unique(weights)) == 15
+    for i in range(5):
+        path = rollout(_lqg(3), controls, list(zip(draws[3 * i : 3 * i + 3], weights[3 * i : 3 * i + 3])))
+        assert np.array_equal(path.states, out.states[i])
+        assert path.raw_likeliness == out.raw_likeliness[i]
 
 
 def test_independent_prefix_stability():
@@ -460,16 +455,14 @@ def test_logged_pruning_takes_one_replication():
 
 
 _STACKED = [
-    (sample_tree, NoiseSharing.FRESH_PER_NODE, None),
-    (sample_tree, NoiseSharing.SHARED_PER_DEPTH, None),
-    (sample_tree_pruned, NoiseSharing.FRESH_PER_NODE, "prunes"),
-    (sample_tree_pruned, NoiseSharing.SHARED_PER_DEPTH, "prunes"),
-    (sample_tree_pruned, NoiseSharing.FRESH_PER_NODE, "never"),
-    (sample_independent, NoiseSharing.FRESH_PER_NODE, None),
+    (sample_tree, None),
+    (sample_tree_pruned, "prunes"),
+    (sample_tree_pruned, "never"),
+    (sample_independent, None),
 ]
 
 
-@pytest.mark.parametrize("sampler, sharing, width_mode", _STACKED)
+@pytest.mark.parametrize("sampler, width_mode", _STACKED)
 @given(
     dim=st.integers(min_value=1, max_value=3),
     horizon=st.integers(min_value=1, max_value=4),
@@ -480,7 +473,7 @@ _STACKED = [
 )
 @settings(max_examples=25, deadline=None)
 def test_stacked_block_equals_its_single_seed_call(
-    sampler, sharing, width_mode, dim, horizon, branch, seeds, discrete, model_seed
+    sampler, width_mode, dim, horizon, branch, seeds, discrete, model_seed
 ):
     rng = np.random.default_rng(model_seed)
     root = rng.normal(size=(dim, dim))
@@ -507,7 +500,7 @@ def test_stacked_block_equals_its_single_seed_call(
         width = full + int(rng.integers(0, 3))
 
     def config(**seed):
-        return SamplerConfig(branch_factor=branch, prune_width=width, noise_sharing=sharing, **seed)
+        return SamplerConfig(branch_factor=branch, prune_width=width, **seed)
 
     blocks = sampler(model, controls, config(seeds=tuple(seeds))).split(len(seeds))
     for seed, block in zip(seeds, blocks):

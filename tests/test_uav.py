@@ -522,6 +522,26 @@ def test_scenario_rejects_cross_axis_target_cov_naming_the_entry(entry):
         ScenarioConfig(target_cov=_coupled_cov(*entry))
 
 
+@pytest.mark.parametrize(
+    "build, field, value, error",
+    [
+        (PlannerConfig, "horizon", 2.5, TypeError),
+        (PlannerConfig, "horizon", True, TypeError),
+        (PlannerConfig, "n_trajectories", 2.5, TypeError),
+        (PlannerConfig, "eval_budget", 3.5, TypeError),
+        (PlannerConfig, "master_seed", 1.5, TypeError),
+        (PlannerConfig, "master_seed", -1, ValueError),
+        (ScenarioConfig, "n_steps", 2.5, TypeError),
+        (ScenarioConfig, "n_steps", False, TypeError),
+        (ScenarioConfig, "master_seed", "3", TypeError),
+        (ScenarioConfig, "master_seed", -1, ValueError),
+    ],
+)
+def test_configs_reject_non_integers_naming_the_field(build, field, value, error):
+    with pytest.raises(error, match=rf"^{field} must be "):
+        build(**{field: value})
+
+
 def test_planner_config_validation():
     with pytest.raises(ValueError):
         PlannerConfig(horizon=0)
