@@ -16,8 +16,12 @@ from rsmhp.uav import (
     PlannerObjective,
     ScenarioConfig,
     run_episode,
-    run_monte_carlo,
 )
+
+
+def time_averaged_errors(scenario, config, n_runs):
+    """One time-averaged position error per run index 0..n_runs-1."""
+    return np.array([run_episode(scenario, config, i).mean() for i in range(n_runs)])
 
 
 def main():
@@ -51,14 +55,14 @@ def main():
     n_runs = 6
     print(f"paired study over {n_runs} seeds (time-averaged error per run)")
     start = time.time()
-    nominal = run_monte_carlo(scenario, nominal_cfg, n_runs)
+    nominal = time_averaged_errors(scenario, nominal_cfg, n_runs)
     print(f"  nominal       mean {nominal.mean():6.2f}   median {np.median(nominal):6.2f}")
     for count in (50, 100, 250):
         config = PlannerConfig(
             horizon=6, n_trajectories=count,
             objective=PlannerObjective.RSMHP, eval_budget=budget,
         )
-        errors = run_monte_carlo(scenario, config, n_runs)
+        errors = time_averaged_errors(scenario, config, n_runs)
         print(
             f"  sampled {count:>4d}  mean {errors.mean():6.2f}"
             f"   median {np.median(errors):6.2f}"

@@ -117,7 +117,10 @@ def normalize_weights(trajectories: TrajectorySet) -> np.ndarray:
     if total == 0.0:
         raise ValueError("cannot normalize all-zero likeliness")
     n = len(trajectories)
-    q = lik * (n / total)
+    # An underflowed total makes n / total inf and a zero likeliness times it
+    # NaN; the check below reports that, so numpy need not warn first.
+    with np.errstate(invalid="ignore"):
+        q = lik * (n / total)
     q_total = q.sum()
     if not math.isclose(q_total, float(n), rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError(f"normalized weights must sum to the set size {n}, got {q_total}")

@@ -22,6 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .. import __version__
+from .._checks import check_int
 from ..estimators import estimate_mean, estimate_nbo, estimate_weighted
 from ..linear import (
     LinearModel,
@@ -396,8 +397,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
     rerunning an identical spec overwrites the same files with identical
     bytes (the metadata's wall time aside).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_int("workers", workers, 1)
     runner = _RUNNERS[spec.kind]
     start = time.perf_counter()
     tables, summary = runner(spec, workers)

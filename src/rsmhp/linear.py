@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int
 from .model import (
     Array,
     DegenerateNoise,
@@ -75,8 +76,7 @@ class LinearModel:
         scale = max(1.0, float(np.abs(eigs).max()) if eigs.size else 1.0)
         if eigs.size and eigs.min() < -1e-12 * scale:
             raise ValueError("noise_cov must be positive semidefinite")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        check_int("horizon", horizon, 1)
         self.a_matrix = a_matrix
         self.b_matrix = b_matrix
         self.cost_state = cost_state
@@ -159,8 +159,7 @@ class LqgParams:
             raise ValueError(f"r must be positive, got {self.r}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        check_int("horizon", self.horizon, 1)
 
 
 def _lqg_mean_terminal(params: LqgParams, controls: Array) -> float:

@@ -24,6 +24,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
+from ._checks import check_int
+
 Array = NDArray[np.float64]
 Rng = np.random.Generator
 
@@ -175,10 +177,9 @@ class StochasticModel:
     terminal_cost: Callable[[Array], Array] = _zero_terminal
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.state_dim < 1 or self.control_dim < 1:
-            raise ValueError("state_dim and control_dim must be >= 1")
+        check_int("horizon", self.horizon, 1)
+        check_int("state_dim", self.state_dim, 1)
+        check_int("control_dim", self.control_dim, 1)
         x0 = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
         if x0.shape != (self.state_dim,):
             raise DimensionError(

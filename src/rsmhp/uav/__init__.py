@@ -21,7 +21,7 @@ from .planning import (
     scenario_objective_terms,
 )
 from .scenario import ScenarioConfig
-from .simulate import run_episode, run_monte_carlo
+from .simulate import run_episode
 
 __all__ = [
     "GRAVITY",
@@ -45,5 +45,4 @@ __all__ = [
     "scenario_objective_terms",
     "ScenarioConfig",
     "run_episode",
-    "run_monte_carlo",
 ]

@@ -4,9 +4,12 @@ The planner scores a candidate control sequence by the accumulated trace
 of the filter covariance along the planned vehicle path.  Two scorers are
 provided: a nominal one (future noise replaced by its mean, so one target
 future pinned to the noiseless prediction) and a sampled one (average over
-independently drawn target futures).  A budgeted simplex search with
+independently drawn target futures).  A budgeted Nelder-Mead search with
 restarts minimizes the scorer over the flattened (acceleration, bank)
-sequence.
+sequence.  The search is a generator that yields each candidate and takes
+its score through ``send``, so the caller, not the search, owns the budget
+and the scoring; it replays scipy's Nelder-Mead point for point without
+importing scipy.
 
 The covariance recursion of a future depends on the controls only through
 the range-dependent sensor noise, and on the future only through the
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .._checks import check_int
 from .dynamics import UavControl, target_process_cov, target_transition_matrix
@@ -238,11 +240,13 @@ def plan_step(
     projects every candidate into bounds before scoring, so the returned
     control always respects the actuator limits.  Sampled futures are drawn
     once and reused for every evaluation (common random numbers), which
-    keeps the objective deterministic during the search.  Leftover budget
-    after the first descent funds restarts from the best point so far,
-    perturbed by the supplied generator.  Returns the first control of the
-    best sequence found (the initial straight-flight guess if nothing
-    strictly improves on it).
+    keeps the objective deterministic during the search.  At most
+    ``eval_budget`` candidates are scored: first the straight-flight guess,
+    then Nelder-Mead searches, each started while the budget left covers a
+    full initial simplex plus one step.  After each search, the next one
+    starts from the best point so far, perturbed by the supplied generator.
+    Returns the first control of the best sequence found (the initial
+    straight-flight guess if nothing strictly improves on it).
     """
     horizon = config.horizon
     dim = 2 * horizon
@@ -254,42 +258,26 @@ def plan_step(
         process_raw = np.zeros((1, horizon, 4))
     totals = _trace_objective(uav, belief, scenario, process_raw)
 
-    budget = config.eval_budget
-    state = {"evals": 0, "best_y": np.zeros(dim), "best_value": None}
+    best_y = np.zeros(dim)
+    best_value = _future_mean(totals((best_y * scales).tolist()))
+    evals = 1
+    start = best_y
+    while config.eval_budget - evals >= dim + 2:
+        search = _nelder_mead(_initial_simplex(start, 0.25), xatol=1e-3, fatol=1e-9)
+        value = None
+        while evals < config.eval_budget:
+            try:
+                y = search.send(value)
+            except StopIteration:
+                break
+            y = np.clip(y, -1.0, 1.0)
+            value = _future_mean(totals((y * scales).tolist()))
+            evals += 1
+            if value < best_value:
+                best_value, best_y = value, y
+        start = np.clip(best_y + rng.uniform(-0.2, 0.2, size=dim), -1.0, 1.0)
 
-    def objective(y):
-        if state["evals"] >= budget:
-            # Out of budget: hand the optimizer a flat surface so it stops
-            # moving; best-so-far is already recorded.
-            return state["best_value"]
-        state["evals"] += 1
-        y = np.clip(y, -1.0, 1.0)
-        value = _future_mean(totals((y * scales).tolist()))
-        if state["best_value"] is None or value < state["best_value"]:
-            state["best_value"] = value
-            state["best_y"] = y
-        return value
-
-    objective(state["best_y"])  # score the straight-flight guess first
-    start = state["best_y"]
-    while state["evals"] < budget:
-        remaining = budget - state["evals"]
-        if remaining < dim + 2:
-            break
-        minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxfev": remaining,
-                "xatol": 1e-3,
-                "fatol": 1e-9,
-                "initial_simplex": _initial_simplex(start, 0.25),
-            },
-        )
-        start = np.clip(state["best_y"] + rng.uniform(-0.2, 0.2, size=dim), -1.0, 1.0)
-
-    best = state["best_y"] * scales
+    best = best_y * scales
     return UavControl(forward_acceleration=float(best[0]), bank_angle=float(best[1]))
 
 
@@ -300,3 +288,65 @@ def _initial_simplex(center: np.ndarray, step: float) -> np.ndarray:
         # Step toward the interior when already at the upper bound.
         simplex[i + 1, i] += step if center[i] <= 1.0 - step else -step
     return simplex
+
+
+def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
+    """Nelder-Mead from an initial simplex, as a generator of points to score.
+
+    Yields each point as a new array, which the caller may keep but must not
+    modify, and takes its value through ``send``.  Returns once the simplex
+    has converged: every vertex within ``xatol`` of the best in each
+    coordinate and every value within ``fatol``.  The caller owns the
+    evaluation budget and simply stops sending.  The steps, their arithmetic
+    and the ``np.argsort`` orderings (not stable past 16 vertices) are those
+    of scipy's ``_minimize_neldermead`` without bounds and not adaptive
+    (rho = 1, chi = 2, psi = sigma = 0.5), so the evaluated points match
+    scipy's bit for bit (Nelder & Mead, "A simplex method for function
+    minimization", 1965).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k].copy()
+    # scipy sorts the first simplex twice; with ties the passes can differ.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while not (
+        np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+    ):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = yield xe
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]  # outside contraction
+                fxc = yield xc
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]  # inside contraction
+                fxc = yield xc
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = yield sim[j].copy()
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)

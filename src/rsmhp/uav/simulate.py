@@ -1,4 +1,4 @@
-"""Closed-loop tracking episodes and the replicated study over them.
+"""Closed-loop tracking episodes.
 
 Every stream of randomness is derived from (master seed, run index), and
 planner randomness is derived separately from the planner seed, so two
@@ -19,7 +19,7 @@ from .filtering import TargetBelief, kalman_predict, kalman_update
 from .planning import PlannerConfig, plan_step
 from .scenario import ScenarioConfig
 
-__all__ = ["run_episode", "run_monte_carlo"]
+__all__ = ["run_episode"]
 
 
 def _episode_streams(scenario: ScenarioConfig, run_index: int):
@@ -79,14 +79,3 @@ def run_episode(
         )
         belief = kalman_predict(belief, scenario.dt, intensity=scenario.process_intensity)
     return errors
-
-
-def run_monte_carlo(
-    scenario: ScenarioConfig, config: PlannerConfig, n_runs: int
-) -> np.ndarray:
-    """Replicated episodes; returns the per-run time-averaged position errors."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    return np.array(
-        [float(run_episode(scenario, config, i).mean()) for i in range(n_runs)]
-    )

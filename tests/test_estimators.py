@@ -156,7 +156,7 @@ def test_normalize_does_not_mutate_input():
     assert q.shape == (2,)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+@pytest.mark.filterwarnings("error")
 def test_normalize_rejects_weights_that_miss_the_set_size():
     # Subnormal likeliness: n / total overflows, so the weights come out inf,
     # or NaN where a likeliness is 0.
@@ -167,7 +167,7 @@ def test_normalize_rejects_weights_that_miss_the_set_size():
     np.testing.assert_array_equal(normalize_weights(_manual_set([1.0, 2.0], [1.5, 0.5])), [1.5, 0.5])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+@pytest.mark.filterwarnings("error")
 def test_weighted_raises_on_an_underflowed_independent_set():
     # The long-horizon bulk set: 200 Gaussian densities at variance 100
     # multiply to 0 or a subnormal.  Two paths are the fewest that give NaN

@@ -1,11 +1,15 @@
 """Tracking case study: kinematics, filter, planner objectives, episodes."""
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rsmhp import GaussianNoise, LinearModel, LqgParams, StochasticModel
+from rsmhp.experiments import load_spec, run_experiment
 from rsmhp.uav import (
     GRAVITY,
     PlannerConfig,
@@ -20,7 +24,6 @@ from rsmhp.uav import (
     objective_nbo,
     plan_step,
     run_episode,
-    run_monte_carlo,
     scenario_objective_terms,
     sensor_cov,
     sensor_measure,
@@ -473,24 +476,10 @@ def test_episode_error_trace_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
-def test_monte_carlo_identical_seeds_identical_output():
-    sc = _small_scenario(n_steps=6)
-    cfg = _small_planner()
-    a = run_monte_carlo(sc, cfg, n_runs=3)
-    b = run_monte_carlo(sc, cfg, n_runs=3)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_monte_carlo_runs_differ_across_run_indices():
     sc = _small_scenario(n_steps=6)
-    out = run_monte_carlo(sc, _small_planner(), n_runs=3)
-    assert len(set(out.tolist())) == 3
-
-
-def test_monte_carlo_validates_arguments():
-    sc = _small_scenario()
-    with pytest.raises(ValueError):
-        run_monte_carlo(sc, _small_planner(), n_runs=0)
+    out = [run_episode(sc, _small_planner(), run_index=i).mean() for i in range(3)]
+    assert len(set(out)) == 3
 
 
 def test_scenario_validation():
@@ -522,6 +511,34 @@ def test_scenario_rejects_cross_axis_target_cov_naming_the_entry(entry):
         ScenarioConfig(target_cov=_coupled_cov(*entry))
 
 
+def _stochastic_model(**fields):
+    base = dict(
+        state_dim=1,
+        control_dim=1,
+        transition=lambda xs, u, ws: xs + ws,
+        stage_cost=lambda xs, u: xs[:, 0],
+        noise=GaussianNoise([0.0], [[1.0]]),
+        horizon=2,
+        initial_state=[0.0],
+    )
+    base.update(fields)
+    return StochasticModel(**base)
+
+
+def _linear_model(horizon):
+    return LinearModel(0.9, 1.0, 1.0, 0.1, 1.0, horizon=horizon)
+
+
+def _lqg_params(horizon):
+    return LqgParams(a=0.5, r=1.0, target=1.0, sigma=1.0, x0=0.0, horizon=horizon)
+
+
+def _run_experiment(workers):
+    spec = load_spec(Path(__file__).resolve().parent.parent / "configs" / "lqg_convergence.ini")
+    with tempfile.TemporaryDirectory() as out:
+        return run_experiment(spec.with_overrides(output=out), workers=workers)
+
+
 @pytest.mark.parametrize(
     "build, field, value, error",
     [
@@ -535,6 +552,16 @@ def test_scenario_rejects_cross_axis_target_cov_naming_the_entry(entry):
         (ScenarioConfig, "n_steps", False, TypeError),
         (ScenarioConfig, "master_seed", "3", TypeError),
         (ScenarioConfig, "master_seed", -1, ValueError),
+        (_stochastic_model, "horizon", 2.5, TypeError),
+        (_stochastic_model, "horizon", 0, ValueError),
+        (_stochastic_model, "state_dim", 2.0, TypeError),
+        (_stochastic_model, "control_dim", True, TypeError),
+        (_stochastic_model, "control_dim", 0, ValueError),
+        (_linear_model, "horizon", 2.5, TypeError),
+        (_lqg_params, "horizon", 2.5, TypeError),
+        (_run_experiment, "workers", 2.0, TypeError),
+        (_run_experiment, "workers", True, TypeError),
+        (_run_experiment, "workers", 0, ValueError),
     ],
 )
 def test_configs_reject_non_integers_naming_the_field(build, field, value, error):
