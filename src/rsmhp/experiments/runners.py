@@ -23,6 +23,7 @@ import numpy as np
 
 from .. import __version__
 from .._checks import check_int
+from .._seeds import seed_states
 from ..estimators import estimate_mean, estimate_nbo, estimate_weighted
 from ..linear import (
     LinearModel,
@@ -78,10 +79,14 @@ def _map(fn, items, workers: int) -> list:
         return pool.map(_run_task, items)
 
 
-def _derived_seed(master_seed: int, *key: int) -> int:
-    """A stable per-task seed from the master seed and a structured key."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return int(seq.generate_state(1, np.uint64)[0])
+def _derived_seeds(master_seed: int, index: int, count: int) -> list[int]:
+    """Task seeds ``SeedSequence(master_seed, spawn_key=(index, i))`` for i < ``count``.
+
+    Each is the sequence's first 64-bit state word, equal to numpy's bit for
+    bit; ``seed_states`` derives all ``count`` of them in one pass.
+    """
+    keys = np.column_stack([np.full(count, index), np.arange(count)])
+    return seed_states(master_seed, keys, 1)[:, 0].tolist()
 
 
 # Rows one stacked sampler call may hold.  Larger chunks cut per-call
@@ -105,11 +110,12 @@ def _chunks(seeds: list[int], rows_each: int) -> list[tuple[int, ...]]:
 def _replicate(fn, master_seed: int, index: int, reps: int, rows_each: int, workers: int) -> list:
     """Per-replication results of ``reps`` replications, in replication order.
 
-    Replication r runs on ``_derived_seed(master_seed, index, r)``.  ``fn``
-    takes a chunk of seeds, makes one stacked sampler call of about
-    ``rows_each`` rows per seed, and returns one result per seed.
+    Replication r runs on seed r of ``_derived_seeds(master_seed, index,
+    reps)``, all derived in one pass.  ``fn`` takes a chunk of seeds, makes
+    one stacked sampler call of about ``rows_each`` rows per seed, and
+    returns one result per seed.
     """
-    seeds = [_derived_seed(master_seed, index, rep) for rep in range(reps)]
+    seeds = _derived_seeds(master_seed, index, reps)
     chunks = _map(fn, _chunks(seeds, rows_each), workers)
     return [result for chunk in chunks for result in chunk]
 
@@ -148,19 +154,15 @@ def run_lqg_convergence(spec: ExperimentSpec, workers: int = 1):
     grid = list(range(p["p_min"], p["p_max"] + 1, p["p_step"]))
 
     def one(item):
-        index, count = item
-        config = SamplerConfig(
-            branch_factor=count,
-            master_seed=_derived_seed(spec.master_seed, 0, index),
-            tree_cap=max(10**6, count),
-        )
+        count, seed = item
+        config = SamplerConfig(branch_factor=count, master_seed=seed, tree_cap=max(10**6, count))
         sampled = estimate_mean(sample_independent(model, controls, config)).value
         return (
             count, sampled, nominal, exact,
             abs(sampled - exact), abs(nominal - exact),
         )
 
-    rows = _map(one, list(enumerate(grid)), workers)
+    rows = _map(one, list(zip(grid, _derived_seeds(spec.master_seed, 0, len(grid)))), workers)
     header = ["p", "j_mhp", "j_nbo", "j_exact", "abs_err_mhp", "abs_err_nbo"]
     summary = {
         "rows": len(rows),

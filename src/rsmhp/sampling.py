@@ -28,7 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_seed
+from ._seeds import seed_states
 from .model import (
     Array,
     SamplingScheme,
@@ -68,6 +69,7 @@ class SamplerConfig:
     depth for the pruned tree and must be None otherwise.  ``seeds`` holds
     one seed per replication; empty means a single replication at
     ``master_seed``, which must then be left at 0 when ``seeds`` is given.
+    Every seed lies in [0, 2^64).
     ``tree_cap`` bounds the total width, over all replications, that any
     sampler call may materialize.
     """
@@ -82,11 +84,11 @@ class SamplerConfig:
         check_int("branch_factor", self.branch_factor, 1)
         if self.prune_width is not None:
             check_int("prune_width", self.prune_width, 1)
-        check_int("master_seed", self.master_seed, 0)
+        check_seed("master_seed", self.master_seed)
         check_int("tree_cap", self.tree_cap, 1)
         seeds = tuple(self.seeds)
         for index, seed in enumerate(seeds):
-            check_int(f"seeds[{index}]", seed, 0)
+            check_seed(f"seeds[{index}]", seed)
         if seeds and self.master_seed != 0:
             raise ValueError("give either seeds or a nonzero master_seed, not both")
         object.__setattr__(self, "seeds", seeds)
@@ -112,17 +114,24 @@ class PruneRecord:
 
 
 def _streams(seeds, *key: int) -> Iterator[np.random.Generator]:
-    """Each seed's stream ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` in turn.
+    """Each seed's stream ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` in turn."""
+    return _rekeyed(seed_states(seeds, key, 2))
 
-    One Philox generator is re-keyed per seed, with its counter and buffer
-    reset, which draws the same values as a fresh one at a fraction of the
-    set-up cost.  A yielded stream is valid until the next one is taken.
+
+def _rekeyed(philox_keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """A Philox stream per row of ``philox_keys`` (n, 2), in turn.
+
+    A row is the key a ``SeedSequence`` gives Philox, ``generate_state(2,
+    np.uint64)``; ``seed_states`` derives the rows of many seeds and keys in
+    one pass.  One Philox generator is re-keyed per row, with its counter and
+    buffer reset, which draws the same values as a fresh one at a fraction
+    of the set-up cost.  A yielded stream is valid until the next one is taken.
     """
     bit_generator = np.random.Philox(0)
     stream = np.random.Generator(bit_generator)
     state = bit_generator.state
-    for seed in seeds:
-        state["state"]["key"] = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    for key in philox_keys:
+        state["state"]["key"] = key
         bit_generator.state = state
         yield stream
 
@@ -155,6 +164,15 @@ def _grow_tree(
             f"{config.tree_cap}; use sample_tree_pruned or sample_independent, or raise tree_cap"
         )
 
+    # The Philox keys of every depth and replication, depth-major, in one pass.
+    depths = horizon - 1
+    levels = np.repeat(np.arange(depths), n_reps)
+    philox_keys = seed_states(
+        np.tile(np.asarray(seeds, dtype=np.uint64), depths),
+        np.column_stack([np.full_like(levels, _TREE_DOMAIN), levels]),
+        2,
+    ).reshape(depths, n_reps, 2)
+
     # Every replication holds the same number of rows at every depth, in one
     # contiguous block per replication.
     states = np.repeat(model.initial_state[None, :], n_reps, axis=0)
@@ -173,7 +191,7 @@ def _grow_tree(
                 f"{config.tree_cap}; lower prune_width or raise tree_cap"
             )
         draws, draw_w = _joined(
-            [law.sample_batch(stream, per_rep) for stream in _streams(seeds, _TREE_DOMAIN, level)]
+            [law.sample_batch(stream, per_rep) for stream in _rekeyed(philox_keys[level])]
         )
 
         stage = _stage_costs(model, states, u[level], level)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._checks import check_int
+from .._seeds import seed_states
 from .dynamics import UavControl, target_process_cov, target_transition_matrix
 from .filtering import TargetBelief, require_per_axis
 from .scenario import ScenarioConfig
@@ -184,6 +185,11 @@ def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig)
     return float(_trace_objective(uav, belief, scenario, nominal)(flat)[0])
 
 
+# PCG64's 128-bit LCG multiplier, for its seeding step (``pcg64_srandom_r``).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
 def _frozen_draws(config: PlannerConfig, horizon: int, rng: np.random.Generator):
     """Per-future frozen process standard normals (n, H, 4), one sub-seed per future.
 
@@ -193,11 +199,26 @@ def _frozen_draws(config: PlannerConfig, horizon: int, rng: np.random.Generator)
     yields an (H, 6) block whose last two columns are not used: the
     objective simulates no measurements, and drawing them keeps every
     future's process draws at the same place in its stream.
+
+    Future i draws what ``np.random.default_rng(seed_i)`` would.  The
+    seeds' ``SeedSequence`` words come from one ``seed_states`` pass, and
+    one PCG64 is re-seeded per future through its ``state`` setter, with
+    PCG64's seeding step (state and increment from the four words) done in
+    Python ints.
     """
     seeds = rng.integers(np.iinfo(np.int64).max, size=config.n_trajectories)
+    bit_generator = np.random.PCG64(0)
+    stream = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    block = np.empty((horizon, 6))
     process_raw = np.empty((config.n_trajectories, horizon, 4))
-    for i, seed in enumerate(seeds):
-        process_raw[i] = np.random.default_rng(int(seed)).standard_normal((horizon, 6))[:, :4]
+    for i, (w0, w1, w2, w3) in enumerate(seed_states(seeds, (), 4).tolist()):
+        inc = (((w2 << 64 | w3) << 1) | 1) & _MASK128
+        state["state"]["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        state["state"]["inc"] = inc
+        bit_generator.state = state
+        stream.standard_normal(out=block)
+        process_raw[i] = block[:, :4]
     return process_raw
 
 

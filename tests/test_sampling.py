@@ -398,6 +398,7 @@ def test_config_rejects_non_integers_naming_the_field(field, value):
         (("7",), TypeError, r"seeds\[0\] must be an integer, got '7'"),
         ((True, 3), TypeError, r"seeds\[0\] must be an integer, got True"),
         ((1, -2), ValueError, r"seeds\[1\] must be >= 0, got -2"),
+        ((1, 2**64), ValueError, r"seeds\[1\] must be below 2\*\*64, got 18446744073709551616"),
     ],
 )
 def test_config_rejects_bad_seeds_naming_the_entry(seeds, error, message):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsmhp import GaussianNoise, LinearModel, LqgParams, StochasticModel
+from rsmhp import GaussianNoise, LinearModel, LqgParams, SamplerConfig, StochasticModel
 from rsmhp.experiments import load_spec, run_experiment
 from rsmhp.uav import (
     GRAVITY,
@@ -32,6 +34,7 @@ from rsmhp.uav import (
     target_transition_matrix,
     uav_step,
 )
+from rsmhp.uav.planning import _frozen_draws
 
 
 def _uav(x=0.0, y=0.0, heading=0.0, speed=30.0):
@@ -303,6 +306,21 @@ def test_objective_mhp_deterministic_given_seed():
     assert a == b
 
 
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_futures=st.integers(1, 12),
+    horizon=st.integers(1, 8),
+)
+@settings(max_examples=60, deadline=None)
+def test_frozen_draws_equal_one_default_rng_per_future(seed, n_futures, horizon):
+    config = PlannerConfig(horizon=horizon, n_trajectories=n_futures)
+    got = _frozen_draws(config, horizon, np.random.default_rng(seed))
+    child_seeds = np.random.default_rng(seed).integers(np.iinfo(np.int64).max, size=n_futures)
+    for future, child in zip(got, child_seeds, strict=True):
+        fresh = np.random.default_rng(int(child)).standard_normal((horizon, 6))[:, :4]
+        assert np.array_equal(future, fresh)
+
+
 def test_objective_mhp_variance_scales_inversely_with_future_count():
     sc = ScenarioConfig()
     belief = _belief()
@@ -533,6 +551,10 @@ def _lqg_params(horizon):
     return LqgParams(a=0.5, r=1.0, target=1.0, sigma=1.0, x0=0.0, horizon=horizon)
 
 
+def _sampler_config(**fields):
+    return SamplerConfig(branch_factor=3, **fields)
+
+
 def _run_experiment(workers):
     spec = load_spec(Path(__file__).resolve().parent.parent / "configs" / "lqg_convergence.ini")
     with tempfile.TemporaryDirectory() as out:
@@ -562,6 +584,8 @@ def _run_experiment(workers):
         (_run_experiment, "workers", 2.0, TypeError),
         (_run_experiment, "workers", True, TypeError),
         (_run_experiment, "workers", 0, ValueError),
+        (_sampler_config, "master_seed", 2**64, ValueError),
+        (_sampler_config, "master_seed", 2**70, ValueError),
     ],
 )
 def test_configs_reject_non_integers_naming_the_field(build, field, value, error):
