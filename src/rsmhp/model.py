@@ -10,16 +10,20 @@ batch of paths at once and a single-path ``rollout`` is a batch of one
 through the same checked stepping code.  Everything downstream (samplers,
 estimators) works against this interface only.
 
-A sampled path's weight is its raw likeliness, the product of its step
-weights.  It is the one weight a ``TrajectorySet`` stores; normalized
-weights are derived from it where an estimator needs them.
+A noise law draws the values of many generators (one per replication) in
+one ``sample_batch`` call and transforms them in one row-invariant pass, so
+a replication's draws are the same bits whether it is sampled alone or
+stacked with others.  A sampled path's weight is its raw likeliness, the
+product of its step weights.  It is the one weight a ``TrajectorySet``
+stores; normalized weights are derived from it where an estimator needs
+them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,7 +31,6 @@ from numpy.typing import NDArray
 from ._checks import check_int
 
 Array = NDArray[np.float64]
-Rng = np.random.Generator
 
 __all__ = [
     "Array",
@@ -50,17 +53,36 @@ class DimensionError(ValueError):
     """A state, control, or noise vector has the wrong shape."""
 
 
+class Streams(Protocol):
+    """A sized iterable of generators; see ``NoiseLaw`` for how laws use it."""
+
+    def __len__(self) -> int: ...
+
+    def __iter__(self) -> Iterator[np.random.Generator]: ...
+
+
 class NoiseLaw:
     """Per-step disturbance distribution.
 
-    ``sample_batch(rng, count)`` returns ``(draws (count, dim), weights
-    (count,))``, where a weight is the probability mass of its draw for
-    discrete laws and the probability density for continuous ones.  Only
+    ``sample_batch(streams, count)`` draws ``count`` values from each
+    generator of ``streams`` in turn, then turns all the stacked rows into
+    ``(draws (rows, dim), weights (rows,))`` in one pass, where ``rows`` is
+    ``len(streams) * count`` and stream r's values are the r-th block of
+    ``count`` consecutive rows.  A weight is the probability mass of its draw
+    for discrete laws and the probability density for continuous ones.  Only
     relative weights matter downstream (they are normalized per trajectory
     set), so the two conventions mix freely.  Weights must be strictly
-    positive for every drawable value.  Batches are consumed positionally
-    by the samplers, so a law only has to be deterministic given the
-    generator state.
+    positive for every drawable value.
+
+    ``streams`` is a sized iterable of generators, and each one is valid only
+    until the next is taken (the samplers re-key one generator per stream),
+    so a law takes all of a stream's values as it is yielded and keeps none.
+    The transform must be row-invariant: a row's draw and weight depend on
+    that row's raw values only, bit for bit, however many rows are stacked
+    with it.  Elementwise numpy arithmetic is; a matrix product or a
+    reduction is not, since BLAS and ufunc loops pick their order of sums by
+    array size.  So a block of a stacked call equals its one-stream call, and
+    a law only has to be deterministic given the generators' states.
     """
 
     mean: Array
@@ -69,8 +91,13 @@ class NoiseLaw:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
+    def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
         raise NotImplementedError
+
+
+def _check_finite(name: str, values: Array) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite, got {values.tolist()}")
 
 
 class GaussianNoise(NoiseLaw):
@@ -88,6 +115,8 @@ class GaussianNoise(NoiseLaw):
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise DimensionError(f"cov must be ({d}, {d}), got {cov.shape}")
+        _check_finite("mean", mean)
+        _check_finite("cov", cov)
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("cov must be symmetric")
         try:
@@ -106,11 +135,28 @@ class GaussianNoise(NoiseLaw):
         std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
         return cls(mean, np.diag(std**2))
 
-    def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
-        z = rng.standard_normal((count, self.dim))
-        draws = self.mean + z @ self._chol.T
-        weights = np.exp(self._log_norm - 0.5 * np.einsum("ij,ij->i", z, z))
-        return draws, weights
+    def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
+        z = np.empty((len(streams), count, self.dim))
+        for block, stream in zip(z, streams):
+            stream.standard_normal(out=block)
+        z = z.reshape(-1, self.dim)
+        # |z|^2, then mean + z @ chol.T in place, as elementwise sums in a fixed
+        # order, so no row's bits depend on the number of rows (a BLAS
+        # product's do).  The factor is lower triangular: draw component c
+        # needs z_0 .. z_c only, so it overwrites z_c once the later ones are done.
+        weights = z[:, 0] * z[:, 0]
+        for j in range(1, self.dim):
+            weights += z[:, j] * z[:, j]
+        for c in reversed(range(self.dim)):
+            column = z[:, c]
+            column *= self._chol[c, c]
+            for j in range(c):
+                column += z[:, j] * self._chol[c, j]
+            column += self.mean[c]
+        # exp(log_norm - |z|^2 / 2), in place.
+        weights *= -0.5
+        weights += self._log_norm
+        return z, np.exp(weights, out=weights)
 
 
 class DiscreteNoise(NoiseLaw):
@@ -121,6 +167,8 @@ class DiscreteNoise(NoiseLaw):
         if values.ndim == 1:
             values = values[:, None]
         probs = np.asarray(probs, dtype=float)
+        _check_finite("values", values)
+        _check_finite("probs", probs)
         if probs.ndim != 1 or probs.shape[0] != values.shape[0]:
             raise DimensionError("probs must be one weight per support point")
         if np.any(probs < 0.0):
@@ -132,8 +180,11 @@ class DiscreteNoise(NoiseLaw):
         self.probs = probs / total
         self.mean = self.probs @ self.values
 
-    def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
-        idx = rng.choice(self.values.shape[0], size=count, p=self.probs)
+    def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
+        idx = np.empty((len(streams), count), dtype=np.intp)
+        for block, stream in zip(idx, streams):
+            block[:] = stream.choice(self.values.shape[0], size=count, p=self.probs)
+        idx = idx.ravel()
         return self.values[idx], self.probs[idx]
 
 
@@ -146,9 +197,11 @@ class DegenerateNoise(NoiseLaw):
 
     def __init__(self, value) -> None:
         self.mean = np.atleast_1d(np.asarray(value, dtype=float))
+        _check_finite("value", self.mean)
 
-    def sample_batch(self, rng: Rng, count: int) -> tuple[Array, Array]:
-        return np.broadcast_to(self.mean, (count, self.dim)).copy(), np.ones(count)
+    def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
+        rows = len(streams) * count
+        return np.broadcast_to(self.mean, (rows, self.dim)).copy(), np.ones(rows)
 
 
 def _zero_terminal(xs: Array) -> Array:

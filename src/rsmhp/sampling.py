@@ -19,7 +19,9 @@ through the model's row-stacked callables, with the checked stepping code of
 ``model``.  Randomness comes from counter-based Philox streams derived from
 each replication's seed with structured spawn keys (one stream per tree
 depth, one per independent batch), with batch rows assigned positionally to
-nodes, so output is a pure function of the model, controls and config.
+nodes, so output is a pure function of the model, controls and config.  At
+each depth one ``sample_batch`` call takes every replication's stream and
+transforms all their draws at once.
 """
 from __future__ import annotations
 
@@ -113,35 +115,38 @@ class PruneRecord:
     kept: np.ndarray
 
 
-def _streams(seeds, *key: int) -> Iterator[np.random.Generator]:
+def _streams(seeds, *key: int) -> _Rekeyed:
     """Each seed's stream ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` in turn."""
-    return _rekeyed(seed_states(seeds, key, 2))
+    return _Rekeyed(seed_states(seeds, key, 2))
 
 
-def _rekeyed(philox_keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """A Philox stream per row of ``philox_keys`` (n, 2), in turn.
+class _Rekeyed:
+    """A Philox stream per row of ``philox_keys`` (n, 2), in turn: a noise law's ``streams``.
 
     A row is the key a ``SeedSequence`` gives Philox, ``generate_state(2,
     np.uint64)``; ``seed_states`` derives the rows of many seeds and keys in
-    one pass.  One Philox generator is re-keyed per row, with its counter and
-    buffer reset, which draws the same values as a fresh one at a fraction
-    of the set-up cost.  A yielded stream is valid until the next one is taken.
+    one pass.  Each pass over the streams re-keys one Philox generator per
+    row, with its counter and buffer reset, which draws the same values as a
+    fresh one at about a tenth of the set-up cost.  The re-key stays per
+    replication, since each replication's values must come from its own key
+    in sequence; only the transform of the draws is shared.  So a yielded
+    stream is one-shot: it is valid only until the next one is taken.
     """
-    bit_generator = np.random.Philox(0)
-    stream = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    for key in philox_keys:
-        state["state"]["key"] = key
-        bit_generator.state = state
-        yield stream
 
+    def __init__(self, philox_keys: np.ndarray) -> None:
+        self.philox_keys = philox_keys
 
-def _joined(blocks: list[tuple[Array, Array]]) -> tuple[Array, Array]:
-    """The replications' (draws, weights) blocks stacked in replication order."""
-    if len(blocks) == 1:
-        return blocks[0]  # no copy of a lone block, which may be the largest array of the call
-    draws, weights = zip(*blocks)
-    return np.concatenate(draws), np.concatenate(weights)
+    def __len__(self) -> int:
+        return len(self.philox_keys)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        bit_generator = np.random.Philox(0)
+        stream = np.random.Generator(bit_generator)
+        state = bit_generator.state
+        for key in self.philox_keys:
+            state["state"]["key"] = key
+            bit_generator.state = state
+            yield stream
 
 
 def _grow_tree(
@@ -190,9 +195,7 @@ def _grow_tree(
                 f"tree width {count * n_branch} at depth {level + 1} exceeds the cap "
                 f"{config.tree_cap}; lower prune_width or raise tree_cap"
             )
-        draws, draw_w = _joined(
-            [law.sample_batch(stream, per_rep) for stream in _rekeyed(philox_keys[level])]
-        )
+        draws, draw_w = law.sample_batch(_Rekeyed(philox_keys[level]), per_rep)
 
         stage = _stage_costs(model, states, u[level], level)
         parents = np.repeat(states, n_branch, axis=0)
@@ -292,7 +295,9 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
 
     Each replication's draws come from one derived stream in C order
     (path-major), so the first paths of a larger batch coincide with a
-    smaller one, and each path equals the ``rollout`` of its own draws.
+    smaller one, and each path equals the ``rollout`` of its own draws.  One
+    ``sample_batch`` call draws every replication's H * branch_factor values,
+    stream by stream, and transforms them together.
     """
     u = as_controls(model, controls)
     horizon = model.horizon
@@ -304,9 +309,7 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
             f"independent batch of {total} paths exceeds the cap {config.tree_cap}"
         )
     law = model.noise
-    flat_draws, flat_w = _joined(
-        [law.sample_batch(stream, count * horizon) for stream in _streams(seeds, _INDEPENDENT_DOMAIN)]
-    )
+    flat_draws, flat_w = law.sample_batch(_streams(seeds, _INDEPENDENT_DOMAIN), count * horizon)
     draws = flat_draws.reshape(total, horizon, law.dim)
     weights = flat_w.reshape(total, horizon)
     history, likeliness, costs = _simulate_paths(model, u, draws, weights)

@@ -25,9 +25,10 @@ class CyclicNoise(NoiseLaw):
         self.mean = self.probs @ self.values
         self._next = 0
 
-    def sample_batch(self, rng, count):
-        idx = (self._next + np.arange(count)) % self.probs.shape[0]
-        self._next += count
+    def sample_batch(self, streams, count):
+        rows = len(streams) * count
+        idx = (self._next + np.arange(rows)) % self.probs.shape[0]
+        self._next += rows
         return self.values[idx], self.probs[idx]
 
 

@@ -200,11 +200,11 @@ def test_as_controls_accepts_flat_scalars_and_rejects_mismatch():
 def test_gaussian_noise_weight_is_the_density():
     law = GaussianNoise([1.0], [[4.0]])
     rng = np.random.default_rng(0)
-    draws, weights = law.sample_batch(rng, 1)
+    draws, weights = law.sample_batch([rng], 1)
     draw, weight = draws[0], weights[0]
     expected = math.exp(-0.5 * (draw[0] - 1.0) ** 2 / 4.0) / math.sqrt(2 * math.pi * 4.0)
     assert weight == pytest.approx(expected, rel=1e-12)
-    draws, weights = law.sample_batch(np.random.default_rng(1), 64)
+    draws, weights = law.sample_batch([np.random.default_rng(1)], 64)
     dens = np.exp(-0.5 * (draws[:, 0] - 1.0) ** 2 / 4.0) / math.sqrt(2 * math.pi * 4.0)
     np.testing.assert_allclose(weights, dens, rtol=1e-12)
 
@@ -216,10 +216,58 @@ def test_gaussian_noise_rejects_bad_covariance():
         GaussianNoise([0.0], [[-1.0]])
 
 
+def test_gaussian_noise_transform_matches_the_matrix_form():
+    # The elementwise transform is mean + z @ chol.T up to rounding, and
+    # its weights are the multivariate normal density.
+    mean = np.array([1.0, -2.0, 0.5, 3.0])
+    root = np.random.default_rng(3).normal(size=(4, 4))
+    cov = root @ root.T + 0.1 * np.eye(4)
+    law = GaussianNoise(mean, cov)
+    draws, weights = law.sample_batch([np.random.default_rng(4)], 50)
+    z = np.random.default_rng(4).standard_normal((50, 4))
+    np.testing.assert_allclose(draws, mean + z @ np.linalg.cholesky(cov).T, rtol=1e-12, atol=1e-12)
+    dev = draws - mean
+    maha = np.einsum("ij,ij->i", dev @ np.linalg.inv(cov), dev)
+    dens = np.exp(-0.5 * maha) / math.sqrt((2 * math.pi) ** 4 * np.linalg.det(cov))
+    np.testing.assert_allclose(weights, dens, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: GaussianNoise([math.nan], [[1.0]]), "mean"),
+        (lambda: GaussianNoise([0.0, math.inf], np.eye(2)), "mean"),
+        (lambda: GaussianNoise([0.0], [[math.inf]]), "cov"),
+        (lambda: GaussianNoise([0.0], [[math.nan]]), "cov"),
+        (lambda: GaussianNoise([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]), "cov"),
+        (lambda: DiscreteNoise([[math.nan]], [1.0]), "values"),
+        (lambda: DiscreteNoise([-math.inf, 1.0], [0.5, 0.5]), "values"),
+        (lambda: DiscreteNoise([-1.0, 1.0], [math.nan, 0.5]), "probs"),
+        (lambda: DegenerateNoise([math.nan]), "value"),
+        (lambda: DegenerateNoise([0.0, -math.inf]), "value"),
+    ],
+    ids=[
+        "gaussian-nan-mean",
+        "gaussian-inf-mean",
+        "gaussian-inf-cov",
+        "gaussian-nan-cov",
+        "gaussian-nan-offdiagonal",
+        "discrete-nan-values",
+        "discrete-inf-values",
+        "discrete-nan-probs",
+        "degenerate-nan",
+        "degenerate-inf",
+    ],
+)
+def test_noise_laws_reject_non_finite_parameters_by_name(make, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        make()
+
+
 def test_discrete_noise_weights_are_masses():
     law = DiscreteNoise([-1.0, 1.0], [0.9, 0.1])
     rng = np.random.default_rng(5)
-    draws, weights = law.sample_batch(rng, 200)
+    draws, weights = law.sample_batch([rng], 200)
     for d, w in zip(draws[:, 0], weights):
         assert w == (0.9 if d == -1.0 else 0.1)
     assert law.mean[0] == pytest.approx(-0.8)
@@ -229,14 +277,14 @@ def test_discrete_noise_weights_are_masses():
 
 def test_degenerate_noise_is_constant_with_unit_weight():
     law = DegenerateNoise([2.5])
-    draws, weights = law.sample_batch(np.random.default_rng(0), 10)
+    draws, weights = law.sample_batch([np.random.default_rng(0)], 10)
     assert np.all(draws == 2.5)
     assert np.all(weights == 1.0)
 
 
 def test_cyclic_noise_fixture_enumerates_in_order():
     law = CyclicNoise([-1.0, 1.0], [0.5, 0.5])
-    draws, weights = law.sample_batch(np.random.default_rng(0), 4)
+    draws, weights = law.sample_batch([np.random.default_rng(0)], 4)
     np.testing.assert_array_equal(draws[:, 0], [-1.0, 1.0, -1.0, 1.0])
     assert np.all(weights == 0.5)
 

@@ -30,7 +30,7 @@ from rsmhp import (
     sample_tree_pruned,
     sample_tree_pruned_logged,
 )
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _streams
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _streams
 
 
 def _lqg(horizon=2, sigma=1.0):
@@ -237,7 +237,7 @@ def test_independent_draws_every_step_fresh():
     # No nominal completion here: each path is the rollout of its own H
     # drawn steps, and all of their weights are genuine, distinct densities.
     stream = _fresh_stream(config.master_seed, _INDEPENDENT_DOMAIN)
-    draws, weights = _lqg(3).noise.sample_batch(stream, 15)
+    draws, weights = _lqg(3).noise.sample_batch([stream], 15)
     assert np.all(weights < 1.0)
     assert len(np.unique(weights)) == 15
     for i in range(5):
@@ -288,7 +288,7 @@ def test_rollout_is_a_batch_of_one(dim, horizon, count, seed):
     batch = sample_independent(model, controls, config)
     # The same draws the sampler takes: one sample_batch call, path-major.
     stream = _fresh_stream(config.master_seed, _INDEPENDENT_DOMAIN)
-    draws, weights = model.noise.sample_batch(stream, count * horizon)
+    draws, weights = model.noise.sample_batch([stream], count * horizon)
     draws = draws.reshape(count, horizon, dim)
     weights = weights.reshape(count, horizon)
     for i in range(count):
@@ -465,7 +465,7 @@ _STACKED = [
 
 @pytest.mark.parametrize("sampler, width_mode", _STACKED)
 @given(
-    dim=st.integers(min_value=1, max_value=3),
+    dim=st.integers(min_value=1, max_value=6),
     horizon=st.integers(min_value=1, max_value=4),
     branch=st.integers(min_value=1, max_value=3),
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
@@ -511,6 +511,37 @@ def test_stacked_block_equals_its_single_seed_call(
             assert block.branch_paths is None
         else:
             assert np.array_equal(block.branch_paths, alone.branch_paths)
+
+
+def _law(kind, dim, rng):
+    if kind == "gaussian":
+        root = rng.normal(size=(dim, dim))
+        return GaussianNoise(rng.normal(size=dim), root @ root.T + 0.1 * np.eye(dim))
+    if kind == "discrete":
+        return DiscreteNoise(rng.normal(size=(3, dim)), [0.25, 0.25, 0.5])
+    return DegenerateNoise(rng.normal(size=dim))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "discrete", "degenerate"])
+@given(
+    dim=st.integers(min_value=1, max_value=6),
+    count=st.integers(min_value=1, max_value=40),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+    law_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_streams_draw_like_one_stream_calls(kind, dim, count, seeds, law_seed):
+    # The law transforms every stream's rows in one pass; each block must
+    # keep the bits of its own one-stream call however many rows surround it.
+    law = _law(kind, dim, np.random.default_rng(law_seed))
+    draws, weights = law.sample_batch(_streams(seeds, _TREE_DOMAIN, 3), count)
+    assert draws.shape == (len(seeds) * count, dim)
+    assert weights.shape == (len(seeds) * count,)
+    for r, seed in enumerate(seeds):
+        alone_draws, alone_weights = law.sample_batch([_fresh_stream(seed, _TREE_DOMAIN, 3)], count)
+        rows = slice(r * count, (r + 1) * count)
+        assert np.array_equal(draws[rows], alone_draws)
+        assert np.array_equal(weights[rows], alone_weights)
 
 
 @given(
