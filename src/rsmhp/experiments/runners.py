@@ -35,9 +35,9 @@ from ..linear import (
     var_p,
 )
 from ..sampling import SamplerConfig, sample_independent, sample_tree, sample_tree_pruned
-from ..uav import PlannerConfig, PlannerObjective, ScenarioConfig, run_episode
+from ..uav import run_episode
 from .io import write_csv, write_json
-from .spec import ExperimentKind, ExperimentSpec
+from .spec import ExperimentKind, ExperimentSpec, tracking_setup
 
 __all__ = [
     "run_experiment",
@@ -155,7 +155,7 @@ def run_lqg_convergence(spec: ExperimentSpec, workers: int = 1):
 
     def one(item):
         count, seed = item
-        config = SamplerConfig(branch_factor=count, master_seed=seed, tree_cap=max(10**6, count))
+        config = SamplerConfig(branch_factor=count, master_seed=seed)
         sampled = estimate_mean(sample_independent(model, controls, config)).value
         return (
             count, sampled, nominal, exact,
@@ -279,43 +279,7 @@ def run_uav_monte_carlo(spec: ExperimentSpec, workers: int = 1):
     written per arm.
     """
     p = spec.params
-    scenario = ScenarioConfig(
-        dt=p["dt"],
-        n_steps=p["n_steps"],
-        v_min=p["v_min"],
-        v_max=p["v_max"],
-        accel_max=p["accel_max"],
-        bank_max=p["bank_max"],
-        process_intensity=p["process_intensity"],
-        sigma0=p["sigma0"],
-        eta=p["eta"],
-        uav_position=(p["uav_x"], p["uav_y"]),
-        uav_heading=p["uav_heading"],
-        uav_speed=p["uav_speed"],
-        target_mean=np.array(p["target_mean"]),
-        target_cov=np.diag(
-            [p["target_pos_var"], p["target_pos_var"],
-             p["target_vel_var"], p["target_vel_var"]]
-        ),
-        master_seed=spec.master_seed,
-    )
-    arms = []
-    if p["include_nbo"]:
-        arms.append(
-            ("nbo", PlannerConfig(
-                horizon=p["horizon"], n_trajectories=1,
-                objective=PlannerObjective.NBO,
-                eval_budget=p["eval_budget"], master_seed=spec.master_seed,
-            ))
-        )
-    for count in p["nt_values"]:
-        arms.append(
-            (f"nt{count}", PlannerConfig(
-                horizon=p["horizon"], n_trajectories=count,
-                objective=PlannerObjective.RSMHP,
-                eval_budget=p["eval_budget"], master_seed=spec.master_seed,
-            ))
-        )
+    scenario, arms = tracking_setup(p, spec.master_seed)
 
     def one(item):
         arm, run = item

@@ -5,16 +5,24 @@ seed, and the output directory, plus an optional section named after the
 kind holding its parameters.  Every parameter has a documented default, so
 the kind section may be omitted entirely.  Validation happens before any
 computation and every error message names the offending section and key.
+
+The tracking study's world and planner parameters are checked where they
+are used: ``tracking_setup`` is the one mapping from its section to a
+``ScenarioConfig`` and the planner arms, and ``load_spec`` runs it, so
+``validate`` rejects exactly what ``run`` would.
 """
 from __future__ import annotations
 
 import configparser
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from ..uav.planning import PlannerConfig
+import numpy as np
+
+from ..uav.planning import PlannerConfig, PlannerObjective
 from ..uav.scenario import ScenarioConfig
 
 __all__ = [
@@ -23,6 +31,7 @@ __all__ = [
     "ExperimentSpec",
     "load_spec",
     "describe_kinds",
+    "tracking_setup",
 ]
 
 
@@ -204,42 +213,39 @@ _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
             "sampled-future counts to compare",
         ),
         FieldSpec("include_nbo", "bool", True, None, "also run the nominal planner"),
+        FieldSpec("horizon", "int", _PLANNER_DEFAULTS.horizon, None, "planning horizon"),
         FieldSpec(
-            "horizon", "int", _PLANNER_DEFAULTS.horizon, _positive,
-            "planning horizon",
-        ),
-        FieldSpec(
-            "eval_budget", "int", _PLANNER_DEFAULTS.eval_budget, _positive,
+            "eval_budget", "int", _PLANNER_DEFAULTS.eval_budget, None,
             "objective evaluations per planning step",
         ),
-        FieldSpec("n_steps", "int", _SCENARIO_DEFAULTS.n_steps, _positive, "episode length"),
-        FieldSpec("dt", "float", _SCENARIO_DEFAULTS.dt, _positive, "time step, seconds"),
+        FieldSpec("n_steps", "int", _SCENARIO_DEFAULTS.n_steps, None, "episode length"),
+        FieldSpec("dt", "float", _SCENARIO_DEFAULTS.dt, None, "time step, seconds"),
         FieldSpec(
             "process_intensity", "float", _SCENARIO_DEFAULTS.process_intensity,
-            _nonnegative, "target acceleration noise intensity",
+            None, "target acceleration noise intensity",
         ),
         FieldSpec(
-            "sigma0", "float", _SCENARIO_DEFAULTS.sigma0, _nonnegative,
+            "sigma0", "float", _SCENARIO_DEFAULTS.sigma0, None,
             "range-independent measurement noise std dev",
         ),
         FieldSpec(
-            "eta", "float", _SCENARIO_DEFAULTS.eta, _nonnegative,
+            "eta", "float", _SCENARIO_DEFAULTS.eta, None,
             "range-squared measurement noise coefficient",
         ),
-        FieldSpec("v_min", "float", _SCENARIO_DEFAULTS.v_min, _positive, "stall speed"),
-        FieldSpec("v_max", "float", _SCENARIO_DEFAULTS.v_max, _positive, "top speed"),
+        FieldSpec("v_min", "float", _SCENARIO_DEFAULTS.v_min, None, "stall speed"),
+        FieldSpec("v_max", "float", _SCENARIO_DEFAULTS.v_max, None, "top speed"),
         FieldSpec(
-            "accel_max", "float", _SCENARIO_DEFAULTS.accel_max, _positive,
+            "accel_max", "float", _SCENARIO_DEFAULTS.accel_max, None,
             "acceleration magnitude bound",
         ),
         FieldSpec(
-            "bank_max", "float", _SCENARIO_DEFAULTS.bank_max, _positive,
+            "bank_max", "float", _SCENARIO_DEFAULTS.bank_max, None,
             "bank angle magnitude bound, radians",
         ),
         FieldSpec("uav_x", "float", float(_SCENARIO_DEFAULTS.uav_position[0]), None, "vehicle start x"),
         FieldSpec("uav_y", "float", float(_SCENARIO_DEFAULTS.uav_position[1]), None, "vehicle start y"),
         FieldSpec("uav_heading", "float", _SCENARIO_DEFAULTS.uav_heading, None, "vehicle start heading"),
-        FieldSpec("uav_speed", "float", _SCENARIO_DEFAULTS.uav_speed, _positive, "vehicle start speed"),
+        FieldSpec("uav_speed", "float", _SCENARIO_DEFAULTS.uav_speed, None, "vehicle start speed"),
         FieldSpec(
             "target_mean", "float_list", [float(v) for v in _SCENARIO_DEFAULTS.target_mean],
             None, "prior mean: x, y, vx, vy",
@@ -288,16 +294,50 @@ def _cross_check(kind: ExperimentKind, params: dict, section: str) -> None:
     elif kind is ExperimentKind.PRUNING_STUDY:
         if params["horizon"] < 2:
             fail("horizon", "must be at least 2 so the tree has depth to prune")
-    elif kind is ExperimentKind.UAV_MONTE_CARLO:
-        if len(params["target_mean"]) != 4:
-            fail("target_mean", f"expected 4 entries, got {len(params['target_mean'])}")
-        if params["v_min"] > params["v_max"]:
-            fail("v_min", f"must not exceed v_max ({params['v_max']})")
-        if not params["v_min"] <= params["uav_speed"] <= params["v_max"]:
-            fail("uav_speed", "must lie within [v_min, v_max]")
     elif kind is ExperimentKind.COVARIANCE_DECAY:
         if params["horizon"] < 2:
             fail("horizon", "must be at least 2 so branches exist")
+
+
+def tracking_setup(params: dict, master_seed: int):
+    """The tracking study's scenario and its planner arms from ``uav_monte_carlo`` params.
+
+    Returns ``(scenario, [(arm_name, planner_config), ...])``: the nominal
+    arm ``nbo`` first when ``include_nbo`` is set, then one ``nt<count>``
+    arm per entry of ``nt_values``.  Every arm and the scenario share
+    ``master_seed``.  ``ScenarioConfig`` and ``PlannerConfig`` validate the
+    values and raise ``ValueError`` or ``TypeError`` naming the field.
+    """
+    p = params
+    scenario = ScenarioConfig(
+        dt=p["dt"],
+        n_steps=p["n_steps"],
+        v_min=p["v_min"],
+        v_max=p["v_max"],
+        accel_max=p["accel_max"],
+        bank_max=p["bank_max"],
+        process_intensity=p["process_intensity"],
+        sigma0=p["sigma0"],
+        eta=p["eta"],
+        uav_position=(p["uav_x"], p["uav_y"]),
+        uav_heading=p["uav_heading"],
+        uav_speed=p["uav_speed"],
+        target_mean=np.array(p["target_mean"]),
+        target_cov=np.diag(
+            [p["target_pos_var"], p["target_pos_var"],
+             p["target_vel_var"], p["target_vel_var"]]
+        ),
+        master_seed=master_seed,
+    )
+    arms = [("nbo", 1, PlannerObjective.NBO)] if p["include_nbo"] else []
+    arms += [(f"nt{count}", count, PlannerObjective.RSMHP) for count in p["nt_values"]]
+    return scenario, [
+        (name, PlannerConfig(
+            horizon=p["horizon"], n_trajectories=count, objective=objective,
+            eval_budget=p["eval_budget"], master_seed=master_seed,
+        ))
+        for name, count, objective in arms
+    ]
 
 
 def _build_params(kind: ExperimentKind, raw: dict, section: str) -> dict:
@@ -382,6 +422,14 @@ def load_spec(path) -> ExperimentSpec:
         )
     raw = dict(parser[kind.value]) if parser.has_section(kind.value) else {}
     params = _build_params(kind, raw, kind.value)
+    if kind is ExperimentKind.UAV_MONTE_CARLO:
+        try:
+            tracking_setup(params, master_seed)
+        except (ValueError, TypeError) as exc:
+            # The scenario and planner errors name their field, which is the
+            # config key for every field a config can set.
+            key = next((word for word in re.findall(r"\w+", str(exc)) if word in params), None)
+            raise ConfigError(f"{kind.value}.{key}: {exc}" if key else f"{kind.value}: {exc}") from None
     return ExperimentSpec(kind=kind, master_seed=master_seed, output=output, params=params)
 
 

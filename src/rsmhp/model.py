@@ -128,13 +128,6 @@ class GaussianNoise(NoiseLaw):
         log_det = 2.0 * np.sum(np.log(np.diag(self._chol)))
         self._log_norm = -0.5 * (d * math.log(2.0 * math.pi) + log_det)
 
-    @classmethod
-    def from_std(cls, mean, std) -> "GaussianNoise":
-        """Diagonal Gaussian from per-component standard deviations."""
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
-        return cls(mean, np.diag(std**2))
-
     def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
         z = np.empty((len(streams), count, self.dim))
         for block, stream in zip(z, streams):

@@ -72,8 +72,9 @@ class SamplerConfig:
     one seed per replication; empty means a single replication at
     ``master_seed``, which must then be left at 0 when ``seeds`` is given.
     Every seed lies in [0, 2^64).
-    ``tree_cap`` bounds the total width, over all replications, that any
-    sampler call may materialize.
+    ``tree_cap`` bounds the total width, over all replications, that a tree
+    sampler call may materialize; an independent batch holds exactly the
+    ``branch_factor`` paths per replication it asks for, so it is not capped.
     """
 
     branch_factor: int
@@ -304,10 +305,6 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     count = config.branch_factor
     seeds = config.replication_seeds
     total = len(seeds) * count
-    if total > config.tree_cap:
-        raise TreeSizeError(
-            f"independent batch of {total} paths exceeds the cap {config.tree_cap}"
-        )
     law = model.noise
     flat_draws, flat_w = law.sample_batch(_streams(seeds, _INDEPENDENT_DOMAIN), count * horizon)
     draws = flat_draws.reshape(total, horizon, law.dim)

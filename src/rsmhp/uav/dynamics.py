@@ -6,12 +6,20 @@ tracked object follows a near-constant-velocity model with white
 acceleration noise.  An onboard position sensor reports the target with
 isotropic noise whose variance grows with the vehicle-to-target range,
 which is what couples vehicle motion to tracking quality.
+
+The step functions read every world parameter (time step, speed bounds,
+gravity, noise levels) from the episode's ``ScenarioConfig``, which
+validates them once; none has a default of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 __all__ = [
     "GRAVITY",
@@ -56,14 +64,7 @@ class UavControl:
     bank_angle: float
 
 
-def uav_step(
-    state: UavState,
-    control: UavControl,
-    dt: float,
-    v_min: float = 10.0,
-    v_max: float = 50.0,
-    gravity: float = GRAVITY,
-) -> UavState:
+def uav_step(state: UavState, control: UavControl, scenario: ScenarioConfig) -> UavState:
     """Advance the vehicle one step (deterministic kinematics).
 
     Speed integrates the acceleration and is clamped to [v_min, v_max].
@@ -71,8 +72,9 @@ def uav_step(
     the new speed, and the displacement uses the new heading, so a one-step
     plan already feels the turn.
     """
-    speed = float(np.clip(state.speed + control.forward_acceleration * dt, v_min, v_max))
-    heading = state.heading + gravity * np.tan(control.bank_angle) / speed * dt
+    dt = scenario.dt
+    speed = float(np.clip(state.speed + control.forward_acceleration * dt, scenario.v_min, scenario.v_max))
+    heading = state.heading + scenario.gravity * np.tan(control.bank_angle) / speed * dt
     direction = np.array([np.cos(heading), np.sin(heading)])
     position = state.position + speed * direction * dt
     return UavState(position=position, heading=heading, speed=speed)
@@ -106,10 +108,10 @@ def target_process_cov(intensity: float, dt: float) -> np.ndarray:
     )
 
 
-def target_step(state, dt: float, rng: np.random.Generator, intensity: float = 0.5):
+def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator):
     """Advance the true target state with sampled process noise."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = scenario.dt
+    intensity = scenario.process_intensity
     state = np.asarray(state, dtype=float)
     f = target_transition_matrix(dt)
     mean = f @ state
@@ -128,27 +130,18 @@ def measurement_matrix() -> np.ndarray:
     return h
 
 
-def sensor_cov(uav_position, target_position, sigma0: float, eta: float) -> np.ndarray:
+def sensor_cov(uav_position, target_position, scenario: ScenarioConfig) -> np.ndarray:
     """Measurement covariance (sigma0^2 + eta * range^2) * I."""
     delta = np.asarray(target_position, dtype=float) - np.asarray(uav_position, dtype=float)
     range_sq = float(delta @ delta)
-    return (sigma0**2 + eta * range_sq) * np.eye(2)
+    return (scenario.sigma0**2 + scenario.eta * range_sq) * np.eye(2)
 
 
-def sensor_measure(
-    uav: UavState,
-    target_pos,
-    rng: np.random.Generator,
-    sigma0: float = 5.0,
-    eta: float = 1e-3,
-):
-    """Noisy target position and the covariance of the noise that was used.
+def sensor_measure(target_position, cov, rng: np.random.Generator) -> np.ndarray:
+    """Noisy target position under the isotropic noise covariance ``cov``.
 
-    The noise is isotropic with standard deviation sqrt(sigma0^2 + eta r^2)
-    where r is the current vehicle-to-target range.
+    ``cov`` is a ``sensor_cov`` result; two standard normals from ``rng`` are
+    scaled by its standard deviation, so the same draws serve any geometry.
     """
-    target_pos = np.asarray(target_pos, dtype=float)
-    cov = sensor_cov(uav.position, target_pos, sigma0, eta)
     std = np.sqrt(cov[0, 0])
-    measurement = target_pos + std * rng.standard_normal(2)
-    return measurement, cov
+    return np.asarray(target_position, dtype=float) + std * rng.standard_normal(2)

@@ -10,10 +10,14 @@ with ``require_per_axis``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import measurement_matrix, target_process_cov, target_transition_matrix
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 __all__ = [
     "TargetBelief",
@@ -68,10 +72,10 @@ class TargetBelief:
         return self.mean[:2]
 
 
-def kalman_predict(belief: TargetBelief, dt: float, intensity: float = 0.5) -> TargetBelief:
-    """Time update: constant-velocity transition plus process noise."""
-    f = target_transition_matrix(dt)
-    q = target_process_cov(intensity, dt)
+def kalman_predict(belief: TargetBelief, scenario: ScenarioConfig) -> TargetBelief:
+    """Time update: constant-velocity transition plus the scenario's process noise."""
+    f = target_transition_matrix(scenario.dt)
+    q = target_process_cov(scenario.process_intensity, scenario.dt)
     mean = f @ belief.mean
     cov = f @ belief.covariance @ f.T + q
     return TargetBelief(mean=mean, covariance=0.5 * (cov + cov.T))

@@ -64,8 +64,10 @@ class ScenarioConfig:
             raise ValueError(f"accel_max must be positive, got {self.accel_max}")
         if not 0.0 < self.bank_max < np.pi / 2.0:
             raise ValueError(f"bank_max must lie in (0, pi/2), got {self.bank_max}")
-        if self.sigma0 < 0.0 or self.eta < 0.0:
-            raise ValueError("sigma0 and eta must be nonnegative")
+        if self.sigma0 < 0.0:
+            raise ValueError(f"sigma0 must be nonnegative, got {self.sigma0}")
+        if self.eta < 0.0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.process_intensity < 0.0:
             raise ValueError(f"process_intensity must be nonnegative, got {self.process_intensity}")
         mean = np.asarray(self.target_mean, dtype=float)

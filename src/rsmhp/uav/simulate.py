@@ -4,17 +4,18 @@ Every stream of randomness is derived from (master seed, run index), and
 planner randomness is derived separately from the planner seed, so two
 studies with different planners but the same scenario seed face identical
 target paths and identical raw measurement noise (common random numbers).
-The per-step measurement noise is stored as standard normals and scaled by
-the geometry-dependent standard deviation at use time, which is what makes
-the pairing exact even though planners steer different vehicle paths.
-Episodes are independent given their run index, which is what lets the
-experiment runner fan them out over worker processes.
+Each step's measurement is two standard normals from the measurement
+stream, which ``sensor_measure`` scales by the geometry-dependent standard
+deviation, so the pairing is exact even though planners steer different
+vehicle paths.  Every step function reads its parameters from the one
+``ScenarioConfig``.  Episodes are independent given their run index, which
+is what lets the experiment runner fan them out over worker processes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import UavState, sensor_cov, target_step, uav_step
+from .dynamics import UavState, sensor_cov, sensor_measure, target_step, uav_step
 from .filtering import TargetBelief, kalman_predict, kalman_update
 from .planning import PlannerConfig, plan_step
 from .scenario import ScenarioConfig
@@ -60,22 +61,11 @@ def run_episode(
 
     errors = np.empty(scenario.n_steps)
     for step in range(scenario.n_steps):
-        cov = sensor_cov(uav.position, truth[:2], scenario.sigma0, scenario.eta)
-        std = np.sqrt(cov[0, 0])
-        measurement = truth[:2] + std * meas_rng.standard_normal(2)
-        belief = kalman_update(belief, measurement, cov)
+        cov = sensor_cov(uav.position, truth[:2], scenario)
+        belief = kalman_update(belief, sensor_measure(truth[:2], cov, meas_rng), cov)
         errors[step] = float(np.hypot(*(belief.position - truth[:2])))
         control = plan_step(uav, belief, scenario, config, planner_rng)
-        uav = uav_step(
-            uav,
-            control,
-            scenario.dt,
-            v_min=scenario.v_min,
-            v_max=scenario.v_max,
-            gravity=scenario.gravity,
-        )
-        truth = target_step(
-            truth, scenario.dt, process_rng, intensity=scenario.process_intensity
-        )
-        belief = kalman_predict(belief, scenario.dt, intensity=scenario.process_intensity)
+        uav = uav_step(uav, control, scenario)
+        truth = target_step(truth, scenario, process_rng)
+        belief = kalman_predict(belief, scenario)
     return errors

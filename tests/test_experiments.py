@@ -547,6 +547,19 @@ def test_cli_validate_bad_config_exits_2(tmp_path, capsys):
     assert "variance_scaling.reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("bank_max", 2.0), ("v_min", 60.0), ("uav_speed", 5.0), ("eta", -1.0), ("horizon", 0)],
+)
+def test_cli_validate_rejects_what_the_tracking_run_would(tmp_path, capsys, key, value):
+    config = _write_config(
+        tmp_path / "exp.ini",
+        "[experiment]\nkind = uav_monte_carlo\noutput = out\n\n" + _fast_uav_section(**{key: value}),
+    )
+    assert main(["validate", str(config)]) == 2
+    assert f"uav_monte_carlo.{key}: " in capsys.readouterr().err
+
+
 def test_cli_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "res"
     config = _write_config(

@@ -108,14 +108,14 @@ def _walk_beliefs(sc, steps=(0, 3, 12, 30)):
     uav = UavState(position=np.zeros(2), heading=0.0, speed=30.0)
     out = []
     for step in range(max(steps) + 1):
-        cov = sensor_cov(uav.position, truth[:2], sc.sigma0, sc.eta)
+        cov = sensor_cov(uav.position, truth[:2], sc)
         measurement = truth[:2] + np.sqrt(cov[0, 0]) * rng.standard_normal(2)
         belief = kalman_update(belief, measurement, cov)
         if step in steps:
             out.append((uav, belief))
-        uav = uav_step(uav, UavControl(1.0, 0.3), sc.dt)
-        truth = target_step(truth, sc.dt, rng, intensity=sc.process_intensity)
-        belief = kalman_predict(belief, sc.dt, intensity=sc.process_intensity)
+        uav = uav_step(uav, UavControl(1.0, 0.3), sc)
+        truth = target_step(truth, sc, rng)
+        belief = kalman_predict(belief, sc)
     return out
 
 

@@ -424,8 +424,12 @@ def test_tree_cap_bounds_the_rows_of_all_replications():
         sample_tree_pruned(
             _lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, prune_width=2, seeds=seeds, tree_cap=23)
         )
-    with pytest.raises(TreeSizeError):
-        sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=10, seeds=seeds, tree_cap=39))
+
+
+def test_independent_batch_is_not_capped():
+    # The cap bounds a tree's N^(H-1) growth; an independent batch holds
+    # exactly the paths its config names.
+    assert len(sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=50, tree_cap=10))) == 50
 
 
 def test_split_gives_equal_read_only_views():

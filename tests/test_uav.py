@@ -54,7 +54,7 @@ def _belief(px=600.0, py=400.0, vx=5.0, vy=0.0, pos_var=400.0, vel_var=16.0):
 def test_uav_straight_line_at_constant_speed():
     state = _uav(speed=20.0)
     for _ in range(5):
-        state = uav_step(state, UavControl(0.0, 0.0), dt=1.0)
+        state = uav_step(state, UavControl(0.0, 0.0), ScenarioConfig(dt=1.0))
     np.testing.assert_allclose(state.position, [100.0, 0.0], rtol=1e-12)
     assert state.heading == 0.0
     assert state.speed == 20.0
@@ -64,7 +64,7 @@ def test_uav_positive_bank_turns_monotonically():
     state = _uav()
     headings = [state.heading]
     for _ in range(10):
-        state = uav_step(state, UavControl(0.0, 0.3), dt=0.5)
+        state = uav_step(state, UavControl(0.0, 0.3), ScenarioConfig(dt=0.5))
         headings.append(state.heading)
     assert all(b > a for a, b in zip(headings, headings[1:]))
 
@@ -77,26 +77,28 @@ def test_uav_full_circle_returns_heading_modulo_two_pi():
     rate = GRAVITY * np.tan(bank) / speed
     period = 2.0 * np.pi / rate
     n = 4096
+    sc = ScenarioConfig(dt=period / n)
     state = _uav(speed=speed)
     start = state.heading
     for _ in range(n):
-        state = uav_step(state, UavControl(0.0, bank), dt=period / n)
+        state = uav_step(state, UavControl(0.0, bank), sc)
     wrapped = (state.heading - start) % (2.0 * np.pi)
     assert min(wrapped, 2.0 * np.pi - wrapped) < 1e-6
 
 
 def test_uav_speed_clamps_to_bounds():
+    sc = ScenarioConfig(dt=1.0, v_min=10.0, v_max=50.0)
     state = _uav(speed=48.0)
-    state = uav_step(state, UavControl(5.0, 0.0), dt=1.0, v_min=10.0, v_max=50.0)
+    state = uav_step(state, UavControl(5.0, 0.0), sc)
     assert state.speed == 50.0
     state = _uav(speed=11.0)
-    state = uav_step(state, UavControl(-5.0, 0.0), dt=1.0, v_min=10.0, v_max=50.0)
+    state = uav_step(state, UavControl(-5.0, 0.0), sc)
     assert state.speed == 10.0
 
 
 def test_uav_displacement_uses_post_turn_heading():
     # One step with a left bank must already bend the displacement left.
-    state = uav_step(_uav(), UavControl(0.0, 0.3), dt=1.0)
+    state = uav_step(_uav(), UavControl(0.0, 0.3), ScenarioConfig(dt=1.0))
     assert state.position[1] > 0.0
 
 
@@ -105,14 +107,14 @@ def test_uav_displacement_uses_post_turn_heading():
 
 def test_target_advances_by_velocity_without_noise():
     rng = np.random.default_rng(0)
-    out = target_step(np.array([0.0, 0.0, 1.0, 0.0]), 1.0, rng, intensity=0.0)
+    out = target_step(np.array([0.0, 0.0, 1.0, 0.0]), ScenarioConfig(dt=1.0, process_intensity=0.0), rng)
     np.testing.assert_allclose(out, [1.0, 0.0, 1.0, 0.0], rtol=1e-15)
 
 
 def test_target_fixed_point_with_zero_velocity_and_noise():
     rng = np.random.default_rng(0)
     state = np.array([3.0, -2.0, 0.0, 0.0])
-    out = target_step(state, 1.0, rng, intensity=0.0)
+    out = target_step(state, ScenarioConfig(dt=1.0, process_intensity=0.0), rng)
     np.testing.assert_array_equal(out, state)
 
 
@@ -121,7 +123,8 @@ def test_target_sample_mean_matches_noiseless_prediction():
     state = np.array([10.0, -5.0, 2.0, 1.5])
     dt = 1.0
     intensity = 4.0
-    draws = np.array([target_step(state, dt, rng, intensity=intensity) for _ in range(10_000)])
+    sc = ScenarioConfig(dt=dt, process_intensity=intensity)
+    draws = np.array([target_step(state, sc, rng) for _ in range(10_000)])
     predicted = target_transition_matrix(dt) @ state
     stds = np.sqrt(np.diag(target_process_cov(intensity, dt)))
     np.testing.assert_array_less(
@@ -129,17 +132,13 @@ def test_target_sample_mean_matches_noiseless_prediction():
     )
 
 
-def test_target_step_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        target_step(np.zeros(4), 0.0, np.random.default_rng(0))
-
-
 # -------------------------------------------------------------------- sensor
 
 
 def test_sensor_cov_constant_when_range_free():
-    a = sensor_cov([0.0, 0.0], [10.0, 0.0], sigma0=3.0, eta=0.0)
-    b = sensor_cov([0.0, 0.0], [1000.0, 500.0], sigma0=3.0, eta=0.0)
+    sc = ScenarioConfig(sigma0=3.0, eta=0.0)
+    a = sensor_cov([0.0, 0.0], [10.0, 0.0], sc)
+    b = sensor_cov([0.0, 0.0], [1000.0, 500.0], sc)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(a, 9.0 * np.eye(2), rtol=1e-15)
 
@@ -147,8 +146,9 @@ def test_sensor_cov_constant_when_range_free():
 def test_sensor_cov_range_doubling_adds_three_eta_r_squared():
     eta = 2e-3
     r = 350.0
-    near = sensor_cov([0.0, 0.0], [r, 0.0], sigma0=5.0, eta=eta)
-    far = sensor_cov([0.0, 0.0], [2.0 * r, 0.0], sigma0=5.0, eta=eta)
+    sc = ScenarioConfig(sigma0=5.0, eta=eta)
+    near = sensor_cov([0.0, 0.0], [r, 0.0], sc)
+    far = sensor_cov([0.0, 0.0], [2.0 * r, 0.0], sc)
     increase = far[0, 0] - near[0, 0]
     assert increase == pytest.approx(3.0 * eta * r * r, rel=1e-12)
     assert far[1, 1] - near[1, 1] == pytest.approx(increase, rel=1e-12)
@@ -159,10 +159,9 @@ def test_sensor_sample_covariance_matches_reported_cov():
     uav = _uav()
     target = np.array([300.0, 200.0])
     draws = np.empty((10_000, 2))
-    cov = None
+    cov = sensor_cov(uav.position, target, ScenarioConfig(sigma0=4.0, eta=1e-3))
     for i in range(draws.shape[0]):
-        z, cov = sensor_measure(uav, target, rng, sigma0=4.0, eta=1e-3)
-        draws[i] = z - target
+        draws[i] = sensor_measure(target, cov, rng) - target
     sample = np.cov(draws.T)
     sigma_sq = cov[0, 0]
     assert sample[0, 0] == pytest.approx(sigma_sq, rel=0.1)
@@ -204,7 +203,7 @@ def test_kalman_cycle_preserves_symmetry_and_positive_definiteness():
     rng = np.random.default_rng(5)
     belief = _belief()
     for _ in range(100):
-        belief = kalman_predict(belief, 1.0, intensity=2.0)
+        belief = kalman_predict(belief, ScenarioConfig(dt=1.0, process_intensity=2.0))
         z = belief.position + rng.normal(scale=10.0, size=2)
         belief = kalman_update(belief, z, float(rng.uniform(1.0, 50.0)) * np.eye(2))
         cov = belief.covariance
@@ -215,8 +214,9 @@ def test_kalman_cycle_preserves_symmetry_and_positive_definiteness():
 def test_kalman_predict_trace_is_linear_without_process_noise():
     belief = _belief()
     doubled = TargetBelief(belief.mean, 2.0 * belief.covariance)
-    one = np.trace(kalman_predict(belief, 1.0, intensity=0.0).covariance)
-    two = np.trace(kalman_predict(doubled, 1.0, intensity=0.0).covariance)
+    sc = ScenarioConfig(dt=1.0, process_intensity=0.0)
+    one = np.trace(kalman_predict(belief, sc).covariance)
+    two = np.trace(kalman_predict(doubled, sc).covariance)
     assert two == pytest.approx(2.0 * one, rel=1e-9)
 
 
@@ -251,9 +251,7 @@ def test_objective_nbo_single_step_with_uninformative_sensor():
     sc = ScenarioConfig(sigma0=1e9, eta=0.0)
     belief = _belief()
     value = objective_nbo(_uav(), belief, _straight(1), sc)
-    predicted = np.trace(
-        kalman_predict(belief, sc.dt, intensity=sc.process_intensity).covariance
-    )
+    predicted = np.trace(kalman_predict(belief, sc).covariance)
     assert value == pytest.approx(predicted, rel=1e-9)
 
 
