@@ -5,7 +5,8 @@ randomness is derived from the spec's master seed through named spawn keys,
 so results are a pure function of the spec.  The replicated studies derive
 one seed per replication and cut the seeds into chunks of about
 ``_CHUNK_ROWS`` sampled rows (``_replicate``); each chunk is one stacked
-sampler call, split back into per-replication sets.  The independent tasks
+sampler call and one estimator call per estimate, which reduces every
+replication's block of rows at once (``blocks``).  The independent tasks
 of a study (chunks, grid points, tracking episodes) go through ``_map``, the
 one place where ``workers`` acts: it spreads them over forked worker
 processes and never changes a single value.  Neither the chunk size nor the
@@ -107,17 +108,16 @@ def _chunks(seeds: list[int], rows_each: int) -> list[tuple[int, ...]]:
     return [tuple(seeds[start:stop]) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _replicate(fn, master_seed: int, index: int, reps: int, rows_each: int, workers: int) -> list:
-    """Per-replication results of ``reps`` replications, in replication order.
+def _replicate(fn, master_seed: int, index: int, reps: int, rows_each: int, workers: int) -> np.ndarray:
+    """Per-replication results of ``reps`` replications, stacked in replication order.
 
     Replication r runs on seed r of ``_derived_seeds(master_seed, index,
     reps)``, all derived in one pass.  ``fn`` takes a chunk of seeds, makes
     one stacked sampler call of about ``rows_each`` rows per seed, and
-    returns one result per seed.
+    returns an array with one leading row per seed.
     """
     seeds = _derived_seeds(master_seed, index, reps)
-    chunks = _map(fn, _chunks(seeds, rows_each), workers)
-    return [result for chunk in chunks for result in chunk]
+    return np.concatenate(_map(fn, _chunks(seeds, rows_each), workers))
 
 
 def _scalar_benchmark(params: dict):
@@ -187,10 +187,10 @@ def run_chebyshev_coverage(spec: ExperimentSpec, workers: int = 1):
     for n_index, count in enumerate(p["n_values"]):
         def chunk(seeds, _count=count):
             config = SamplerConfig(branch_factor=_count, seeds=seeds)
-            sets = sample_independent(stochastic, controls, config).split(len(seeds))
-            return [abs(estimate_mean(one).value - exact) for one in sets]
+            paths = sample_independent(stochastic, controls, config)
+            return np.abs(estimate_mean(paths, len(seeds)).value - exact)
 
-        errors = np.array(_replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers))
+        errors = _replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers)
         for epsilon in epsilons:
             exceed = float(np.mean(errors >= epsilon))
             bound = chebyshev_bound(model, count, epsilon)
@@ -215,10 +215,10 @@ def run_variance_scaling(spec: ExperimentSpec, workers: int = 1):
     for n_index, count in enumerate(p["n_values"]):
         def chunk(seeds, _count=count):
             config = SamplerConfig(branch_factor=_count, seeds=seeds)
-            sets = sample_independent(stochastic, controls, config).split(len(seeds))
-            return [estimate_mean(one).value for one in sets]
+            paths = sample_independent(stochastic, controls, config)
+            return estimate_mean(paths, len(seeds)).value
 
-        values = np.array(_replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers))
+        values = _replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers)
         rows.append((count, p["reps"], float(np.var(values, ddof=1))))
 
     header = ["n", "reps", "variance"]
@@ -239,25 +239,19 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
     for m_index, width in enumerate(p["m_values"]):
         def chunk(seeds, _width=width):
             config = SamplerConfig(branch_factor=p["branch_factor"], prune_width=_width, seeds=seeds)
-            sets = sample_tree_pruned(stochastic, controls, config).split(len(seeds))
-            return [
-                (
-                    len(one),
-                    abs(estimate_mean(one).value - exact),
-                    abs(estimate_weighted(one).value - exact),
-                )
-                for one in sets
-            ]
+            paths = sample_tree_pruned(stochastic, controls, config)
+            mean = estimate_mean(paths, len(seeds)).value
+            weighted = estimate_weighted(paths, len(seeds)).value
+            return np.column_stack([np.abs(mean - exact), np.abs(weighted - exact)])
 
-        results = _replicate(chunk, spec.master_seed, m_index, p["reps"], min(width, full), workers)
-        leaves = results[0][0]
-        mean_errors = np.array([r[1] for r in results])
-        weighted_errors = np.array([r[2] for r in results])
+        # Every replication keeps min(width, full) leaves.
+        leaves = min(width, full)
+        errors = _replicate(chunk, spec.master_seed, m_index, p["reps"], leaves, workers)
         rows.append(
             (
                 width, leaves,
-                float(np.median(mean_errors)),
-                float(np.median(weighted_errors)),
+                float(np.median(errors[:, 0])),
+                float(np.median(errors[:, 1])),
             )
         )
 
@@ -322,7 +316,7 @@ def run_covariance_decay(spec: ExperimentSpec, workers: int = 1):
         config = SamplerConfig(branch_factor=branch, seeds=seeds)
         return sample_tree(stochastic, controls, config).costs.reshape(len(seeds), n_leaves)
 
-    costs = np.array(_replicate(chunk, spec.master_seed, 0, reps, n_leaves, workers))
+    costs = _replicate(chunk, spec.master_seed, 0, reps, n_leaves, workers)
     centered = costs - costs.mean(axis=0)
 
     rows = []

@@ -217,6 +217,18 @@ def lqg_cost_variance(params: LqgParams, controls) -> float:
     return params.r**2 * (2.0 * spread**2 + 4.0 * mu**2 * spread)
 
 
+def _products(rows: Array, matrix: Array) -> Array:
+    """``rows @ matrix.T`` as elementwise sums in column order, (n, k) by (m, k) to (n, m).
+
+    Entry (i, r) is ((rows[i, 0] * matrix[r, 0] + rows[i, 1] * matrix[r, 1]) + ...),
+    each product and sum rounded on its own, whatever the number of rows.
+    """
+    out = rows[:, :1] * matrix[:, 0]
+    for j in range(1, rows.shape[1]):
+        out += rows[:, j : j + 1] * matrix[:, j]
+    return out
+
+
 def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticModel:
     """Simulation twin of a LinearModel.
 
@@ -226,28 +238,35 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     shifts the mean.)  The expected cost therefore equals the nominal-path
     cost, and estimate_nbo gives the exact expectation.
 
-    The state products are per-row dot products (``np.vecdot``), so a row's
-    result does not depend on how many rows are stacked with it, as it can
-    with BLAS matrix products, and a rollout matches its row of a sampled
-    batch bit for bit.
+    Every product (A x, B u, c'x, d'u) is a sum of elementwise products
+    taken in column order (``_products``), as ``GaussianNoise.sample_batch``
+    applies its factor.  So a row's result does not depend on how many rows
+    are stacked with it, nor on the CPU: a BLAS dot product picks its order,
+    and whether it fuses a multiply and an add, by array size and by the
+    kernel it dispatches to.  A rollout matches its row of a sampled batch bit
+    for bit.  For one state and one control each product is a single
+    multiplication.
     """
     a_matrix = model.a_matrix
     b_matrix = model.b_matrix
-    c = model.cost_state
-    d = model.cost_control
+    c = model.cost_state[None, :]
+    d = model.cost_control[None, :]
     if not model.noise_cov.any():
         noise = DegenerateNoise(np.zeros(model.state_dim))
     else:
         noise = GaussianNoise(np.zeros(model.state_dim), model.noise_cov)
 
     def transition(xs, u, ws):
-        return np.vecdot(xs[:, None, :], a_matrix) + b_matrix @ u + ws
+        out = _products(xs, a_matrix)
+        out += _products(u[None, :], b_matrix)
+        out += ws
+        return out
 
     def stage_cost(xs, u):
-        return np.vecdot(xs, c) + float(d @ u)
+        return _products(xs, c)[:, 0] + _products(u[None, :], d)[0, 0]
 
     def terminal_cost(xs):
-        return np.vecdot(xs, c)
+        return _products(xs, c)[:, 0]
 
     return StochasticModel(
         state_dim=model.state_dim,

@@ -298,27 +298,6 @@ class TrajectorySet:
         self.scheme = scheme
         self.branch_paths = branch_paths
 
-    def split(self, parts: int) -> list["TrajectorySet"]:
-        """Cut the set into ``parts`` equal blocks of consecutive rows.
-
-        The blocks are views, in row order, so a call over several
-        replications splits back into one set per replication.
-        """
-        n = len(self)
-        if parts < 1 or n % parts:
-            raise ValueError(f"cannot split {n} trajectories into {parts} equal parts")
-        size = n // parts
-        return [
-            TrajectorySet(
-                self.states[start : start + size],
-                self.raw_likeliness[start : start + size],
-                self.costs[start : start + size],
-                self.scheme,
-                branch_paths=None if self.branch_paths is None else self.branch_paths[start : start + size],
-            )
-            for start in range(0, n, size)
-        ]
-
     def __len__(self) -> int:
         return self.states.shape[0]
 
@@ -390,7 +369,13 @@ def _simulate_paths(
         states = _transitions(model, states, u[k], draws[:, k], k)
         history[:, k + 1] = states
     costs += _terminal_costs(model, states)
-    return history, np.prod(weights, axis=1), costs
+    # The product of each path's weights in step order, as the tree samplers
+    # accumulate it; a reduction along short rows (np.prod(axis=1)) gives
+    # the same bits at several times the cost.
+    likeliness = weights[:, 0].copy()
+    for k in range(1, model.horizon):
+        likeliness *= weights[:, k]
+    return history, likeliness, costs
 
 
 def rollout(model: StochasticModel, controls, noise_draws) -> Trajectory:

@@ -11,8 +11,8 @@ One call can also grow many independent replications side by side: with
 ``SamplerConfig.seeds`` set, each seed is one replication, its rows come out
 as one contiguous block (replication-major), and block r equals the
 single-replication call with ``master_seed = seeds[r]`` bit for bit.  Pruning
-ranks within each replication.  ``TrajectorySet.split`` cuts the output back
-into per-replication sets.
+ranks within each replication.  The estimators take the replication count as
+``blocks`` and reduce every block in one call.
 
 Every scheme steps its whole population of paths, all replications at once,
 through the model's row-stacked callables, with the checked stepping code of
@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._checks import check_int, check_seed
+from ._checks import check_int, check_seed, check_seeds
 from ._seeds import seed_states
 from .model import (
     Array,
@@ -90,8 +90,7 @@ class SamplerConfig:
         check_seed("master_seed", self.master_seed)
         check_int("tree_cap", self.tree_cap, 1)
         seeds = tuple(self.seeds)
-        for index, seed in enumerate(seeds):
-            check_seed(f"seeds[{index}]", seed)
+        check_seeds("seeds", seeds)
         if seeds and self.master_seed != 0:
             raise ValueError("give either seeds or a nonzero master_seed, not both")
         object.__setattr__(self, "seeds", seeds)

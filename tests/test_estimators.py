@@ -306,3 +306,70 @@ def test_running_mean_stays_inside_three_sigma_envelope():
         if np.all(np.abs(prefix_means - exact) <= envelopes):
             passes += 1
     assert passes >= 99
+
+
+def _stacked_set(block_size, blocks, rng):
+    n = block_size * blocks
+    return TrajectorySet(
+        states=np.zeros((n, 1, 1)),
+        raw_likeliness=np.exp(rng.normal(scale=3.0, size=n)),
+        costs=rng.normal(size=n) * rng.uniform(0.0, 1e3, size=n),
+        scheme=SamplingScheme.TREE_PRUNED,
+    )
+
+
+def _block(paths, r, size):
+    rows = slice(r * size, (r + 1) * size)
+    return TrajectorySet(paths.states[rows], paths.raw_likeliness[rows], paths.costs[rows], paths.scheme)
+
+
+@pytest.mark.parametrize("blocks", [1, 7, 163])
+@pytest.mark.parametrize("block_size", [1, 2, 27, 100, 1000, 10000])
+def test_stacked_estimates_equal_each_blocks_own_estimate(block_size, blocks):
+    paths = _stacked_set(block_size, blocks, np.random.default_rng(block_size * 1000 + blocks))
+    mean = estimate_mean(paths, blocks)
+    weighted = estimate_weighted(paths, blocks)
+    for est, scheme in ((mean, EstimatorScheme.MEAN_PRUNED), (weighted, EstimatorScheme.WEIGHTED_PRUNED)):
+        assert est.value.shape == (blocks,)
+        assert est.n_samples == block_size
+        assert est.scheme is scheme
+        # The variance is left for whoever reads it.
+        assert "empirical_variance" not in vars(est)
+    for r in range(blocks):
+        block = _block(paths, r, block_size)
+        own_mean = estimate_mean(block)
+        own_weighted = estimate_weighted(block)
+        assert type(own_mean.value) is float and type(own_weighted.value) is float
+        assert mean.value[r] == own_mean.value
+        assert weighted.value[r] == own_weighted.value
+        for stacked, own, terms in (
+            (mean, own_mean, block.costs),
+            (weighted, own_weighted, normalize_weights(block) * block.costs),
+        ):
+            want = 0.0 if block_size == 1 else float(np.var(terms, ddof=1))
+            assert own.empirical_variance == want
+            assert stacked.empirical_variance[r] == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_weighted_rejects_an_underflowed_block():
+    paths = _stacked_set(3, 4, np.random.default_rng(5))
+    lik = paths.raw_likeliness.copy()
+    lik[6:9] = [1e-310, 0.0, 1e-310]
+    bad = TrajectorySet(paths.states, lik, paths.costs, paths.scheme)
+    with pytest.raises(ValueError, match="normalized weights must sum to the set size 3, got nan"):
+        estimate_weighted(bad, 4)
+    # The plain mean needs no weights.
+    assert estimate_mean(bad, 4).value[2] == estimate_mean(_block(bad, 2, 3)).value
+
+
+def test_blocks_must_cut_the_set_evenly():
+    paths = _stacked_set(3, 4, np.random.default_rng(6))
+    for blocks in (5, 24):
+        with pytest.raises(ValueError, match="equal blocks"):
+            estimate_mean(paths, blocks)
+    with pytest.raises(ValueError, match="blocks must be >= 1"):
+        estimate_weighted(paths, 0)
+    with pytest.raises(TypeError, match="blocks must be an integer"):
+        estimate_mean(paths, 2.0)
+

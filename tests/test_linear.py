@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from rsmhp import (
@@ -20,9 +22,11 @@ from rsmhp import (
     lqg_stochastic_model,
     nbo_error,
     power_sum,
+    rollout,
     sample_independent,
     var_p,
 )
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _streams
 
 
 def _benchmark():
@@ -309,3 +313,80 @@ def test_lqg_cost_variance_matches_sampled_costs():
 def test_lqg_cost_variance_rejects_wrong_control_length():
     with pytest.raises(Exception):
         lqg_cost_variance(_toy_params(), [0.55])
+
+
+def _fixed_order_dot(row, coeffs) -> float:
+    """(row[0] * coeffs[0] + row[1] * coeffs[1]) + ..., in Python floats."""
+    acc = float(row[0]) * float(coeffs[0])
+    for x, a in zip(row[1:], coeffs[1:]):
+        acc = acc + float(x) * float(a)
+    return acc
+
+
+def _random_linear(rng, dim, control_dim, horizon):
+    root = rng.normal(size=(dim, dim))
+    return LinearModel(
+        rng.normal(scale=0.5, size=(dim, dim)),
+        rng.normal(size=(dim, control_dim)),
+        rng.normal(size=dim),
+        rng.normal(size=control_dim),
+        root @ root.T + 0.1 * np.eye(dim),
+        horizon=horizon,
+    )
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    control_dim=st.integers(min_value=1, max_value=2),
+    rows=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_linear_model_products_are_fixed_order_sums(dim, control_dim, rows, seed):
+    # No BLAS: every entry is a sum of rounded products in column order, so a
+    # row's bits depend neither on the CPU's dot kernel nor on its neighbours.
+    rng = np.random.default_rng(seed)
+    lin = _random_linear(rng, dim, control_dim, horizon=1)
+    model = linear_stochastic_model(lin, np.zeros(dim))
+    xs = rng.normal(scale=10.0, size=(rows, dim))
+    ws = rng.normal(size=(rows, dim))
+    u = rng.normal(size=control_dim)
+    moved = model.transition(xs, u, ws)
+    stage = model.stage_cost(xs, u)
+    terminal = model.terminal_cost(xs)
+    for i in range(rows):
+        want = [
+            _fixed_order_dot(xs[i], lin.a_matrix[r]) + _fixed_order_dot(u, lin.b_matrix[r]) + float(ws[i, r])
+            for r in range(dim)
+        ]
+        assert moved[i].tolist() == want
+        assert stage[i] == _fixed_order_dot(xs[i], lin.cost_state) + _fixed_order_dot(u, lin.cost_control)
+        assert terminal[i] == _fixed_order_dot(xs[i], lin.cost_state)
+        alone = slice(i, i + 1)
+        assert np.array_equal(model.transition(xs[alone], u, ws[alone]), moved[alone])
+        assert np.array_equal(model.stage_cost(xs[alone], u), stage[alone])
+        assert np.array_equal(model.terminal_cost(xs[alone]), terminal[alone])
+
+
+@given(
+    control_dim=st.integers(min_value=1, max_value=2),
+    horizon=st.integers(min_value=1, max_value=5),
+    count=st.integers(min_value=1, max_value=6),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    model_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_rollout_equals_its_row_of_a_stacked_two_state_batch(control_dim, horizon, count, seeds, model_seed):
+    rng = np.random.default_rng(model_seed)
+    model = linear_stochastic_model(_random_linear(rng, 2, control_dim, horizon), rng.normal(size=2))
+    controls = rng.normal(size=(horizon, control_dim))
+    batch = sample_independent(model, controls, SamplerConfig(branch_factor=count, seeds=tuple(seeds)))
+    # The draws the sampler takes: one sample_batch call over every seed's stream.
+    draws, weights = model.noise.sample_batch(_streams(seeds, _INDEPENDENT_DOMAIN), count * horizon)
+    draws = draws.reshape(len(seeds) * count, horizon, 2)
+    weights = weights.reshape(len(seeds) * count, horizon)
+    for i in range(len(batch)):
+        path = rollout(model, controls, list(zip(draws[i], weights[i])))
+        assert np.array_equal(path.states, batch.states[i])
+        assert path.cost == batch.costs[i]
+        assert path.raw_likeliness == batch.raw_likeliness[i]

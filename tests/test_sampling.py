@@ -20,6 +20,7 @@ from rsmhp import (
     SamplerConfig,
     SamplingScheme,
     StochasticModel,
+    TrajectorySet,
     TreeSizeError,
     estimate_nbo,
     linear_stochastic_model,
@@ -432,19 +433,6 @@ def test_independent_batch_is_not_capped():
     assert len(sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=50, tree_cap=10))) == 50
 
 
-def test_split_gives_equal_read_only_views():
-    whole = sample_tree(_lqg(3), [0.5, 0.2, 0.1], SamplerConfig(branch_factor=2, seeds=(1, 2, 3)))
-    parts = whole.split(3)
-    assert [len(part) for part in parts] == [4, 4, 4]
-    assert np.array_equal(np.concatenate([part.costs for part in parts]), whole.costs)
-    assert np.array_equal(parts[2].branch_paths, whole.branch_paths[8:])
-    assert np.shares_memory(parts[1].states, whole.states)
-    assert not parts[1].costs.flags.writeable
-    for parts_count in (0, 5):
-        with pytest.raises(ValueError, match="equal parts"):
-            whole.split(parts_count)
-
-
 def test_logged_pruning_takes_one_replication():
     controls = [0.5, 0.2, 0.1]
     with pytest.raises(ValueError, match="single replication"):
@@ -507,14 +495,18 @@ def test_stacked_block_equals_its_single_seed_call(
     def config(**seed):
         return SamplerConfig(branch_factor=branch, prune_width=width, **seed)
 
-    blocks = sampler(model, controls, config(seeds=tuple(seeds))).split(len(seeds))
-    for seed, block in zip(seeds, blocks):
+    whole = sampler(model, controls, config(seeds=tuple(seeds)))
+    size = len(whole) // len(seeds)
+    assert len(whole) == size * len(seeds)
+    for r, seed in enumerate(seeds):
         alone = sampler(model, controls, config(master_seed=seed))
+        rows = slice(r * size, (r + 1) * size)
+        block = TrajectorySet(whole.states[rows], whole.raw_likeliness[rows], whole.costs[rows], whole.scheme)
         assert set_arrays_equal(block, alone)
         if alone.branch_paths is None:
-            assert block.branch_paths is None
+            assert whole.branch_paths is None
         else:
-            assert np.array_equal(block.branch_paths, alone.branch_paths)
+            assert np.array_equal(whole.branch_paths[rows], alone.branch_paths)
 
 
 def _law(kind, dim, rng):
