@@ -57,35 +57,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
-def _key_words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each row's spawn-key words as an (L, n) array, and the rows' word counts.
-
-    A key int takes one uint32 word, or two (low first) from 2^32 up.  The
-    counts are None when every row has all L words; otherwise a row's words
-    past its count are unused.
-    """
-    low = (keys & _MASK32).astype(np.uint32)
-    high = (keys >> 32).astype(np.uint32)
-    wide = high != 0
-    if not wide.any():
-        return low.T, None
-    n, width = keys.shape
-    counts = width + wide.sum(axis=1)
-    words = np.zeros((counts.max(), n), dtype=np.uint32)
-    start = np.arange(width) + np.cumsum(wide, axis=1) - wide
-    rows = np.broadcast_to(np.arange(n)[:, None], keys.shape)
-    words[start, rows] = low
-    words[start[wide] + 1, rows[wide]] = high[wide]
-    return words, counts
-
-
 def seed_states(seeds, keys, n_words: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=key).generate_state(n_words, np.uint64)`` per row.
 
     ``seeds`` is one seed or one per row and ``keys`` one spawn key (a
-    sequence of ints) or one per row, an (n, k) array; seeds and key ints
-    lie in [0, 2^64).  Returns an (n, n_words) uint64 array whose row i
-    equals numpy's words for row i's seed and key bit for bit.
+    sequence of ints) or one per row, an (n, k) array.  Seeds lie in
+    [0, 2^64) and key ints in [0, 2^32), one hash word each; a wider key
+    int raises ``ValueError``.  Returns an (n, n_words) uint64 array whose
+    row i equals numpy's words for row i's seed and key bit for bit.
 
     With a spawn key numpy pads the seed's words to the pool size of 4, and
     without one the pool runs the hash out on zeros, so every seed below
@@ -99,7 +78,9 @@ def seed_states(seeds, keys, n_words: int) -> np.ndarray:
     seeds = np.broadcast_to(seeds, (n,))
     keys = np.broadcast_to(keys, (n, keys.shape[1]))
 
-    words, counts = _key_words(keys)
+    if (keys >> 32).any():
+        raise ValueError(f"spawn key ints must be below 2**32, got {keys.max()}")
+    words = keys.T.astype(np.uint32)
     n_hashes = _POOL_SIZE * (_POOL_SIZE + len(words))
     xors, mults = _hash_consts(_INIT_A, _MULT_A, n_hashes)
 
@@ -112,9 +93,8 @@ def seed_states(seeds, keys, n_words: int) -> np.ndarray:
         hashed = _hashmix(pool[src], xors[at:at + len(dsts)], mults[at:at + len(dsts)])
         pool[dsts] = _mix(pool[dsts], hashed)
         at += len(dsts)
-    for index, word in enumerate(words):
-        mixed = _mix(pool, _hashmix(word, xors[at:at + _POOL_SIZE], mults[at:at + _POOL_SIZE]))
-        pool = mixed if counts is None else np.where(index < counts, mixed, pool)
+    for word in words:
+        pool = _mix(pool, _hashmix(word, xors[at:at + _POOL_SIZE], mults[at:at + _POOL_SIZE]))
         at += _POOL_SIZE
 
     xors, mults = _hash_consts(_INIT_B, _MULT_B, 2 * n_words)

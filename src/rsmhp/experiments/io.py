@@ -53,7 +53,8 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON; a NaN or infinite float, which JSON cannot hold, raises ``ValueError``."""
+    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:

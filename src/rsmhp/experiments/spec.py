@@ -6,10 +6,11 @@ kind holding its parameters.  Every parameter has a documented default, so
 the kind section may be omitted entirely.  Validation happens before any
 computation and every error message names the offending section and key.
 
-The tracking study's world and planner parameters are checked where they
-are used: ``tracking_setup`` is the one mapping from its section to a
-``ScenarioConfig`` and the planner arms, and ``load_spec`` runs it, so
-``validate`` rejects exactly what ``run`` would.
+A tracking key named like a ``ScenarioConfig`` or ``PlannerConfig`` field
+is that field, with its type and default, and the dataclass checks it:
+``tracking_setup`` is the one mapping from the section to the scenario and
+the planner arms, and ``load_spec`` runs it, so ``validate`` rejects
+exactly what ``run`` would.
 """
 from __future__ import annotations
 
@@ -56,9 +57,10 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def with_overrides(self, master_seed=None, output=None) -> "ExperimentSpec":
+        """A copy with a new seed or output; the seed passes the config's own check."""
         spec = self
         if master_seed is not None:
-            spec = replace(spec, master_seed=master_seed)
+            spec = replace(spec, master_seed=_checked(_MASTER_SEED, master_seed, "experiment"))
         if output is not None:
             spec = replace(spec, output=str(output))
         return spec
@@ -87,41 +89,43 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError("expected true/false")
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ValueError("expected a comma-separated list")
-    return [int(tok, 10) for tok in tokens]
+def _parse_list(parse_item: Callable) -> Callable:
+    def parse(raw: str) -> list:
+        tokens = [tok for tok in raw.split(",") if tok.strip()]
+        if not tokens:
+            raise ValueError("expected a comma-separated list")
+        return [parse_item(tok) for tok in tokens]
 
-
-def _parse_float_list(raw: str) -> list[float]:
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ValueError("expected a comma-separated list")
-    return [_parse_float(tok) for tok in tokens]
-
-
-def _parse_str(raw: str) -> str:
-    return raw.strip()
+    return parse
 
 
 _PARSERS = {
     "int": _parse_int,
     "float": _parse_float,
     "bool": _parse_bool,
-    "int_list": _parse_int_list,
-    "float_list": _parse_float_list,
-    "str": _parse_str,
+    "int_list": _parse_list(_parse_int),
+    "float_list": _parse_list(_parse_float),
+    "str": str.strip,
 }
 
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """One config key: its parser, its default (``None`` for a required key) and its check."""
+
     name: str
     type_name: str
     default: object
     check: Callable | None = None
     help: str = ""
+
+
+def _checked(spec: FieldSpec, value, section: str):
+    if spec.check is not None:
+        message = spec.check(value)
+        if message is not None:
+            raise ConfigError(f"{section}.{spec.name}: {message}, got {value!r}")
+    return value
 
 
 def _positive(value):
@@ -149,6 +153,17 @@ def _choice(*allowed):
     return check
 
 
+_MASTER_SEED = FieldSpec(
+    "master_seed", "int", 0,
+    lambda v: None if 0 <= v < 2**64 else "must fit in an unsigned 64-bit integer",
+    "root of every random stream",
+)
+_HEAD = [
+    FieldSpec("kind", "str", None, _choice(*(kind.value for kind in ExperimentKind)), "experiment kind"),
+    _MASTER_SEED,
+    FieldSpec("output", "str", None, lambda v: None if v else "must not be empty", "output directory"),
+]
+
 _SCALAR_BENCHMARK = [
     FieldSpec("a", "float", 0.5, None, "state transition coefficient"),
     FieldSpec("cost", "float", 1.0, None, "per-step state cost coefficient"),
@@ -158,7 +173,21 @@ _SCALAR_BENCHMARK = [
 ]
 
 _SCENARIO_DEFAULTS = ScenarioConfig()
-_PLANNER_DEFAULTS = PlannerConfig()
+
+# Tracking keys that are the same-named fields of PlannerConfig and of
+# ScenarioConfig, which document and check them; tracking_setup passes them on.
+_PLANNER_KEYS = ("horizon", "eval_budget")
+_SCENARIO_KEYS = (
+    "n_steps", "dt", "process_intensity", "sigma0", "eta", "v_min", "v_max",
+    "accel_max", "bank_max", "uav_heading", "uav_speed",
+)
+
+
+def _same_field(defaults, name: str) -> FieldSpec:
+    """The key ``name`` typed and defaulted as the same-named field of ``defaults``."""
+    default = getattr(defaults, name)
+    return FieldSpec(name, type(default).__name__, default)
+
 
 _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
     ExperimentKind.LQG_CONVERGENCE: [
@@ -213,51 +242,16 @@ _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
             "sampled-future counts to compare",
         ),
         FieldSpec("include_nbo", "bool", True, None, "also run the nominal planner"),
-        FieldSpec("horizon", "int", _PLANNER_DEFAULTS.horizon, None, "planning horizon"),
-        FieldSpec(
-            "eval_budget", "int", _PLANNER_DEFAULTS.eval_budget, None,
-            "objective evaluations per planning step",
-        ),
-        FieldSpec("n_steps", "int", _SCENARIO_DEFAULTS.n_steps, None, "episode length"),
-        FieldSpec("dt", "float", _SCENARIO_DEFAULTS.dt, None, "time step, seconds"),
-        FieldSpec(
-            "process_intensity", "float", _SCENARIO_DEFAULTS.process_intensity,
-            None, "target acceleration noise intensity",
-        ),
-        FieldSpec(
-            "sigma0", "float", _SCENARIO_DEFAULTS.sigma0, None,
-            "range-independent measurement noise std dev",
-        ),
-        FieldSpec(
-            "eta", "float", _SCENARIO_DEFAULTS.eta, None,
-            "range-squared measurement noise coefficient",
-        ),
-        FieldSpec("v_min", "float", _SCENARIO_DEFAULTS.v_min, None, "stall speed"),
-        FieldSpec("v_max", "float", _SCENARIO_DEFAULTS.v_max, None, "top speed"),
-        FieldSpec(
-            "accel_max", "float", _SCENARIO_DEFAULTS.accel_max, None,
-            "acceleration magnitude bound",
-        ),
-        FieldSpec(
-            "bank_max", "float", _SCENARIO_DEFAULTS.bank_max, None,
-            "bank angle magnitude bound, radians",
-        ),
+        *(_same_field(PlannerConfig(), name) for name in _PLANNER_KEYS),
+        *(_same_field(_SCENARIO_DEFAULTS, name) for name in _SCENARIO_KEYS),
         FieldSpec("uav_x", "float", float(_SCENARIO_DEFAULTS.uav_position[0]), None, "vehicle start x"),
         FieldSpec("uav_y", "float", float(_SCENARIO_DEFAULTS.uav_position[1]), None, "vehicle start y"),
-        FieldSpec("uav_heading", "float", _SCENARIO_DEFAULTS.uav_heading, None, "vehicle start heading"),
-        FieldSpec("uav_speed", "float", _SCENARIO_DEFAULTS.uav_speed, None, "vehicle start speed"),
-        FieldSpec(
-            "target_mean", "float_list", [float(v) for v in _SCENARIO_DEFAULTS.target_mean],
-            None, "prior mean: x, y, vx, vy",
-        ),
-        FieldSpec(
-            "target_pos_var", "float", float(_SCENARIO_DEFAULTS.target_cov[0, 0]),
-            _nonnegative, "prior position variance per axis",
-        ),
-        FieldSpec(
-            "target_vel_var", "float", float(_SCENARIO_DEFAULTS.target_cov[2, 2]),
-            _nonnegative, "prior velocity variance per axis",
-        ),
+        FieldSpec("target_mean", "float_list", _SCENARIO_DEFAULTS.target_mean.tolist(), None,
+                  "prior mean: x, y, vx, vy"),
+        FieldSpec("target_pos_var", "float", _SCENARIO_DEFAULTS.target_cov[0, 0].item(), _nonnegative,
+                  "prior position variance per axis"),
+        FieldSpec("target_vel_var", "float", _SCENARIO_DEFAULTS.target_cov[2, 2].item(), _nonnegative,
+                  "prior velocity variance per axis"),
     ],
     ExperimentKind.COVARIANCE_DECAY: _SCALAR_BENCHMARK + [
         FieldSpec("branch_factor", "int", 3, lambda v: _positive(v - 1), "children per node"),
@@ -291,12 +285,17 @@ def _cross_check(kind: ExperimentKind, params: dict, section: str) -> None:
     elif kind is ExperimentKind.VARIANCE_SCALING:
         if len(params["n_values"]) < 2:
             fail("n_values", "need at least two counts to fit a slope")
-    elif kind is ExperimentKind.PRUNING_STUDY:
+    elif kind in (ExperimentKind.PRUNING_STUDY, ExperimentKind.COVARIANCE_DECAY):
         if params["horizon"] < 2:
-            fail("horizon", "must be at least 2 so the tree has depth to prune")
-    elif kind is ExperimentKind.COVARIANCE_DECAY:
-        if params["horizon"] < 2:
-            fail("horizon", "must be at least 2 so branches exist")
+            fail("horizon", "must be at least 2 so the tree branches below its root")
+    # A zero sigma or cost gives every path the same cost, so there is no
+    # spread to scale the thresholds by and no variance to fit a slope to.
+    if kind is ExperimentKind.VARIANCE_SCALING or (
+        kind is ExperimentKind.CHEBYSHEV_COVERAGE and params["epsilon_unit"] == "deviation"
+    ):
+        for key in ("sigma", "cost"):
+            if params[key] == 0:
+                fail(key, "must be nonzero, or the path cost has zero variance")
 
 
 def tracking_setup(params: dict, master_seed: int):
@@ -310,38 +309,26 @@ def tracking_setup(params: dict, master_seed: int):
     """
     p = params
     scenario = ScenarioConfig(
-        dt=p["dt"],
-        n_steps=p["n_steps"],
-        v_min=p["v_min"],
-        v_max=p["v_max"],
-        accel_max=p["accel_max"],
-        bank_max=p["bank_max"],
-        process_intensity=p["process_intensity"],
-        sigma0=p["sigma0"],
-        eta=p["eta"],
+        **{key: p[key] for key in _SCENARIO_KEYS},
         uav_position=(p["uav_x"], p["uav_y"]),
-        uav_heading=p["uav_heading"],
-        uav_speed=p["uav_speed"],
         target_mean=np.array(p["target_mean"]),
-        target_cov=np.diag(
-            [p["target_pos_var"], p["target_pos_var"],
-             p["target_vel_var"], p["target_vel_var"]]
-        ),
+        target_cov=np.diag([p["target_pos_var"]] * 2 + [p["target_vel_var"]] * 2),
         master_seed=master_seed,
     )
     arms = [("nbo", 1, PlannerObjective.NBO)] if p["include_nbo"] else []
     arms += [(f"nt{count}", count, PlannerObjective.RSMHP) for count in p["nt_values"]]
     return scenario, [
         (name, PlannerConfig(
-            horizon=p["horizon"], n_trajectories=count, objective=objective,
-            eval_budget=p["eval_budget"], master_seed=master_seed,
+            **{key: p[key] for key in _PLANNER_KEYS},
+            n_trajectories=count, objective=objective, master_seed=master_seed,
         ))
         for name, count, objective in arms
     ]
 
 
-def _build_params(kind: ExperimentKind, raw: dict, section: str) -> dict:
-    schema = {spec.name: spec for spec in _SCHEMAS[kind]}
+def _parse_section(fields: list[FieldSpec], raw: dict, section: str) -> dict:
+    """Parse and check every key of ``fields`` from a section's raw strings."""
+    schema = {spec.name: spec for spec in fields}
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(
@@ -350,21 +337,17 @@ def _build_params(kind: ExperimentKind, raw: dict, section: str) -> dict:
     params = {}
     for name, spec in schema.items():
         if name in raw:
-            parser = _PARSERS[spec.type_name]
             try:
-                value = parser(raw[name])
+                value = _PARSERS[spec.type_name](raw[name])
             except ValueError as exc:
                 raise ConfigError(
                     f"{section}.{name}: expected {spec.type_name}, got {raw[name]!r} ({exc})"
                 ) from None
+        elif spec.default is None:
+            raise ConfigError(f"{section}.{name}: missing required key ({spec.help})")
         else:
             value = spec.default
-        if spec.check is not None:
-            message = spec.check(value)
-            if message is not None:
-                raise ConfigError(f"{section}.{name}: {message}, got {value!r}")
-        params[name] = value
-    _cross_check(kind, params, section)
+        params[name] = _checked(spec, value, section)
     return params
 
 
@@ -382,55 +365,25 @@ def load_spec(path) -> ExperimentSpec:
 
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
-    head = dict(parser["experiment"])
-    unknown = sorted(set(head) - {"kind", "master_seed", "output"})
-    if unknown:
-        raise ConfigError(
-            f"experiment.{unknown[0]}: unknown key (valid keys: kind, master_seed, output)"
-        )
-    if "kind" not in head:
-        raise ConfigError("experiment.kind: missing required key")
-    try:
-        kind = ExperimentKind(head["kind"].strip())
-    except ValueError:
-        valid = ", ".join(k.value for k in ExperimentKind)
-        raise ConfigError(
-            f"experiment.kind: unknown experiment kind {head['kind']!r} (valid kinds: {valid})"
-        ) from None
-
-    master_seed = 0
-    if "master_seed" in head:
-        try:
-            master_seed = _parse_int(head["master_seed"])
-        except ValueError:
-            raise ConfigError(
-                f"experiment.master_seed: expected int, got {head['master_seed']!r}"
-            ) from None
-        if not 0 <= master_seed < 2**64:
-            raise ConfigError(
-                f"experiment.master_seed: must fit in an unsigned 64-bit integer, got {master_seed}"
-            )
-
-    if "output" not in head or not head["output"].strip():
-        raise ConfigError("experiment.output: missing required key (output directory)")
-    output = head["output"].strip()
-
+    head = _parse_section(_HEAD, dict(parser["experiment"]), "experiment")
+    kind = ExperimentKind(head["kind"])
     extra_sections = sorted(set(parser.sections()) - {"experiment", kind.value})
     if extra_sections:
         raise ConfigError(
             f"unknown section [{extra_sections[0]}] (expected only [experiment] and [{kind.value}])"
         )
     raw = dict(parser[kind.value]) if parser.has_section(kind.value) else {}
-    params = _build_params(kind, raw, kind.value)
+    params = _parse_section(_SCHEMAS[kind], raw, kind.value)
+    _cross_check(kind, params, kind.value)
     if kind is ExperimentKind.UAV_MONTE_CARLO:
         try:
-            tracking_setup(params, master_seed)
+            tracking_setup(params, head["master_seed"])
         except (ValueError, TypeError) as exc:
             # The scenario and planner errors name their field, which is the
             # config key for every field a config can set.
             key = next((word for word in re.findall(r"\w+", str(exc)) if word in params), None)
             raise ConfigError(f"{kind.value}.{key}: {exc}" if key else f"{kind.value}: {exc}") from None
-    return ExperimentSpec(kind=kind, master_seed=master_seed, output=output, params=params)
+    return ExperimentSpec(kind=kind, master_seed=head["master_seed"], output=head["output"], params=params)
 
 
 def describe_kinds() -> list[tuple[str, str]]:

@@ -13,6 +13,7 @@ validates them once; none has a default of its own.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,6 +27,7 @@ __all__ = [
     "UavState",
     "UavControl",
     "uav_step",
+    "uav_step_floats",
     "target_transition_matrix",
     "target_process_cov",
     "target_step",
@@ -64,20 +66,29 @@ class UavControl:
     bank_angle: float
 
 
-def uav_step(state: UavState, control: UavControl, scenario: ScenarioConfig) -> UavState:
-    """Advance the vehicle one step (deterministic kinematics).
+def uav_step_floats(x, y, heading, speed, accel, bank, scenario: ScenarioConfig) -> tuple:
+    """One vehicle step on Python floats: ``(x, y, heading, speed)`` after it.
 
     Speed integrates the acceleration and is clamped to [v_min, v_max].
     Heading integrates the coordinated-turn rate gravity*tan(bank)/speed at
     the new speed, and the displacement uses the new heading, so a one-step
-    plan already feels the turn.
+    plan already feels the turn.  The episode and the planner both step
+    through here, with ``math``'s functions rather than numpy's
+    CPU-dispatched kernels, so a planned path is the flown one bit for bit.
     """
     dt = scenario.dt
-    speed = float(np.clip(state.speed + control.forward_acceleration * dt, scenario.v_min, scenario.v_max))
-    heading = state.heading + scenario.gravity * np.tan(control.bank_angle) / speed * dt
-    direction = np.array([np.cos(heading), np.sin(heading)])
-    position = state.position + speed * direction * dt
-    return UavState(position=position, heading=heading, speed=speed)
+    speed = min(max(speed + accel * dt, scenario.v_min), scenario.v_max)
+    heading = heading + scenario.gravity * math.tan(bank) / speed * dt
+    return x + speed * math.cos(heading) * dt, y + speed * math.sin(heading) * dt, heading, speed
+
+
+def uav_step(state: UavState, control: UavControl, scenario: ScenarioConfig) -> UavState:
+    """Advance the vehicle one step (deterministic kinematics, ``uav_step_floats``)."""
+    x, y = state.position.tolist()
+    x, y, heading, speed = uav_step_floats(
+        x, y, state.heading, state.speed, control.forward_acceleration, control.bank_angle, scenario
+    )
+    return UavState(position=np.array([x, y]), heading=heading, speed=speed)
 
 
 def target_transition_matrix(dt: float) -> np.ndarray:

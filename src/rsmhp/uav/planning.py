@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._checks import check_int
+from .._checks import check_int, check_seed
 from .._seeds import seed_states
-from .dynamics import UavControl, target_process_cov, target_transition_matrix
+from .dynamics import UavControl, target_process_cov, target_transition_matrix, uav_step_floats
 from .filtering import TargetBelief, require_per_axis
 from .scenario import ScenarioConfig
 
@@ -63,7 +63,7 @@ class PlannerConfig:
         check_int("horizon", self.horizon, 1)
         check_int("n_trajectories", self.n_trajectories, 1)
         check_int("eval_budget", self.eval_budget, 1)
-        check_int("master_seed", self.master_seed, 0)
+        check_seed("master_seed", self.master_seed)
         if not isinstance(self.objective, PlannerObjective):
             raise ValueError(f"objective must be a PlannerObjective, got {self.objective!r}")
 
@@ -87,19 +87,16 @@ def _as_control_pairs(controls, horizon: int) -> list:
 def _planned_path(uav, flat_controls, scenario) -> np.ndarray:
     """Vehicle positions after each of the H planned steps, shape (H, 2).
 
-    Same kinematics as uav_step, on Python floats since the path does not
-    depend on the sampled futures and sits inside the optimizer's inner loop.
+    The steps are ``uav_step_floats``, the episode's own kinematics, on
+    Python floats since the path does not depend on the sampled futures and
+    sits inside the optimizer's inner loop.
     """
     x, y = uav.position.tolist()
     heading = uav.heading
     speed = uav.speed
-    dt = scenario.dt
     path = []
     for accel, bank in zip(flat_controls[0::2], flat_controls[1::2]):
-        speed = min(max(speed + accel * dt, scenario.v_min), scenario.v_max)
-        heading = heading + scenario.gravity * math.tan(bank) / speed * dt
-        x += speed * math.cos(heading) * dt
-        y += speed * math.sin(heading) * dt
+        x, y, heading, speed = uav_step_floats(x, y, heading, speed, accel, bank, scenario)
         path.append((x, y))
     return np.array(path)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._checks import check_int
+from .._checks import check_int, check_seed
 from .dynamics import GRAVITY
 from .filtering import require_per_axis
 
@@ -55,7 +55,7 @@ class ScenarioConfig:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_int("n_steps", self.n_steps, 1)
-        check_int("master_seed", self.master_seed, 0)
+        check_seed("master_seed", self.master_seed)
         if not 0.0 < self.v_min <= self.v_max:
             raise ValueError(f"need 0 < v_min <= v_max, got [{self.v_min}, {self.v_max}]")
         if not self.v_min <= self.uav_speed <= self.v_max:

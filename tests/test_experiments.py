@@ -24,7 +24,8 @@ from rsmhp.experiments import (
 )
 from rsmhp.experiments import runners
 from rsmhp.experiments.cli import main
-from rsmhp.experiments.io import format_cell, read_csv, write_csv
+from rsmhp.experiments.io import format_cell, read_csv, write_csv, write_json
+from rsmhp.experiments.spec import _SCHEMAS, tracking_setup
 
 
 def _write_config(path: Path, text: str) -> Path:
@@ -162,6 +163,88 @@ def test_with_overrides():
     assert spec.with_overrides(master_seed=7).master_seed == 7
     assert spec.with_overrides(output="b").output == "b"
     assert spec.with_overrides(master_seed=7, output="b").params == {}
+    with pytest.raises(ConfigError, match="experiment.master_seed: must fit"):
+        spec.with_overrides(master_seed=2**64)
+
+
+@pytest.mark.parametrize(
+    "kind, key, unit, code",
+    [
+        ("chebyshev_coverage", "sigma", "deviation", 2),
+        ("chebyshev_coverage", "cost", "deviation", 2),
+        ("chebyshev_coverage", "sigma", "absolute", 0),
+        ("variance_scaling", "sigma", None, 2),
+        ("variance_scaling", "cost", None, 2),
+    ],
+)
+def test_cli_validate_rejects_a_zero_variance_cost_where_the_run_needs_one(
+    tmp_path, capsys, kind, key, unit, code
+):
+    # Thresholds in cost deviations and a log-log variance slope both need
+    # a cost with nonzero variance; absolute thresholds do not.
+    section = f"[{kind}]\n{key} = 0\n" + (f"epsilon_unit = {unit}\n" if unit else "")
+    config = _write_config(
+        tmp_path / "exp.ini", f"[experiment]\nkind = {kind}\noutput = out\n\n{section}"
+    )
+    assert main(["validate", str(config)]) == code
+    if code == 2:
+        assert f"{kind}.{key}: must be nonzero" in capsys.readouterr().err
+
+
+def test_every_tracking_key_reaches_its_field(tmp_path):
+    values = dict(
+        n_runs=3, nt_values="4, 9", include_nbo="false", horizon=3, eval_budget=11,
+        n_steps=5, dt=0.5, process_intensity=3.5, sigma0=4.5, eta=0.004,
+        v_min=12.0, v_max=44.0, accel_max=3.0, bank_max=0.4,
+        uav_x=-10.0, uav_y=25.0, uav_heading=0.7, uav_speed=20.0,
+        target_mean="100.0, 200.0, -1.0, 2.0", target_pos_var=250.0, target_vel_var=9.0,
+    )
+    fields = _SCHEMAS[ExperimentKind.UAV_MONTE_CARLO]
+    assert sorted(values) == sorted(field.name for field in fields)
+    config = _write_config(
+        tmp_path / "exp.ini",
+        f"[experiment]\nkind = uav_monte_carlo\nmaster_seed = 77\noutput = {tmp_path / 'out'}\n\n"
+        "[uav_monte_carlo]\n" + "".join(f"{key} = {value}\n" for key, value in values.items()),
+    )
+    spec = load_spec(config)
+    assert all(spec.params[field.name] != field.default for field in fields)
+
+    scenario, arms = tracking_setup(spec.params, spec.master_seed)
+    for key in ("n_steps", "dt", "process_intensity", "sigma0", "eta", "v_min", "v_max",
+                "accel_max", "bank_max", "uav_heading", "uav_speed"):
+        assert getattr(scenario, key) == values[key], key
+    assert scenario.uav_position == (-10.0, 25.0)
+    assert scenario.target_mean.tolist() == [100.0, 200.0, -1.0, 2.0]
+    assert np.array_equal(scenario.target_cov, np.diag([250.0, 250.0, 9.0, 9.0]))
+    assert scenario.master_seed == 77
+    # include_nbo = false drops the nominal arm; nt_values sets the others.
+    assert [(name, planner.n_trajectories) for name, planner in arms] == [("nt4", 4), ("nt9", 9)]
+    for _, planner in arms:
+        assert (planner.horizon, planner.eval_budget, planner.master_seed) == (3, 11, 77)
+    # n_runs is the episode count of each arm.
+    metadata = run_experiment(spec)
+    for name in metadata["files"]:
+        _, rows = read_csv(tmp_path / "out" / name)
+        assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "head, args, key",
+    [
+        ("output = out\n", [], "kind"),
+        ("kind = variance_scaling\n", [], "output"),
+        ("kind = bogus\noutput = out\n", [], "kind"),
+        (f"kind = variance_scaling\nmaster_seed = {2**64}\noutput = out\n", [], "master_seed"),
+        ("kind = variance_scaling\noutput = out\n", ["--seed", "-3"], "master_seed"),
+    ],
+)
+def test_cli_head_errors_name_the_key_and_exit_2(tmp_path, capsys, monkeypatch, head, args, key):
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path / "exp.ini", "[experiment]\n" + head)
+    verb = "run" if args else "validate"
+    assert main([verb, str(config), *args]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: experiment.{key}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_describe_kinds_covers_every_kind():
@@ -199,6 +282,14 @@ def test_csv_layout(tmp_path):
 def test_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="row width"):
         write_csv(tmp_path / "t.csv", ["a", "b"], [(1,)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_rejects_non_finite_floats(tmp_path, value):
+    # JSON has no NaN or Infinity; writing one would leave an unreadable file.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "m.json", {"summary": {"slope": value}})
+    assert not list(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------------runners
@@ -350,8 +441,6 @@ def test_uav_monte_carlo_can_skip_nominal_arm(tmp_path):
 
 
 def _uav_params():
-    from rsmhp.experiments.spec import _SCHEMAS
-
     params = {
         field.name: field.default
         for field in _SCHEMAS[ExperimentKind.UAV_MONTE_CARLO]

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from rsmhp._seeds import seed_states
 
-# Seeds at the edges of their uint32 words, and key ints on both sides of
-# the one-word/two-word boundary.
+# Seeds at the edges of their uint32 words, and key ints at the edges of
+# their one word.
 _SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-_KEY_EDGES = [0, 2**32 - 1, 2**32, 2**40]
+_KEY_EDGES = [0, 1, 2**32 - 1]
 
 seeds_st = st.one_of(st.sampled_from(_SEED_EDGES), st.integers(0, 2**64 - 1))
-key_int_st = st.one_of(st.sampled_from(_KEY_EDGES), st.integers(0, 2**40))
+key_int_st = st.one_of(st.sampled_from(_KEY_EDGES), st.integers(0, 2**32 - 1))
 
 
 def _numpy_states(seeds, keys, n_words):
@@ -56,8 +56,9 @@ def test_one_key_is_shared_by_every_seed(seeds, key, n_words):
 
 
 @pytest.mark.parametrize("seed", _SEED_EDGES)
-@pytest.mark.parametrize("key", [(), (0,), (5, 2**32), (2**32 - 1, 7, 2**40)])
+@pytest.mark.parametrize("key", [(), (0,), (5, 2**32 - 2), (2**32 - 2, 7, 0)])
 def test_word_edges_with_one_seed_per_key(seed, key):
+    # The second row adds one to every key int, which reaches 2**32 - 1.
     keys = [key, tuple(k + 1 for k in key)]
     got = seed_states(seed, np.array(keys, dtype=np.uint64).reshape(2, len(key)), 2)
     assert np.array_equal(got, _numpy_states([seed, seed], keys, 2))
@@ -65,3 +66,11 @@ def test_word_edges_with_one_seed_per_key(seed, key):
 
 def test_no_rows_give_an_empty_block():
     assert seed_states([], (1,), 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("wide", [2**32, 2**40, 2**64 - 1])
+def test_key_ints_of_two_words_are_rejected(wide):
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        seed_states(3, (1, wide), 2)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        seed_states([3, 4], np.array([[1, 2], [wide, 0]], dtype=np.uint64), 2)

@@ -34,7 +34,7 @@ from rsmhp.uav import (
     target_transition_matrix,
     uav_step,
 )
-from rsmhp.uav.planning import _frozen_draws
+from rsmhp.uav.planning import _frozen_draws, _planned_path
 
 
 def _uav(x=0.0, y=0.0, heading=0.0, speed=30.0):
@@ -100,6 +100,24 @@ def test_uav_displacement_uses_post_turn_heading():
     # One step with a left bank must already bend the displacement left.
     state = uav_step(_uav(), UavControl(0.0, 0.3), ScenarioConfig(dt=1.0))
     assert state.position[1] > 0.0
+
+
+def test_planned_path_is_the_flown_path_bit_for_bit():
+    # The planner and the episode step through one function, so a plan's
+    # path is exactly the path uav_step flies under the same controls.
+    sc = ScenarioConfig()
+    pairs = np.random.default_rng(3).uniform(-1.0, 1.0, (2000, 2)) * [sc.accel_max, sc.bank_max]
+    # From heading 0 the last bit of a turn reaches the position.
+    start = _uav(speed=25.0)
+    for accel, bank in pairs.tolist():
+        flown = uav_step(start, UavControl(accel, bank), sc)
+        assert np.array_equal(_planned_path(start, [accel, bank], sc), [flown.position])
+    state = start
+    flown = []
+    for accel, bank in pairs[:100].tolist():
+        state = uav_step(state, UavControl(accel, bank), sc)
+        flown.append(state.position)
+    assert np.array_equal(_planned_path(start, pairs[:100].ravel().tolist(), sc), flown)
 
 
 # -------------------------------------------------------------------- target
@@ -568,10 +586,12 @@ def _run_experiment(workers):
         (PlannerConfig, "eval_budget", 3.5, TypeError),
         (PlannerConfig, "master_seed", 1.5, TypeError),
         (PlannerConfig, "master_seed", -1, ValueError),
+        (PlannerConfig, "master_seed", 2**64, ValueError),
         (ScenarioConfig, "n_steps", 2.5, TypeError),
         (ScenarioConfig, "n_steps", False, TypeError),
         (ScenarioConfig, "master_seed", "3", TypeError),
         (ScenarioConfig, "master_seed", -1, ValueError),
+        (ScenarioConfig, "master_seed", 2**64, ValueError),
         (_stochastic_model, "horizon", 2.5, TypeError),
         (_stochastic_model, "horizon", 0, ValueError),
         (_stochastic_model, "state_dim", 2.0, TypeError),
