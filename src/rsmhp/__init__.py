@@ -11,9 +11,7 @@ from .model import (
     DiscreteNoise,
     GaussianNoise,
     NoiseLaw,
-    SamplingScheme,
     StochasticModel,
-    Trajectory,
     TrajectorySet,
     as_controls,
     rollout,
@@ -30,7 +28,6 @@ from .sampling import (
 )
 from .estimators import (
     Estimate,
-    EstimatorScheme,
     estimate_mean,
     estimate_nbo,
     estimate_weighted,
@@ -57,9 +54,7 @@ __all__ = [
     "DiscreteNoise",
     "GaussianNoise",
     "NoiseLaw",
-    "SamplingScheme",
     "StochasticModel",
-    "Trajectory",
     "TrajectorySet",
     "as_controls",
     "rollout",
@@ -72,7 +67,6 @@ __all__ = [
     "sample_tree_pruned",
     "sample_tree_pruned_logged",
     "Estimate",
-    "EstimatorScheme",
     "estimate_mean",
     "estimate_nbo",
     "estimate_weighted",

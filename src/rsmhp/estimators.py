@@ -19,22 +19,14 @@ the averaged terms is computed only when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from ._checks import check_int
-from .model import (
-    Array,
-    SamplingScheme,
-    StochasticModel,
-    TrajectorySet,
-    rollout,
-)
+from .model import Array, StochasticModel, TrajectorySet, rollout
 
 __all__ = [
-    "EstimatorScheme",
     "Estimate",
     "estimate_nbo",
     "estimate_mean",
@@ -43,54 +35,31 @@ __all__ = [
 ]
 
 
-class EstimatorScheme(Enum):
-    NBO = "nbo"
-    MEAN_TREE = "mean_tree"
-    MEAN_PRUNED = "mean_pruned"
-    MEAN_INDEPENDENT = "mean_independent"
-    WEIGHTED_TREE = "weighted_tree"
-    WEIGHTED_PRUNED = "weighted_pruned"
-    WEIGHTED_INDEPENDENT = "weighted_independent"
-
-
-_MEAN_SCHEME = {
-    SamplingScheme.TREE: EstimatorScheme.MEAN_TREE,
-    SamplingScheme.TREE_PRUNED: EstimatorScheme.MEAN_PRUNED,
-    SamplingScheme.INDEPENDENT: EstimatorScheme.MEAN_INDEPENDENT,
-}
-
-_WEIGHTED_SCHEME = {
-    SamplingScheme.TREE: EstimatorScheme.WEIGHTED_TREE,
-    SamplingScheme.TREE_PRUNED: EstimatorScheme.WEIGHTED_PRUNED,
-    SamplingScheme.INDEPENDENT: EstimatorScheme.WEIGHTED_INDEPENDENT,
-}
-
 # Tolerance of the "weights sum to the set size" check, relative and absolute.
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
-    """An expected-cost estimate with its sampling pedigree.
+    """An expected-cost estimate and the terms it averages.
 
-    ``terms`` are the averaged terms: per-trajectory costs, or weighted terms
-    for weighted schemes.  From a single set they are (n,) and ``value`` is
+    ``terms`` are per-trajectory costs, or likeliness-weighted costs for the
+    weighted estimator.  From a single set they are (n,) and ``value`` is
     their mean, a float.  From an estimator given ``blocks`` they are
     (blocks, n) and ``value`` is the (blocks,) array of row means.  Either
-    way ``n_samples`` is n, the size of one block.
+    way the sample count of an estimate is ``terms.shape[-1]``.  Estimates
+    compare by identity, since ``value`` may be an array.
 
     ``empirical_variance`` is the unbiased sample variance of the terms (per
     block), 0 for a single sample.  It is computed on first read.
     """
 
     value: float | Array
-    n_samples: int
-    scheme: EstimatorScheme
-    terms: Array = field(repr=False, compare=False)
+    terms: Array = field(repr=False)
 
     @cached_property
     def empirical_variance(self) -> float | Array:
-        if self.n_samples < 2:
+        if self.terms.shape[-1] < 2:
             spread = np.zeros(self.terms.shape[:-1])
         else:
             spread = np.var(self.terms, axis=-1, ddof=1)
@@ -99,14 +68,8 @@ class Estimate:
 
 def estimate_nbo(model: StochasticModel, controls) -> Estimate:
     """Cost of the nominal path: every disturbance replaced by its mean."""
-    nominal = [(model.noise.mean, 1.0)] * model.horizon
-    path = rollout(model, controls, nominal)
-    return Estimate(
-        value=path.cost,
-        n_samples=1,
-        scheme=EstimatorScheme.NBO,
-        terms=np.array([path.cost]),
-    )
+    costs = rollout(model, controls, [(model.noise.mean, 1.0)] * model.horizon).costs
+    return Estimate(float(costs[0]), costs)
 
 
 def _rows(values: Array, blocks: int | None) -> Array:
@@ -121,13 +84,12 @@ def _rows(values: Array, blocks: int | None) -> Array:
     return values.reshape(blocks, values.shape[0] // blocks)
 
 
-def _estimate(terms: Array, blocks: int | None, scheme: EstimatorScheme) -> Estimate:
+def _estimate(terms: Array, blocks: int | None) -> Estimate:
     """Row means of the (blocks, n) ``terms``; a float from one set without ``blocks``."""
-    n = terms.shape[1]
-    values = terms.sum(axis=1) / n
+    values = terms.sum(axis=1) / terms.shape[1]
     if blocks is None:
-        return Estimate(float(values[0]), n, scheme, terms[0])
-    return Estimate(values, n, scheme, terms)
+        return Estimate(float(values[0]), terms[0])
+    return Estimate(values, terms)
 
 
 def estimate_mean(trajectories: TrajectorySet, blocks: int | None = None) -> Estimate:
@@ -136,8 +98,7 @@ def estimate_mean(trajectories: TrajectorySet, blocks: int | None = None) -> Est
     ``blocks`` cuts a stacked set into that many equal blocks of consecutive
     rows, one per replication, and the estimate holds one value per block.
     """
-    costs = _rows(trajectories.costs, blocks)
-    return _estimate(costs, blocks, _MEAN_SCHEME[trajectories.scheme])
+    return _estimate(_rows(trajectories.costs, blocks), blocks)
 
 
 def _normalized(lik: Array) -> Array:
@@ -183,4 +144,4 @@ def estimate_weighted(trajectories: TrajectorySet, blocks: int | None = None) ->
     """
     terms = _normalized(_rows(trajectories.raw_likeliness, blocks))
     terms *= _rows(trajectories.costs, blocks)
-    return _estimate(terms, blocks, _WEIGHTED_SCHEME[trajectories.scheme])
+    return _estimate(terms, blocks)

@@ -52,9 +52,13 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def json_text(payload: dict) -> str:
+    """``payload`` as the text ``write_json`` writes; a NaN or infinite float, which JSON cannot hold, raises ``ValueError``."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as JSON; a NaN or infinite float, which JSON cannot hold, raises ``ValueError``."""
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _atomic_write_text(path, json_text(payload))
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -37,8 +37,8 @@ from ..linear import (
 )
 from ..sampling import SamplerConfig, sample_independent, sample_tree, sample_tree_pruned
 from ..uav import run_episode
-from .io import write_csv, write_json
-from .spec import ExperimentKind, ExperimentSpec, tracking_setup
+from .io import json_text, write_csv, write_json
+from .spec import ExperimentKind, ExperimentSpec, check_spec, tracking_setup
 
 __all__ = [
     "run_experiment",
@@ -351,32 +351,34 @@ _RUNNERS = {
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
-    """Run one experiment and write its CSV tables plus metadata JSON.
+    """Check ``spec`` as ``load_spec`` does, run it, and write its CSV tables plus metadata JSON.
 
     Returns the metadata dict.  Output lands only inside ``spec.output``;
     rerunning an identical spec overwrites the same files with identical
-    bytes (the metadata's wall time aside).
+    bytes (the metadata's wall time aside).  Metadata that JSON cannot hold
+    raises before the first file is written.
     """
     check_int("workers", workers, 1)
+    check_spec(spec)
     runner = _RUNNERS[spec.kind]
     start = time.perf_counter()
     tables, summary = runner(spec, workers)
-    wall_time = time.perf_counter() - start
-
-    out_dir = Path(spec.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(tables)
-    for name in files:
-        header, rows = tables[name]
-        write_csv(out_dir / name, header, rows)
     metadata = {
         "kind": spec.kind.value,
         "master_seed": spec.master_seed,
         "parameters": spec.params,
         "library_version": __version__,
-        "wall_time_seconds": wall_time,
+        "wall_time_seconds": time.perf_counter() - start,
         "files": files,
         "summary": summary,
     }
+    json_text(metadata)
+
+    out_dir = Path(spec.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in files:
+        header, rows = tables[name]
+        write_csv(out_dir / name, header, rows)
     write_json(out_dir / "metadata.json", metadata)
     return metadata

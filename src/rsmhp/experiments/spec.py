@@ -9,8 +9,9 @@ computation and every error message names the offending section and key.
 A tracking key named like a ``ScenarioConfig`` or ``PlannerConfig`` field
 is that field, with its type and default, and the dataclass checks it:
 ``tracking_setup`` is the one mapping from the section to the scenario and
-the planner arms, and ``load_spec`` runs it, so ``validate`` rejects
-exactly what ``run`` would.
+the planner arms.  ``check_spec`` runs it after every other check, for
+``load_spec`` and ``run_experiment`` alike, so ``validate`` rejects exactly
+what ``run`` would, and a spec built in code fails as its file would.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ __all__ = [
     "ConfigError",
     "ExperimentKind",
     "ExperimentSpec",
+    "check_spec",
     "load_spec",
     "describe_kinds",
     "tracking_setup",
@@ -327,28 +329,54 @@ def tracking_setup(params: dict, master_seed: int):
 
 
 def _parse_section(fields: list[FieldSpec], raw: dict, section: str) -> dict:
-    """Parse and check every key of ``fields`` from a section's raw strings."""
-    schema = {spec.name: spec for spec in fields}
-    unknown = sorted(set(raw) - set(schema))
-    if unknown:
-        raise ConfigError(
-            f"{section}.{unknown[0]}: unknown key (valid keys: {', '.join(sorted(schema))})"
-        )
-    params = {}
-    for name, spec in schema.items():
-        if name in raw:
+    """A section's raw strings parsed by type, defaults filled in; ``_check_section`` judges the rest."""
+    values = dict(raw)
+    for spec in fields:
+        if spec.name in raw:
             try:
-                value = _PARSERS[spec.type_name](raw[name])
+                values[spec.name] = _PARSERS[spec.type_name](raw[spec.name])
             except ValueError as exc:
                 raise ConfigError(
-                    f"{section}.{name}: expected {spec.type_name}, got {raw[name]!r} ({exc})"
+                    f"{section}.{spec.name}: expected {spec.type_name}, got {raw[spec.name]!r} ({exc})"
                 ) from None
-        elif spec.default is None:
-            raise ConfigError(f"{section}.{name}: missing required key ({spec.help})")
-        else:
-            value = spec.default
-        params[name] = _checked(spec, value, section)
-    return params
+        elif spec.default is not None:
+            values[spec.name] = spec.default
+    return values
+
+
+def _check_section(fields: list[FieldSpec], values: dict, section: str) -> None:
+    """Every key of ``fields`` is in ``values``, no other key is, and each passes its check."""
+    names = sorted(spec.name for spec in fields)
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise ConfigError(f"{section}.{unknown[0]}: unknown key (valid keys: {', '.join(names)})")
+    for spec in fields:
+        if spec.name not in values:
+            raise ConfigError(f"{section}.{spec.name}: missing required key ({spec.help})")
+        _checked(spec, values[spec.name], section)
+
+
+def check_spec(spec: ExperimentSpec) -> ExperimentSpec:
+    """Every check ``load_spec`` makes, on a spec from a file or built in code; returns ``spec``.
+
+    The head and the kind's parameters pass their fields' checks, then the
+    kind's cross-key checks and, for the tracking study, ``tracking_setup``.
+    The first failure raises ``ConfigError`` naming its section and key.
+    """
+    head = {"kind": spec.kind.value, "master_seed": spec.master_seed, "output": spec.output}
+    _check_section(_HEAD, head, "experiment")
+    kind, params, section = spec.kind, spec.params, spec.kind.value
+    _check_section(_SCHEMAS[kind], params, section)
+    _cross_check(kind, params, section)
+    if kind is ExperimentKind.UAV_MONTE_CARLO:
+        try:
+            tracking_setup(params, spec.master_seed)
+        except (ValueError, TypeError) as exc:
+            # The scenario and planner errors name their field, which is the
+            # config key for every field a config can set.
+            key = next((word for word in re.findall(r"\w+", str(exc)) if word in params), None)
+            raise ConfigError(f"{section}.{key}: {exc}" if key else f"{section}: {exc}") from None
+    return spec
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -366,6 +394,7 @@ def load_spec(path) -> ExperimentSpec:
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     head = _parse_section(_HEAD, dict(parser["experiment"]), "experiment")
+    _check_section(_HEAD, head, "experiment")
     kind = ExperimentKind(head["kind"])
     extra_sections = sorted(set(parser.sections()) - {"experiment", kind.value})
     if extra_sections:
@@ -374,16 +403,7 @@ def load_spec(path) -> ExperimentSpec:
         )
     raw = dict(parser[kind.value]) if parser.has_section(kind.value) else {}
     params = _parse_section(_SCHEMAS[kind], raw, kind.value)
-    _cross_check(kind, params, kind.value)
-    if kind is ExperimentKind.UAV_MONTE_CARLO:
-        try:
-            tracking_setup(params, head["master_seed"])
-        except (ValueError, TypeError) as exc:
-            # The scenario and planner errors name their field, which is the
-            # config key for every field a config can set.
-            key = next((word for word in re.findall(r"\w+", str(exc)) if word in params), None)
-            raise ConfigError(f"{kind.value}.{key}: {exc}" if key else f"{kind.value}: {exc}") from None
-    return ExperimentSpec(kind=kind, master_seed=head["master_seed"], output=head["output"], params=params)
+    return check_spec(ExperimentSpec(kind, head["master_seed"], head["output"], params))
 
 
 def describe_kinds() -> list[tuple[str, str]]:

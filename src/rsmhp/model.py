@@ -7,8 +7,9 @@ A model is a finite-horizon controlled Markov chain
 with additive cost  sum_k g(x_k, u_k) + g_H(x_H).  The model's callables
 act on row-stacked states, one row per path, so the samplers step a whole
 batch of paths at once and a single-path ``rollout`` is a batch of one
-through the same checked stepping code.  Everything downstream (samplers,
-estimators) works against this interface only.
+through the same checked stepping code, returned as a one-row
+``TrajectorySet``.  Everything downstream (samplers, estimators) works
+against this interface only.
 
 A noise law draws the values of many generators (one per replication) in
 one ``sample_batch`` call and transforms them in one row-invariant pass, so
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Protocol
 
 import numpy as np
@@ -40,8 +40,6 @@ __all__ = [
     "DiscreteNoise",
     "DegenerateNoise",
     "StochasticModel",
-    "SamplingScheme",
-    "Trajectory",
     "TrajectorySet",
     "as_controls",
     "rollout",
@@ -235,42 +233,16 @@ class StochasticModel:
         object.__setattr__(self, "initial_state", x0)
 
 
-class SamplingScheme(Enum):
-    TREE = "tree"
-    TREE_PRUNED = "tree_pruned"
-    INDEPENDENT = "independent"
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated path: its H+1 states, raw likeliness and cost.
-
-    ``raw_likeliness`` is the product of the path's step weights; ``cost``
-    is the accumulated stage cost plus terminal cost.  The states are
-    marked read-only.
-    """
-
-    states: Array
-    raw_likeliness: float
-    cost: float
-
-    def __post_init__(self) -> None:
-        self.states.flags.writeable = False
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-
 class TrajectorySet:
-    """Batch of trajectories from one sampling call (columnar storage).
+    """Batch of trajectories from one sampling call or rollout, as arrays only.
 
     Arrays are stacked along the leading axis: ``states`` is (n, H+1, dim),
-    ``raw_likeliness`` and ``costs`` are (n,).  The raw likeliness is the
-    only weight a set stores; ``estimators.normalize_weights`` derives the
+    ``raw_likeliness`` and ``costs`` are (n,); row i of each is path i.  The
+    raw likeliness is the product of a path's step weights and the only
+    weight a set stores; ``estimators.normalize_weights`` derives the
     normalized weights from it.  ``branch_paths`` records each tree
-    trajectory's branch digits (most significant first) and is None for the
-    independent scheme.
+    trajectory's branch digits (most significant first) and is None for
+    independent paths and rollouts.
     """
 
     def __init__(
@@ -278,7 +250,6 @@ class TrajectorySet:
         states: Array,
         raw_likeliness: Array,
         costs: Array,
-        scheme: SamplingScheme,
         branch_paths: NDArray[np.intp] | None = None,
     ) -> None:
         states = np.asarray(states, dtype=float)
@@ -295,18 +266,10 @@ class TrajectorySet:
         self.states = states
         self.raw_likeliness = raw_likeliness
         self.costs = costs
-        self.scheme = scheme
         self.branch_paths = branch_paths
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(
-            states=self.states[i],
-            raw_likeliness=float(self.raw_likeliness[i]),
-            cost=float(self.costs[i]),
-        )
 
 
 def as_controls(model: StochasticModel, controls) -> Array:
@@ -378,13 +341,13 @@ def _simulate_paths(
     return history, likeliness, costs
 
 
-def rollout(model: StochasticModel, controls, noise_draws) -> Trajectory:
+def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
     """Simulate one trajectory from explicit per-step (draw, weight) pairs.
 
     ``noise_draws`` must supply exactly one pair per step.  The path runs
-    as a batch of one, so it matches the same draws' row of a sampled
-    batch bit for bit.  The function is pure: repeated calls with the same
-    arguments return identical values.
+    as a batch of one, returned as a one-row ``TrajectorySet``, so it
+    matches the same draws' row of a sampled batch bit for bit.  The
+    function is pure: repeated calls return identical values.
     """
     u = as_controls(model, controls)
     if len(noise_draws) != model.horizon:
@@ -402,8 +365,7 @@ def rollout(model: StochasticModel, controls, noise_draws) -> Trajectory:
             )
         draws[0, k] = vec
         weights[0, k] = weight
-    states, likeliness, costs = _simulate_paths(model, u, draws, weights)
-    return Trajectory(states=states[0], raw_likeliness=float(likeliness[0]), cost=float(costs[0]))
+    return TrajectorySet(*_simulate_paths(model, u, draws, weights))
 
 
 def trajectory_cost(model: StochasticModel, states, controls) -> float:

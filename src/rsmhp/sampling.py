@@ -34,7 +34,6 @@ from ._checks import check_int, check_seed, check_seeds
 from ._seeds import seed_states
 from .model import (
     Array,
-    SamplingScheme,
     StochasticModel,
     TrajectorySet,
     _simulate_paths,
@@ -239,9 +238,7 @@ def _grow_tree(
     final_states = _transitions(model, states, u[last], terminal_draws, last)
     history[:, horizon] = final_states
     costs = costs + _terminal_costs(model, final_states)
-
-    scheme = SamplingScheme.TREE if prune_to is None else SamplingScheme.TREE_PRUNED
-    return TrajectorySet(history, likeliness, costs, scheme, branch_paths=paths)
+    return TrajectorySet(history, likeliness, costs, branch_paths=paths)
 
 
 def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
@@ -308,5 +305,4 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     flat_draws, flat_w = law.sample_batch(_streams(seeds, _INDEPENDENT_DOMAIN), count * horizon)
     draws = flat_draws.reshape(total, horizon, law.dim)
     weights = flat_w.reshape(total, horizon)
-    history, likeliness, costs = _simulate_paths(model, u, draws, weights)
-    return TrajectorySet(history, likeliness, costs, SamplingScheme.INDEPENDENT)
+    return TrajectorySet(*_simulate_paths(model, u, draws, weights))

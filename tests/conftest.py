@@ -63,7 +63,7 @@ def enumerate_expectation(model, controls, values, probs) -> float:
     for combo in itertools.product(points, repeat=model.horizon):
         draws = [(values[i], probs[i]) for i in combo]
         prob = float(np.prod([probs[i] for i in combo]))
-        total += prob * rollout(model, controls, draws).cost
+        total += prob * rollout(model, controls, draws).costs[0]
     return total
 
 

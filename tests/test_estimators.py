@@ -10,12 +10,10 @@ from conftest import CyclicNoise, accumulator_model, enumerate_expectation
 
 from rsmhp import (
     DegenerateNoise,
-    EstimatorScheme,
     GaussianNoise,
     LinearModel,
     LqgParams,
     SamplerConfig,
-    SamplingScheme,
     StochasticModel,
     TrajectorySet,
     estimate_mean,
@@ -31,14 +29,13 @@ from rsmhp import (
 )
 
 
-def _manual_set(costs, likeliness, scheme=SamplingScheme.TREE):
+def _manual_set(costs, likeliness):
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
     return TrajectorySet(
         states=np.zeros((n, 2, 1)),
         raw_likeliness=np.asarray(likeliness, dtype=float),
         costs=costs,
-        scheme=scheme,
     )
 
 
@@ -48,9 +45,8 @@ def test_nbo_matches_hand_value_for_tracking_benchmark():
     )
     est = estimate_nbo(model, [0.55, 0.17])
     assert est.value == pytest.approx(6.3764625, abs=1e-9)
-    assert est.n_samples == 1
+    assert est.terms.shape[-1] == 1
     assert est.empirical_variance == 0.0
-    assert est.scheme is EstimatorScheme.NBO
 
 
 def test_nbo_equals_mean_for_zero_variance_noise():
@@ -80,7 +76,7 @@ def test_nbo_of_zero_cost_model_is_zero():
 def test_mean_of_single_trajectory():
     est = estimate_mean(_manual_set([7.0], [1.0]))
     assert est.value == 7.0
-    assert est.n_samples == 1
+    assert est.terms.shape[-1] == 1
     assert est.empirical_variance == 0.0
 
 
@@ -88,25 +84,7 @@ def test_mean_of_three_costs():
     est = estimate_mean(_manual_set([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
     assert est.value == pytest.approx(2.0)
     assert est.empirical_variance == pytest.approx(1.0)
-    assert est.n_samples == 3
-
-
-def test_mean_scheme_tracks_sampling_scheme():
-    model = lqg_stochastic_model(
-        LqgParams(a=0.5, r=10.0, target=1.0, sigma=1.0, x0=0.0, horizon=3)
-    )
-    u = [0.5, 0.2, 0.1]
-    tree = sample_tree(model, u, SamplerConfig(branch_factor=2, master_seed=0))
-    pruned = sample_tree_pruned(
-        model, u, SamplerConfig(branch_factor=3, prune_width=2, master_seed=0)
-    )
-    ind = sample_independent(model, u, SamplerConfig(branch_factor=4, master_seed=0))
-    assert estimate_mean(tree).scheme is EstimatorScheme.MEAN_TREE
-    assert estimate_mean(pruned).scheme is EstimatorScheme.MEAN_PRUNED
-    assert estimate_mean(ind).scheme is EstimatorScheme.MEAN_INDEPENDENT
-    assert estimate_weighted(tree).scheme is EstimatorScheme.WEIGHTED_TREE
-    assert estimate_weighted(pruned).scheme is EstimatorScheme.WEIGHTED_PRUNED
-    assert estimate_weighted(ind).scheme is EstimatorScheme.WEIGHTED_INDEPENDENT
+    assert est.terms.shape[-1] == 3
 
 
 def test_mean_on_empty_set_is_an_error():
@@ -114,7 +92,6 @@ def test_mean_on_empty_set_is_an_error():
         np.zeros((0, 3, 1)),
         np.zeros(0),
         np.zeros(0),
-        SamplingScheme.INDEPENDENT,
     )
     with pytest.raises(ValueError):
         estimate_mean(empty)
@@ -211,7 +188,7 @@ def test_weighted_degenerate_weight_concentrates():
     ts = _manual_set([10.0, 0.0], [1.0, 0.0])
     est = estimate_weighted(ts)
     assert est.value == 10.0
-    assert est.n_samples == 2
+    assert est.terms.shape[-1] == 2
 
 
 def test_weighted_tree_equals_exhaustive_enumeration_for_biased_noise():
@@ -314,13 +291,12 @@ def _stacked_set(block_size, blocks, rng):
         states=np.zeros((n, 1, 1)),
         raw_likeliness=np.exp(rng.normal(scale=3.0, size=n)),
         costs=rng.normal(size=n) * rng.uniform(0.0, 1e3, size=n),
-        scheme=SamplingScheme.TREE_PRUNED,
     )
 
 
 def _block(paths, r, size):
     rows = slice(r * size, (r + 1) * size)
-    return TrajectorySet(paths.states[rows], paths.raw_likeliness[rows], paths.costs[rows], paths.scheme)
+    return TrajectorySet(paths.states[rows], paths.raw_likeliness[rows], paths.costs[rows])
 
 
 @pytest.mark.parametrize("blocks", [1, 7, 163])
@@ -329,10 +305,9 @@ def test_stacked_estimates_equal_each_blocks_own_estimate(block_size, blocks):
     paths = _stacked_set(block_size, blocks, np.random.default_rng(block_size * 1000 + blocks))
     mean = estimate_mean(paths, blocks)
     weighted = estimate_weighted(paths, blocks)
-    for est, scheme in ((mean, EstimatorScheme.MEAN_PRUNED), (weighted, EstimatorScheme.WEIGHTED_PRUNED)):
+    for est in (mean, weighted):
         assert est.value.shape == (blocks,)
-        assert est.n_samples == block_size
-        assert est.scheme is scheme
+        assert est.terms.shape[-1] == block_size
         # The variance is left for whoever reads it.
         assert "empirical_variance" not in vars(est)
     for r in range(blocks):
@@ -351,12 +326,21 @@ def test_stacked_estimates_equal_each_blocks_own_estimate(block_size, blocks):
             assert stacked.empirical_variance[r] == want
 
 
+def test_stacked_estimates_compare_by_identity():
+    # Field-wise equality would compare the value arrays and raise numpy's
+    # ambiguous-truth error.
+    paths = _stacked_set(3, 4, np.random.default_rng(2))
+    first, second = estimate_mean(paths, 4), estimate_mean(paths, 4)
+    assert (first == second) is False
+    assert (first == first) is True
+
+
 @pytest.mark.filterwarnings("error")
 def test_stacked_weighted_rejects_an_underflowed_block():
     paths = _stacked_set(3, 4, np.random.default_rng(5))
     lik = paths.raw_likeliness.copy()
     lik[6:9] = [1e-310, 0.0, 1e-310]
-    bad = TrajectorySet(paths.states, lik, paths.costs, paths.scheme)
+    bad = TrajectorySet(paths.states, lik, paths.costs)
     with pytest.raises(ValueError, match="normalized weights must sum to the set size 3, got nan"):
         estimate_weighted(bad, 4)
     # The plain mean needs no weights.

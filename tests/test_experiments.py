@@ -486,6 +486,41 @@ def test_metadata_echoes_spec(tmp_path):
     assert on_disk["files"] == ["results.csv"]
 
 
+def test_metadata_json_cannot_hold_leaves_no_csv(tmp_path, monkeypatch):
+    def nan_summary(spec, workers):
+        return {"results.csv": (["n"], [(1,)])}, {"log_log_slope": math.nan}
+
+    monkeypatch.setitem(runners._RUNNERS, ExperimentKind.VARIANCE_SCALING, nan_summary)
+    spec = _spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **_bench_params(), n_values=[10, 20], reps=5)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        run_experiment(spec)
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_built_in_code_gets_the_config_checks(tmp_path, monkeypatch):
+    def never_run(spec, workers):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setitem(runners._RUNNERS, ExperimentKind.VARIANCE_SCALING, never_run)
+    spec = _spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **_bench_params(sigma=0.0), n_values=[10, 20], reps=5)
+    with pytest.raises(ConfigError, match="variance_scaling.sigma: must be nonzero"):
+        run_experiment(spec)
+    for params, message in (
+        (dict(_bench_params(), n_values=[10, 20], reps=1), "variance_scaling.reps: must be positive"),
+        (dict(_bench_params(), n_values=[10], reps=5), "variance_scaling.n_values: need at least two"),
+        (dict(_bench_params(), n_values=[10, 20]), "variance_scaling.reps: missing required key"),
+        (dict(_bench_params(), n_values=[10, 20], reps=5, m=1), "variance_scaling.m: unknown key"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(_spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **params))
+    with pytest.raises(ConfigError, match="experiment.master_seed: must fit"):
+        run_experiment(_spec(ExperimentKind.VARIANCE_SCALING, tmp_path, seed=-1, **_bench_params()))
+    uav = dict(_uav_params(), bank_max=2.0)
+    with pytest.raises(ConfigError, match="uav_monte_carlo.bank_max"):
+        run_experiment(_spec(ExperimentKind.UAV_MONTE_CARLO, tmp_path, **uav))
+    assert not (tmp_path / "out").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     results = []
     for label in ("first", "second"):

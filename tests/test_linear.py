@@ -258,7 +258,7 @@ def test_lqg_exact_cost_matches_monte_carlo():
         model, u, SamplerConfig(branch_factor=1_000_000, master_seed=7)
     )
     est = estimate_mean(out)
-    stderr = np.sqrt(est.empirical_variance / est.n_samples)
+    stderr = np.sqrt(est.empirical_variance / est.terms.shape[-1])
     assert abs(est.value - lqg_exact_cost(params, u)) < 3.0 * stderr + 1e-9
 
 
@@ -269,7 +269,7 @@ def test_lqg_exact_cost_matches_monte_carlo_longer_horizon():
     u = rng.normal(size=5)
     out = sample_independent(model, u, SamplerConfig(branch_factor=400_000, master_seed=8))
     est = estimate_mean(out)
-    stderr = np.sqrt(est.empirical_variance / est.n_samples)
+    stderr = np.sqrt(est.empirical_variance / est.terms.shape[-1])
     assert abs(est.value - lqg_exact_cost(params, u)) < 3.0 * stderr + 1e-9
 
 
@@ -387,6 +387,6 @@ def test_rollout_equals_its_row_of_a_stacked_two_state_batch(control_dim, horizo
     weights = weights.reshape(len(seeds) * count, horizon)
     for i in range(len(batch)):
         path = rollout(model, controls, list(zip(draws[i], weights[i])))
-        assert np.array_equal(path.states, batch.states[i])
-        assert path.cost == batch.costs[i]
-        assert path.raw_likeliness == batch.raw_likeliness[i]
+        assert np.array_equal(path.states[0], batch.states[i])
+        assert path.costs[0] == batch.costs[i]
+        assert path.raw_likeliness[0] == batch.raw_likeliness[i]

@@ -13,9 +13,7 @@ from rsmhp import (
     DimensionError,
     DiscreteNoise,
     GaussianNoise,
-    SamplingScheme,
     StochasticModel,
-    Trajectory,
     TrajectorySet,
     as_controls,
     rollout,
@@ -45,8 +43,8 @@ def test_rollout_follows_scalar_recurrence():
     model = _tracking_model()
     zero = (np.zeros(1), 1.0)
     path = rollout(model, [0.55, 0.17], [zero, zero])
-    assert path.states.shape == (3, 1)
-    np.testing.assert_allclose(path.states[:, 0], [0.0, 0.275, 0.2225], atol=1e-12)
+    assert path.states.shape == (1, 3, 1)
+    np.testing.assert_allclose(path.states[0, :, 0], [0.0, 0.275, 0.2225], atol=1e-12)
 
 
 def test_rollout_zero_cost_single_step():
@@ -61,7 +59,7 @@ def test_rollout_zero_cost_single_step():
         initial_state=[0.0],
     )
     path = rollout(model, [0.0], [(noise.mean, 1.0)])
-    assert path.cost == 0.0
+    assert path.costs[0] == 0.0
 
 
 def test_rollout_linear_stage_cost_sums_visited_states():
@@ -76,17 +74,17 @@ def test_rollout_linear_stage_cost_sums_visited_states():
         initial_state=[0.0],
     )
     path = rollout(model, [0.0, 0.0], [(np.ones(1), 0.5), (np.ones(1), 0.5)])
-    assert path.cost == pytest.approx(1.0, abs=1e-15)
+    assert path.costs[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rollout_populates_likeliness_and_cost_invariants():
     model = _tracking_model()
     draws = [(np.array([0.4]), 0.8), (np.array([-0.2]), 0.3)]
     path = rollout(model, [0.55, 0.17], draws)
-    assert path.raw_likeliness == pytest.approx(0.8 * 0.3, rel=1e-12)
-    assert path.states[0, 0] == model.initial_state[0]
-    recomputed = trajectory_cost(model, path.states, [0.55, 0.17])
-    assert path.cost == pytest.approx(recomputed, rel=1e-12)
+    assert path.raw_likeliness[0] == pytest.approx(0.8 * 0.3, rel=1e-12)
+    assert path.states[0, 0, 0] == model.initial_state[0]
+    recomputed = trajectory_cost(model, path.states[0], [0.55, 0.17])
+    assert path.costs[0] == pytest.approx(recomputed, rel=1e-12)
 
 
 def test_rollout_wrong_draw_count_is_an_error():
@@ -114,8 +112,8 @@ def test_rollout_is_pure():
     first = rollout(model, [0.55, 0.17], draws)
     second = rollout(model, [0.55, 0.17], draws)
     assert np.array_equal(first.states, second.states)
-    assert first.cost == second.cost
-    assert first.raw_likeliness == second.raw_likeliness
+    assert first.costs[0] == second.costs[0]
+    assert first.raw_likeliness[0] == second.raw_likeliness[0]
 
 
 def test_trajectory_cost_terminal_only():
@@ -181,12 +179,13 @@ def test_cost_additivity_over_split_halves():
         draws = [(rng.normal(size=1), 1.0) for _ in range(4)]
         whole = make(4, 0.0, terminal)
         path = rollout(whole, controls, draws)
+        states = path.states[0]
         first = make(2, 0.0, None)
-        second = make(2, float(path.states[2, 0]), terminal)
+        second = make(2, float(states[2, 0]), terminal)
         split_cost = trajectory_cost(
-            first, path.states[:3], controls[:2]
-        ) + trajectory_cost(second, path.states[2:], controls[2:])
-        assert split_cost == pytest.approx(path.cost, rel=1e-12)
+            first, states[:3], controls[:2]
+        ) + trajectory_cost(second, states[2:], controls[2:])
+        assert split_cost == pytest.approx(path.costs[0], rel=1e-12)
 
 
 def test_as_controls_accepts_flat_scalars_and_rejects_mismatch():
@@ -291,22 +290,17 @@ def test_cyclic_noise_fixture_enumerates_in_order():
 
 def test_trajectory_set_round_trips_trajectories():
     states = np.stack([np.zeros((3, 1)), np.ones((3, 1))])
-    ts = TrajectorySet(states, [1.0, 0.25], [4.0, 7.0], SamplingScheme.TREE)
+    ts = TrajectorySet(states, [1.0, 0.25], [4.0, 7.0])
     assert len(ts) == 2
-    assert ts[1].cost == 7.0
-    assert ts[1].raw_likeliness == 0.25
-    assert ts[1].horizon == 2
-    assert isinstance(ts[0], Trajectory)
-    assert np.array_equal(ts[0].states, states[0])
 
 
 @pytest.mark.parametrize("states", [np.float64(1.0), np.zeros(3), np.zeros((1, 3))], ids=["0-d", "1-d", "2-d"])
 def test_trajectory_set_checks_the_states_rank_first(states):
     # A 0-d array has no leading axis to count rows on.
     with pytest.raises(DimensionError, match=r"states must be \(n, H\+1, dim\)"):
-        TrajectorySet(states, [1.0], [0.0], SamplingScheme.TREE)
+        TrajectorySet(states, [1.0], [0.0])
     with pytest.raises(DimensionError, match="raw_likeliness and costs"):
-        TrajectorySet(np.zeros((2, 3, 1)), [1.0], [0.0, 0.0], SamplingScheme.TREE)
+        TrajectorySet(np.zeros((2, 3, 1)), [1.0], [0.0, 0.0])
 
 
 def test_model_validates_initial_state_shape():

@@ -18,7 +18,6 @@ from rsmhp import (
     LinearModel,
     LqgParams,
     SamplerConfig,
-    SamplingScheme,
     StochasticModel,
     TrajectorySet,
     TreeSizeError,
@@ -63,7 +62,6 @@ def test_tree_count_is_branching_power():
     assert len(sample_tree(_lqg(2), [0.5, 0.2], SamplerConfig(branch_factor=3))) == 3
     out = sample_tree(_lqg(3), [0.5, 0.2, 0.1], SamplerConfig(branch_factor=3))
     assert len(out) == 9
-    assert out.scheme is SamplingScheme.TREE
 
 
 def test_tree_count_small_grid():
@@ -96,8 +94,8 @@ def test_tree_enumerates_sign_sequences_with_shared_draws():
     np.testing.assert_allclose(out.raw_likeliness, np.full(4, 0.25), rtol=1e-12)
     for i, signs in enumerate(steps[:, :2]):
         path = rollout(model, np.zeros(3), [(s, 0.5) for s in signs] + [(0.0, 1.0)])
-        assert np.array_equal(path.states, out.states[i])
-        assert path.raw_likeliness == out.raw_likeliness[i]
+        assert np.array_equal(path.states[0], out.states[i])
+        assert path.raw_likeliness[0] == out.raw_likeliness[i]
 
 
 def test_tree_single_step_horizon_has_one_nominal_path():
@@ -142,7 +140,6 @@ def test_pruned_is_bit_identical_when_width_is_enough():
         )
         assert set_arrays_equal(full, pruned)
         assert np.array_equal(full.branch_paths, pruned.branch_paths)
-        assert pruned.scheme is SamplingScheme.TREE_PRUNED
 
 
 def test_pruned_count_is_min_of_width_and_tree_size():
@@ -218,7 +215,6 @@ def test_pruned_ties_break_by_branch_digits():
 def test_independent_single_path():
     out = sample_independent(_lqg(2), [0.5, 0.2], SamplerConfig(branch_factor=1))
     assert len(out) == 1
-    assert out.scheme is SamplingScheme.INDEPENDENT
 
 
 def test_independent_zero_variance_collapses_to_nominal_path():
@@ -243,8 +239,8 @@ def test_independent_draws_every_step_fresh():
     assert len(np.unique(weights)) == 15
     for i in range(5):
         path = rollout(_lqg(3), controls, list(zip(draws[3 * i : 3 * i + 3], weights[3 * i : 3 * i + 3])))
-        assert np.array_equal(path.states, out.states[i])
-        assert path.raw_likeliness == out.raw_likeliness[i]
+        assert np.array_equal(path.states[0], out.states[i])
+        assert path.raw_likeliness[0] == out.raw_likeliness[i]
 
 
 def test_independent_prefix_stability():
@@ -294,9 +290,9 @@ def test_rollout_is_a_batch_of_one(dim, horizon, count, seed):
     weights = weights.reshape(count, horizon)
     for i in range(count):
         path = rollout(model, controls, list(zip(draws[i], weights[i])))
-        assert np.array_equal(path.states, batch.states[i])
-        assert path.cost == batch.costs[i]
-        assert path.raw_likeliness == batch.raw_likeliness[i]
+        assert np.array_equal(path.states[0], batch.states[i])
+        assert path.costs[0] == batch.costs[i]
+        assert path.raw_likeliness[0] == batch.raw_likeliness[i]
 
 
 @pytest.mark.parametrize(
@@ -501,7 +497,7 @@ def test_stacked_block_equals_its_single_seed_call(
     for r, seed in enumerate(seeds):
         alone = sampler(model, controls, config(master_seed=seed))
         rows = slice(r * size, (r + 1) * size)
-        block = TrajectorySet(whole.states[rows], whole.raw_likeliness[rows], whole.costs[rows], whole.scheme)
+        block = TrajectorySet(whole.states[rows], whole.raw_likeliness[rows], whole.costs[rows])
         assert set_arrays_equal(block, alone)
         if alone.branch_paths is None:
             assert whole.branch_paths is None
