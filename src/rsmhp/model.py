@@ -81,6 +81,15 @@ class NoiseLaw:
     reduction is not, since BLAS and ufunc loops pick their order of sums by
     array size.  So a block of a stacked call equals its one-stream call, and
     a law only has to be deterministic given the generators' states.
+
+    A law may also be asked for one stream's values in several consecutive
+    calls, each passing ``[stream]`` with the same live generator: the calls
+    must return, row for row, what one call for their total count would.
+    ``sample_independent`` relies on this to draw a replication larger than
+    its block size in pieces.  A law meets it when it takes its values from
+    the generator one after another, as numpy's ``standard_normal`` and
+    ``choice(p=...)`` do; one that draws a surplus sized by ``count`` to
+    reject from does not.
     """
 
     mean: Array
@@ -260,6 +269,14 @@ class TrajectorySet:
         n = states.shape[0]
         if raw_likeliness.shape != (n,) or costs.shape != (n,):
             raise DimensionError("raw_likeliness and costs must be (n,)")
+        if branch_paths is not None:
+            digits = np.asarray(branch_paths)
+            if digits.dtype.kind not in "iu" or digits.ndim != 2 or digits.shape[0] != n:
+                raise DimensionError(
+                    f"branch_paths must be None or an integer array with one row per "
+                    f"trajectory ({n}), got {type(branch_paths).__name__} of dtype "
+                    f"{digits.dtype} and shape {digits.shape}"
+                )
         for arr in (states, raw_likeliness, costs):
             if arr.flags.owndata:
                 arr.flags.writeable = False
@@ -314,19 +331,31 @@ def _transitions(model: StochasticModel, states: Array, u_k: Array, draws: Array
 
 
 def _simulate_paths(
-    model: StochasticModel, u: Array, draws: Array, weights: Array
+    model: StochasticModel,
+    u: Array,
+    draws: Array,
+    weights: Array,
+    out: tuple[Array, Array, Array] | None = None,
 ) -> tuple[Array, Array, Array]:
     """Step n paths from the initial state through their own H draws each.
 
     ``draws`` is (n, H, noise_dim) and ``weights`` is (n, H).  Returns the
     state histories (n, H+1, state_dim), the raw likeliness (n,) and the
-    costs (n,).  Both ``rollout`` (n = 1) and ``sample_independent`` run here.
+    costs (n,), written into ``out`` when it is given (any prior contents are
+    overwritten) and into new arrays otherwise.  Both ``rollout`` (n = 1)
+    and each block of ``sample_independent`` run here.
     """
     count = draws.shape[0]
-    history = np.empty((count, model.horizon + 1, model.state_dim))
+    if out is None:
+        out = (
+            np.empty((count, model.horizon + 1, model.state_dim)),
+            np.empty(count),
+            np.empty(count),
+        )
+    history, likeliness, costs = out
     history[:, 0] = model.initial_state
     states = history[:, 0].copy()
-    costs = np.zeros(count)
+    costs.fill(0.0)
     for k in range(model.horizon):
         costs += _stage_costs(model, states, u[k], k)
         states = _transitions(model, states, u[k], draws[:, k], k)
@@ -335,10 +364,10 @@ def _simulate_paths(
     # The product of each path's weights in step order, as the tree samplers
     # accumulate it; a reduction along short rows (np.prod(axis=1)) gives
     # the same bits at several times the cost.
-    likeliness = weights[:, 0].copy()
+    likeliness[:] = weights[:, 0]
     for k in range(1, model.horizon):
         likeliness *= weights[:, k]
-    return history, likeliness, costs
+    return out
 
 
 def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:

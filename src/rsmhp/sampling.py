@@ -22,6 +22,17 @@ depth, one per independent batch), with batch rows assigned positionally to
 nodes, so output is a pure function of the model, controls and config.  At
 each depth one ``sample_batch`` call takes every replication's stream and
 transforms all their draws at once.
+
+The independent scheme draws, weighs and steps its paths in blocks of at
+most ``_BLOCK_ROWS`` paths, writing each block into output arrays allocated
+once, so a call holds its outputs plus one block's draws, weights and
+stepping temporaries, however many paths it asks for.  Replications of at
+most a block's rows are grouped whole into blocks; a larger one is drawn
+from its one stream in consecutive sub-blocks.  The blocks change no bit:
+a stream's values come out in sequence however its draws are split (the
+``NoiseLaw`` split-call contract), and the noise transform and the model
+callables are row-invariant, so a row's values do not depend on the rows
+stepped beside it.
 """
 from __future__ import annotations
 
@@ -35,6 +46,7 @@ from ._seeds import seed_states
 from .model import (
     Array,
     StochasticModel,
+    Streams,
     TrajectorySet,
     _simulate_paths,
     _stage_costs,
@@ -55,6 +67,11 @@ __all__ = [
 
 _TREE_DOMAIN = 0
 _INDEPENDENT_DOMAIN = 1
+
+# Paths per block of sample_independent.  A block's draws and weights take
+# 2^14 * H * (noise_dim + 1) doubles (0.5 MiB at H = 2, noise_dim = 1), and
+# the per-block Python overhead is small next to its arithmetic.
+_BLOCK_ROWS = 2**14
 
 
 class TreeSizeError(ValueError):
@@ -141,9 +158,19 @@ class _Rekeyed:
     def __iter__(self) -> Iterator[np.random.Generator]:
         bit_generator = np.random.Philox(0)
         stream = np.random.Generator(bit_generator)
-        state = bit_generator.state
-        for key in self.philox_keys:
-            state["state"]["key"] = key
+        # A fresh generator's state with plain ints, which the state setter
+        # reads several times faster than numpy arrays.
+        key = [0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for row in self.philox_keys.tolist():
+            key[:] = row
             bit_generator.state = state
             yield stream
 
@@ -287,14 +314,32 @@ def sample_tree_pruned_logged(
     return out, log
 
 
+def _independent_blocks(philox_keys: np.ndarray, count: int) -> Iterator[tuple[Streams, int]]:
+    """The (streams, paths per stream) of each block, in output row order.
+
+    Replications of ``count <= _BLOCK_ROWS`` paths are grouped whole; a
+    larger one takes its one live stream in consecutive sub-blocks, all of
+    them before the next replication's stream is taken.
+    """
+    per_block = _BLOCK_ROWS // count
+    if per_block:
+        for start in range(0, len(philox_keys), per_block):
+            yield _Rekeyed(philox_keys[start:start + per_block]), count
+    else:
+        for stream in _Rekeyed(philox_keys):
+            for start in range(0, count, _BLOCK_ROWS):
+                yield [stream], min(_BLOCK_ROWS, count - start)
+
+
 def sample_independent(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
     """Draw branch_factor non-overlapping paths, each with H fresh noise draws.
 
     Each replication's draws come from one derived stream in C order
     (path-major), so the first paths of a larger batch coincide with a
-    smaller one, and each path equals the ``rollout`` of its own draws.  One
-    ``sample_batch`` call draws every replication's H * branch_factor values,
-    stream by stream, and transforms them together.
+    smaller one, and each path equals the ``rollout`` of its own draws.  The
+    paths are drawn and stepped in blocks of at most ``_BLOCK_ROWS`` rows,
+    each written in place into the returned set's arrays; the blocks do not
+    change the values.
     """
     u = as_controls(model, controls)
     horizon = model.horizon
@@ -302,7 +347,19 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     seeds = config.replication_seeds
     total = len(seeds) * count
     law = model.noise
-    flat_draws, flat_w = law.sample_batch(_streams(seeds, _INDEPENDENT_DOMAIN), count * horizon)
-    draws = flat_draws.reshape(total, horizon, law.dim)
-    weights = flat_w.reshape(total, horizon)
-    return TrajectorySet(*_simulate_paths(model, u, draws, weights))
+    history = np.empty((total, horizon + 1, model.state_dim))
+    likeliness = np.empty(total)
+    costs = np.empty(total)
+    start = 0
+    for streams, per_stream in _independent_blocks(_streams(seeds, _INDEPENDENT_DOMAIN).philox_keys, count):
+        rows = slice(start, start + len(streams) * per_stream)
+        flat_draws, flat_w = law.sample_batch(streams, per_stream * horizon)
+        _simulate_paths(
+            model,
+            u,
+            flat_draws.reshape(-1, horizon, law.dim),
+            flat_w.reshape(-1, horizon),
+            out=(history[rows], likeliness[rows], costs[rows]),
+        )
+        start = rows.stop
+    return TrajectorySet(history, likeliness, costs)

@@ -303,6 +303,20 @@ def test_trajectory_set_checks_the_states_rank_first(states):
         TrajectorySet(np.zeros((2, 3, 1)), [1.0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "branch_paths",
+    ["tree", np.zeros((5, 7), dtype=np.intp), np.zeros((2, 1)), np.zeros(2, dtype=np.intp)],
+    ids=["label", "wrong-rows", "float", "1-d"],
+)
+def test_trajectory_set_checks_branch_paths(branch_paths):
+    # A scheme label passed where the old constructor took one is rejected too.
+    with pytest.raises(DimensionError, match="branch_paths"):
+        TrajectorySet(np.zeros((2, 3, 1)), [1.0, 1.0], [0.0, 0.0], branch_paths)
+    for digits in (np.zeros((2, 2), dtype=np.intp), np.zeros((2, 0), dtype=np.uint8)):
+        ts = TrajectorySet(np.zeros((2, 3, 1)), [1.0, 1.0], [0.0, 0.0], digits)
+        assert ts.branch_paths is digits
+
+
 def test_model_validates_initial_state_shape():
     with pytest.raises(DimensionError):
         StochasticModel(

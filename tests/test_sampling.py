@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from rsmhp import (
     sample_tree_pruned,
     sample_tree_pruned_logged,
 )
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _streams
+from rsmhp import sampling
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _independent_blocks, _streams
 
 
 def _lqg(horizon=2, sigma=1.0):
@@ -250,6 +252,23 @@ def test_independent_prefix_stability():
     assert np.array_equal(small.states, large.states[:10])
 
 
+def test_independent_peak_memory_is_outputs_plus_a_few_blocks():
+    # The call holds its outputs and one block's draws, weights and stepping
+    # temporaries, not a full-width copy of each (numpy reports its buffers
+    # to tracemalloc).
+    model = _lqg(2)
+    controls = [0.5, 0.2]
+    sample_independent(model, controls, SamplerConfig(branch_factor=16))
+    tracemalloc.start()
+    try:
+        out = sample_independent(model, controls, SamplerConfig(branch_factor=2**18, master_seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = out.states.nbytes + out.raw_likeliness.nbytes + out.costs.nbytes
+    assert peak < outputs + 4 * 2**20, (peak, outputs)
+
+
 def test_loop_and_batch_paths_agree():
     loop = sample_independent(
         _loop_only_model(), [0.55, 0.17], SamplerConfig(branch_factor=64, master_seed=12)
@@ -457,12 +476,13 @@ _STACKED = [
     horizon=st.integers(min_value=1, max_value=4),
     branch=st.integers(min_value=1, max_value=3),
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
-    discrete=st.booleans(),
+    kind=st.sampled_from(["gaussian", "discrete", "degenerate"]),
     model_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    block_rows=st.sampled_from([1, 2, 3, 7]),
 )
 @settings(max_examples=25, deadline=None)
 def test_stacked_block_equals_its_single_seed_call(
-    sampler, width_mode, dim, horizon, branch, seeds, discrete, model_seed
+    sampler, width_mode, dim, horizon, branch, seeds, kind, model_seed, block_rows
 ):
     rng = np.random.default_rng(model_seed)
     root = rng.normal(size=(dim, dim))
@@ -475,10 +495,10 @@ def test_stacked_block_equals_its_single_seed_call(
         horizon=horizon,
     )
     model = linear_stochastic_model(lin, rng.normal(size=dim))
-    if discrete:
-        # Two of three outcomes share a mass, so pruning meets likeliness ties.
-        support = rng.normal(size=(3, dim))
-        model = dataclasses.replace(model, noise=DiscreteNoise(support, [0.25, 0.25, 0.5]))
+    if kind != "gaussian":
+        # Two of three discrete outcomes share a mass, so pruning meets
+        # likeliness ties; degenerate draws tie everywhere.
+        model = dataclasses.replace(model, noise=_law(kind, dim, rng))
     controls = rng.normal(size=(horizon, 2))
     full = branch ** (horizon - 1)
     width = None
@@ -488,14 +508,22 @@ def test_stacked_block_equals_its_single_seed_call(
     elif width_mode == "never":
         width = full + int(rng.integers(0, 3))
 
-    def config(**seed):
-        return SamplerConfig(branch_factor=branch, prune_width=width, **seed)
+    def sample(**seed):
+        config = SamplerConfig(branch_factor=branch, prune_width=width, **seed)
+        out = sampler(model, controls, config)
+        # Any block size gives the bits of the one-block call, read-only.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_BLOCK_ROWS", block_rows)
+            blocked = sampler(model, controls, config)
+        assert set_arrays_equal(blocked, out)
+        assert not any(a.flags.writeable for a in (blocked.states, blocked.raw_likeliness, blocked.costs))
+        return out
 
-    whole = sampler(model, controls, config(seeds=tuple(seeds)))
+    whole = sample(seeds=tuple(seeds))
     size = len(whole) // len(seeds)
     assert len(whole) == size * len(seeds)
     for r, seed in enumerate(seeds):
-        alone = sampler(model, controls, config(master_seed=seed))
+        alone = sample(master_seed=seed)
         rows = slice(r * size, (r + 1) * size)
         block = TrajectorySet(whole.states[rows], whole.raw_likeliness[rows], whole.costs[rows])
         assert set_arrays_equal(block, alone)
@@ -520,9 +548,10 @@ def _law(kind, dim, rng):
     count=st.integers(min_value=1, max_value=40),
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
     law_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    block_rows=st.sampled_from([1, 2, 3, 7]),
 )
 @settings(max_examples=60, deadline=None)
-def test_stacked_streams_draw_like_one_stream_calls(kind, dim, count, seeds, law_seed):
+def test_stacked_streams_draw_like_one_stream_calls(kind, dim, count, seeds, law_seed, block_rows):
     # The law transforms every stream's rows in one pass; each block must
     # keep the bits of its own one-stream call however many rows surround it.
     law = _law(kind, dim, np.random.default_rng(law_seed))
@@ -534,6 +563,15 @@ def test_stacked_streams_draw_like_one_stream_calls(kind, dim, count, seeds, law
         rows = slice(r * count, (r + 1) * count)
         assert np.array_equal(draws[rows], alone_draws)
         assert np.array_equal(weights[rows], alone_weights)
+    # sample_independent's blocks, in row order: whole streams grouped, or
+    # one stream's values taken in consecutive calls, which must return
+    # what one call does.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK_ROWS", block_rows)
+        keys = _streams(seeds, _TREE_DOMAIN, 3).philox_keys
+        pieces = [law.sample_batch(streams, rows) for streams, rows in _independent_blocks(keys, count)]
+    assert np.array_equal(np.concatenate([d for d, _ in pieces]), draws)
+    assert np.array_equal(np.concatenate([w for _, w in pieces]), weights)
 
 
 @given(
