@@ -6,7 +6,6 @@ abstraction, with exact analytic oracles for linear benchmarks, a target
 tracking case study, and a reproducible experiment harness.
 """
 from .model import (
-    DegenerateNoise,
     DimensionError,
     DiscreteNoise,
     GaussianNoise,
@@ -49,7 +48,6 @@ from .linear import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateNoise",
     "DimensionError",
     "DiscreteNoise",
     "GaussianNoise",

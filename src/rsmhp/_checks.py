@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 def check_int(name: str, value, minimum: int) -> None:
     """Reject a non-integer (``bool`` included) or a value under ``minimum``, naming the field."""
@@ -10,6 +12,12 @@ def check_int(name: str, value, minimum: int) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_finite(name: str, values) -> None:
+    """Reject a value or array holding NaN or an infinity, naming the field."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
 
 
 def check_seed(name: str, value) -> None:

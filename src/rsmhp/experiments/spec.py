@@ -82,15 +82,6 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_bool(raw: str) -> bool:
-    token = raw.strip().lower()
-    if token in ("true", "yes", "1"):
-        return True
-    if token in ("false", "no", "0"):
-        return False
-    raise ValueError("expected true/false")
-
-
 def _parse_list(parse_item: Callable) -> Callable:
     def parse(raw: str) -> list:
         tokens = [tok for tok in raw.split(",") if tok.strip()]
@@ -104,7 +95,6 @@ def _parse_list(parse_item: Callable) -> Callable:
 _PARSERS = {
     "int": _parse_int,
     "float": _parse_float,
-    "bool": _parse_bool,
     "int_list": _parse_list(_parse_int),
     "float_list": _parse_list(_parse_float),
     "str": str.strip,
@@ -243,7 +233,6 @@ _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
             "nt_values", "int_list", [50, 100, 250], _all_positive,
             "sampled-future counts to compare",
         ),
-        FieldSpec("include_nbo", "bool", True, None, "also run the nominal planner"),
         *(_same_field(PlannerConfig(), name) for name in _PLANNER_KEYS),
         *(_same_field(_SCENARIO_DEFAULTS, name) for name in _SCENARIO_KEYS),
         FieldSpec("uav_x", "float", float(_SCENARIO_DEFAULTS.uav_position[0]), None, "vehicle start x"),
@@ -304,8 +293,8 @@ def tracking_setup(params: dict, master_seed: int):
     """The tracking study's scenario and its planner arms from ``uav_monte_carlo`` params.
 
     Returns ``(scenario, [(arm_name, planner_config), ...])``: the nominal
-    arm ``nbo`` first when ``include_nbo`` is set, then one ``nt<count>``
-    arm per entry of ``nt_values``.  Every arm and the scenario share
+    arm ``nbo`` first, then one ``nt<count>`` arm per entry of
+    ``nt_values``.  Every arm and the scenario share
     ``master_seed``.  ``ScenarioConfig`` and ``PlannerConfig`` validate the
     values and raise ``ValueError`` or ``TypeError`` naming the field.
     """
@@ -317,8 +306,9 @@ def tracking_setup(params: dict, master_seed: int):
         target_cov=np.diag([p["target_pos_var"]] * 2 + [p["target_vel_var"]] * 2),
         master_seed=master_seed,
     )
-    arms = [("nbo", 1, PlannerObjective.NBO)] if p["include_nbo"] else []
-    arms += [(f"nt{count}", count, PlannerObjective.RSMHP) for count in p["nt_values"]]
+    arms = [("nbo", 1, PlannerObjective.NBO)] + [
+        (f"nt{count}", count, PlannerObjective.RSMHP) for count in p["nt_values"]
+    ]
     return scenario, [
         (name, PlannerConfig(
             **{key: p[key] for key in _PLANNER_KEYS},

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_finite, check_int
 from .model import (
     Array,
-    DegenerateNoise,
     DimensionError,
+    DiscreteNoise,
     GaussianNoise,
     StochasticModel,
 )
@@ -45,7 +45,8 @@ class LinearModel:
 
     The noise is zero-mean Gaussian with covariance ``noise_cov`` (positive
     semidefinite; symmetric within 1e-12).  ``cost_state`` and
-    ``cost_control`` are the row vectors c and d.
+    ``cost_control`` are the row vectors c and d.  Every entry must be
+    finite.
     """
 
     def __init__(self, a_matrix, b_matrix, cost_state, cost_control, noise_cov, horizon: int) -> None:
@@ -70,6 +71,9 @@ class LinearModel:
         noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
         if noise_cov.shape != (n, n):
             raise DimensionError(f"noise_cov must be ({n}, {n}), got {noise_cov.shape}")
+        for name, value in (("a_matrix", a_matrix), ("b_matrix", b_matrix), ("cost_state", cost_state),
+                            ("cost_control", cost_control), ("noise_cov", noise_cov)):
+            check_finite(name, value)
         if not np.allclose(noise_cov, noise_cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("noise_cov must be symmetric")
         eigs = np.linalg.eigvalsh(noise_cov)
@@ -120,20 +124,16 @@ def var_p(model: LinearModel) -> float:
     return float(c @ accum @ c)
 
 
-def chebyshev_bound(model: LinearModel, n_samples: int, epsilon: float, clamp: bool = True) -> float:
-    """Tail bound P(|J_N - J| >= epsilon) <= var_p / (N epsilon^2).
+def chebyshev_bound(model: LinearModel, n_samples: int, epsilon: float) -> float:
+    """Tail bound P(|J_N - J| >= epsilon) <= min(1, var_p / (N epsilon^2)).
 
-    With ``clamp`` (the default) the bound is truncated to [0, 1], since it
-    is vacuous above 1; pass clamp=False for the raw value.
+    The raw value var_p(model) / (n_samples * epsilon**2) is vacuous above
+    1, so the bound is clamped there.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if epsilon <= 0.0:
+    check_int("n_samples", n_samples, 1)
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    bound = var_p(model) / (n_samples * epsilon * epsilon)
-    if clamp:
-        return min(bound, 1.0)
-    return bound
+    return min(var_p(model) / (n_samples * epsilon * epsilon), 1.0)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class LqgParams:
 
     Dynamics x_{k+1} = (1-a) x_k + a u_k + w_k with w_k ~ N(0, sigma^2),
     cost r (x_H - target)^2 + sum_k u_k^2.  sigma = 0 is allowed and makes
-    the problem deterministic.
+    the problem deterministic.  Every value must be finite.
     """
 
     a: float
@@ -153,6 +153,8 @@ class LqgParams:
     horizon: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "r", "target", "sigma", "x0"):
+            check_finite(name, getattr(self, name))
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"a must lie in (0, 1), got {self.a}")
         if self.r <= 0.0:
@@ -184,13 +186,20 @@ def nbo_error(params: LqgParams) -> float:
     return params.r * params.sigma**2 * total
 
 
-def lqg_exact_cost(params: LqgParams, controls) -> float:
-    """Exact expected cost: nominal terminal tracking + control effort + noise term."""
+def _lqg_controls(params: LqgParams, controls) -> Array:
+    """The control sequence as a checked (H,) vector of finite values."""
     u = np.atleast_1d(np.asarray(controls, dtype=float)).ravel()
     if u.shape != (params.horizon,):
         raise DimensionError(
             f"controls must have {params.horizon} entries, got {u.shape}"
         )
+    check_finite("controls", u)
+    return u
+
+
+def lqg_exact_cost(params: LqgParams, controls) -> float:
+    """Exact expected cost: nominal terminal tracking + control effort + noise term."""
+    u = _lqg_controls(params, controls)
     mean_terminal = _lqg_mean_terminal(params, u)
     deterministic = params.r * (mean_terminal - params.target) ** 2 + float(u @ u)
     return deterministic + nbo_error(params)
@@ -207,11 +216,7 @@ def lqg_cost_variance(params: LqgParams, controls) -> float:
     Divide by the path count for the variance of the sample-mean estimator;
     its standard error is the square root of that.
     """
-    u = np.atleast_1d(np.asarray(controls, dtype=float)).ravel()
-    if u.shape != (params.horizon,):
-        raise DimensionError(
-            f"controls must have {params.horizon} entries, got {u.shape}"
-        )
+    u = _lqg_controls(params, controls)
     spread = nbo_error(params) / params.r
     mu = _lqg_mean_terminal(params, u) - params.target
     return params.r**2 * (2.0 * spread**2 + 4.0 * mu**2 * spread)
@@ -236,7 +241,9 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     each noise draw w_k reaches the cost through states x_{k+1}..x_H; that
     is the convention var_p describes.  (The deterministic c'x_0 term only
     shifts the mean.)  The expected cost therefore equals the nominal-path
-    cost, and estimate_nbo gives the exact expectation.
+    cost, and estimate_nbo gives the exact expectation.  The noise is
+    Gaussian, or the one-point law at zero when ``noise_cov`` is exactly
+    zero.
 
     Every product (A x, B u, c'x, d'u) is a sum of elementwise products
     taken in column order (``_products``), as ``GaussianNoise.sample_batch``
@@ -252,7 +259,7 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     c = model.cost_state[None, :]
     d = model.cost_control[None, :]
     if not model.noise_cov.any():
-        noise = DegenerateNoise(np.zeros(model.state_dim))
+        noise = DiscreteNoise(np.zeros((1, model.state_dim)), [1.0])
     else:
         noise = GaussianNoise(np.zeros(model.state_dim), model.noise_cov)
 
@@ -281,12 +288,15 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
 
 
 def lqg_stochastic_model(params: LqgParams) -> StochasticModel:
-    """Simulation twin of the scalar tracking benchmark."""
+    """Simulation twin of the scalar tracking benchmark.
+
+    The noise is N(0, sigma^2), or the one-point law at zero when sigma = 0.
+    """
     a = params.a
     r = params.r
     target = params.target
     if params.sigma == 0.0:
-        noise = DegenerateNoise([0.0])
+        noise = DiscreteNoise(np.zeros((1, 1)), [1.0])
     else:
         noise = GaussianNoise([0.0], [[params.sigma**2]])
 

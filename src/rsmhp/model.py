@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from ._checks import check_int
+from ._checks import check_finite, check_int
 
 Array = NDArray[np.float64]
 
@@ -38,7 +38,6 @@ __all__ = [
     "NoiseLaw",
     "GaussianNoise",
     "DiscreteNoise",
-    "DegenerateNoise",
     "StochasticModel",
     "TrajectorySet",
     "as_controls",
@@ -102,11 +101,6 @@ class NoiseLaw:
         raise NotImplementedError
 
 
-def _check_finite(name: str, values: Array) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite, got {values.tolist()}")
-
-
 class GaussianNoise(NoiseLaw):
     """Multivariate normal disturbance; weights are density values.
 
@@ -122,8 +116,8 @@ class GaussianNoise(NoiseLaw):
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise DimensionError(f"cov must be ({d}, {d}), got {cov.shape}")
-        _check_finite("mean", mean)
-        _check_finite("cov", cov)
+        check_finite("mean", mean)
+        check_finite("cov", cov)
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("cov must be symmetric")
         try:
@@ -160,15 +154,19 @@ class GaussianNoise(NoiseLaw):
 
 
 class DiscreteNoise(NoiseLaw):
-    """Finite-support disturbance; weights are probability masses."""
+    """Finite-support disturbance; weights are probability masses.
+
+    A one-point law, ``DiscreteNoise([v], [1.0])``, is a deterministic
+    disturbance: every draw is v with weight 1.
+    """
 
     def __init__(self, values, probs) -> None:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         probs = np.asarray(probs, dtype=float)
-        _check_finite("values", values)
-        _check_finite("probs", probs)
+        check_finite("values", values)
+        check_finite("probs", probs)
         if probs.ndim != 1 or probs.shape[0] != values.shape[0]:
             raise DimensionError("probs must be one weight per support point")
         if np.any(probs < 0.0):
@@ -186,22 +184,6 @@ class DiscreteNoise(NoiseLaw):
             block[:] = stream.choice(self.values.shape[0], size=count, p=self.probs)
         idx = idx.ravel()
         return self.values[idx], self.probs[idx]
-
-
-class DegenerateNoise(NoiseLaw):
-    """Deterministic disturbance (zero variance); weight is always 1.
-
-    Draws consume no generator state, so degenerate models stay reproducible
-    under any sampling scheme.
-    """
-
-    def __init__(self, value) -> None:
-        self.mean = np.atleast_1d(np.asarray(value, dtype=float))
-        _check_finite("value", self.mean)
-
-    def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
-        rows = len(streams) * count
-        return np.broadcast_to(self.mean, (rows, self.dim)).copy(), np.ones(rows)
 
 
 def _zero_terminal(xs: Array) -> Array:
@@ -293,7 +275,8 @@ def as_controls(model: StochasticModel, controls) -> Array:
     """Validate a control sequence against the model; returns (H, control_dim).
 
     A 1-d sequence is accepted when the control dimension is 1 (one scalar
-    per step) or when the horizon is 1 (a single control vector).
+    per step) or when the horizon is 1 (a single control vector).  A
+    non-finite control is rejected, naming its step.
     """
     arr = np.asarray(controls, dtype=float)
     if arr.ndim == 1:
@@ -306,6 +289,9 @@ def as_controls(model: StochasticModel, controls) -> Array:
             f"controls must have shape ({model.horizon}, {model.control_dim}), "
             f"got {np.asarray(controls).shape}"
         )
+    if not np.isfinite(arr).all():
+        for step, control in enumerate(arr):
+            check_finite(f"controls at step {step}", control)
     return arr
 
 
@@ -335,23 +321,16 @@ def _simulate_paths(
     u: Array,
     draws: Array,
     weights: Array,
-    out: tuple[Array, Array, Array] | None = None,
-) -> tuple[Array, Array, Array]:
+    out: tuple[Array, Array, Array],
+) -> None:
     """Step n paths from the initial state through their own H draws each.
 
-    ``draws`` is (n, H, noise_dim) and ``weights`` is (n, H).  Returns the
+    ``draws`` is (n, H, noise_dim) and ``weights`` is (n, H).  Writes the
     state histories (n, H+1, state_dim), the raw likeliness (n,) and the
-    costs (n,), written into ``out`` when it is given (any prior contents are
-    overwritten) and into new arrays otherwise.  Both ``rollout`` (n = 1)
-    and each block of ``sample_independent`` run here.
+    costs (n,) into the three arrays of ``out``, overwriting any prior
+    contents.  Both ``rollout`` (n = 1) and each block of
+    ``sample_independent`` run here.
     """
-    count = draws.shape[0]
-    if out is None:
-        out = (
-            np.empty((count, model.horizon + 1, model.state_dim)),
-            np.empty(count),
-            np.empty(count),
-        )
     history, likeliness, costs = out
     history[:, 0] = model.initial_state
     states = history[:, 0].copy()
@@ -367,7 +346,6 @@ def _simulate_paths(
     likeliness[:] = weights[:, 0]
     for k in range(1, model.horizon):
         likeliness *= weights[:, k]
-    return out
 
 
 def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
@@ -394,7 +372,9 @@ def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
             )
         draws[0, k] = vec
         weights[0, k] = weight
-    return TrajectorySet(*_simulate_paths(model, u, draws, weights))
+    out = (np.empty((1, model.horizon + 1, model.state_dim)), np.empty(1), np.empty(1))
+    _simulate_paths(model, u, draws, weights, out)
+    return TrajectorySet(*out)
 
 
 def trajectory_cost(model: StochasticModel, states, controls) -> float:

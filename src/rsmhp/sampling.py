@@ -68,6 +68,11 @@ __all__ = [
 _TREE_DOMAIN = 0
 _INDEPENDENT_DOMAIN = 1
 
+# Total width, over all replications, that a tree sampler call may
+# materialize.  An independent batch holds exactly the paths it asks for, so
+# it is not capped.
+_TREE_CAP = 10**6
+
 # Paths per block of sample_independent.  A block's draws and weights take
 # 2^14 * H * (noise_dim + 1) doubles (0.5 MiB at H = 2, noise_dim = 1), and
 # the per-block Python overhead is small next to its arithmetic.
@@ -75,7 +80,7 @@ _BLOCK_ROWS = 2**14
 
 
 class TreeSizeError(ValueError):
-    """Unpruned tree would exceed the configured trajectory cap."""
+    """A tree sampler call would hold more than 10^6 trajectories."""
 
 
 @dataclass(frozen=True)
@@ -87,16 +92,14 @@ class SamplerConfig:
     depth for the pruned tree and must be None otherwise.  ``seeds`` holds
     one seed per replication; empty means a single replication at
     ``master_seed``, which must then be left at 0 when ``seeds`` is given.
-    Every seed lies in [0, 2^64).
-    ``tree_cap`` bounds the total width, over all replications, that a tree
-    sampler call may materialize; an independent batch holds exactly the
-    ``branch_factor`` paths per replication it asks for, so it is not capped.
+    Every seed lies in [0, 2^64).  A tree sampler call holds at most 10^6
+    trajectories over all its replications; an independent batch is not
+    capped.
     """
 
     branch_factor: int
     prune_width: int | None = None
     master_seed: int = 0
-    tree_cap: int = 10**6
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -104,7 +107,6 @@ class SamplerConfig:
         if self.prune_width is not None:
             check_int("prune_width", self.prune_width, 1)
         check_seed("master_seed", self.master_seed)
-        check_int("tree_cap", self.tree_cap, 1)
         seeds = tuple(self.seeds)
         check_seeds("seeds", seeds)
         if seeds and self.master_seed != 0:
@@ -129,11 +131,6 @@ class PruneRecord:
     likeliness: Array
     branch_paths: np.ndarray
     kept: np.ndarray
-
-
-def _streams(seeds, *key: int) -> _Rekeyed:
-    """Each seed's stream ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` in turn."""
-    return _Rekeyed(seed_states(seeds, key, 2))
 
 
 class _Rekeyed:
@@ -189,10 +186,10 @@ def _grow_tree(
     seeds = config.replication_seeds
     n_reps = len(seeds)
 
-    if prune_to is None and n_reps * n_branch ** max(horizon - 1, 0) > config.tree_cap:
+    if prune_to is None and n_reps * n_branch ** max(horizon - 1, 0) > _TREE_CAP:
         raise TreeSizeError(
             f"unpruned tree has {n_reps} x {n_branch}^{horizon - 1} trajectories, over the cap "
-            f"{config.tree_cap}; use sample_tree_pruned or sample_independent, or raise tree_cap"
+            f"{_TREE_CAP}; use sample_tree_pruned or sample_independent"
         )
 
     # The Philox keys of every depth and replication, depth-major, in one pass.
@@ -216,10 +213,10 @@ def _grow_tree(
     for level in range(horizon - 1):
         count = states.shape[0]
         per_rep = count // n_reps * n_branch
-        if count * n_branch > config.tree_cap:
+        if count * n_branch > _TREE_CAP:
             raise TreeSizeError(
                 f"tree width {count * n_branch} at depth {level + 1} exceeds the cap "
-                f"{config.tree_cap}; lower prune_width or raise tree_cap"
+                f"{_TREE_CAP}; lower prune_width"
             )
         draws, draw_w = law.sample_batch(_Rekeyed(philox_keys[level]), per_rep)
 
@@ -351,7 +348,8 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     likeliness = np.empty(total)
     costs = np.empty(total)
     start = 0
-    for streams, per_stream in _independent_blocks(_streams(seeds, _INDEPENDENT_DOMAIN).philox_keys, count):
+    philox_keys = seed_states(seeds, (_INDEPENDENT_DOMAIN,), 2)
+    for streams, per_stream in _independent_blocks(philox_keys, count):
         rows = slice(start, start + len(streams) * per_stream)
         flat_draws, flat_w = law.sample_batch(streams, per_stream * horizon)
         _simulate_paths(

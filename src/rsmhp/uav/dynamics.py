@@ -8,8 +8,9 @@ isotropic noise whose variance grows with the vehicle-to-target range,
 which is what couples vehicle motion to tracking quality.
 
 The step functions read every world parameter (time step, speed bounds,
-gravity, noise levels) from the episode's ``ScenarioConfig``, which
-validates them once; none has a default of its own.
+noise levels) from the episode's ``ScenarioConfig``, which validates them
+once; none has a default of its own.  Gravity is the constant ``GRAVITY``,
+read as the class attribute ``ScenarioConfig.gravity``.
 """
 from __future__ import annotations
 

@@ -7,10 +7,11 @@ levels, initial conditions, and the master seed that derives every stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .._checks import check_int, check_seed
+from .._checks import check_finite, check_int, check_seed
 from .dynamics import GRAVITY
 from .filtering import require_per_axis
 
@@ -31,7 +32,8 @@ class ScenarioConfig:
 
     The sensor noise variance is sigma0^2 + eta * range^2 per axis, so eta
     controls how strongly vehicle position matters.  ``process_intensity``
-    is the target's white-acceleration power density.
+    is the target's white-acceleration power density.  Every float must be
+    finite.  ``gravity`` is a constant of the class, not a field.
     """
 
     dt: float = 1.0
@@ -40,7 +42,6 @@ class ScenarioConfig:
     v_max: float = 50.0
     accel_max: float = 5.0
     bank_max: float = np.pi / 6.0
-    gravity: float = GRAVITY
     process_intensity: float = 2.0
     sigma0: float = 5.0
     eta: float = 2e-3
@@ -50,8 +51,12 @@ class ScenarioConfig:
     target_mean: np.ndarray = field(default_factory=_default_target_mean)
     target_cov: np.ndarray = field(default_factory=_default_target_cov)
     master_seed: int = 0
+    gravity: ClassVar[float] = GRAVITY
 
     def __post_init__(self) -> None:
+        for name in ("dt", "v_min", "v_max", "accel_max", "bank_max", "process_intensity", "sigma0", "eta",
+                     "uav_position", "uav_heading", "uav_speed", "target_mean", "target_cov"):
+            check_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_int("n_steps", self.n_steps, 1)

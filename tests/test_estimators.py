@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import CyclicNoise, accumulator_model, enumerate_expectation
 
 from rsmhp import (
-    DegenerateNoise,
     GaussianNoise,
     LinearModel,
     LqgParams,
@@ -251,7 +250,7 @@ def test_error_medians_shrink_with_sample_count():
     }
     for rep in range(reps):
         for n in (100, 10_000):
-            cfg = SamplerConfig(branch_factor=n, master_seed=rep, tree_cap=10**6)
+            cfg = SamplerConfig(branch_factor=n, master_seed=rep)
             tree = sample_tree(model, controls, cfg)
             ind = sample_independent(model, controls, cfg)
             errors[("tree", "mean")][n].append(abs(estimate_mean(tree).value - exact))

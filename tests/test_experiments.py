@@ -193,7 +193,7 @@ def test_cli_validate_rejects_a_zero_variance_cost_where_the_run_needs_one(
 
 def test_every_tracking_key_reaches_its_field(tmp_path):
     values = dict(
-        n_runs=3, nt_values="4, 9", include_nbo="false", horizon=3, eval_budget=11,
+        n_runs=3, nt_values="4, 9", horizon=3, eval_budget=11,
         n_steps=5, dt=0.5, process_intensity=3.5, sigma0=4.5, eta=0.004,
         v_min=12.0, v_max=44.0, accel_max=3.0, bank_max=0.4,
         uav_x=-10.0, uav_y=25.0, uav_heading=0.7, uav_speed=20.0,
@@ -217,8 +217,8 @@ def test_every_tracking_key_reaches_its_field(tmp_path):
     assert scenario.target_mean.tolist() == [100.0, 200.0, -1.0, 2.0]
     assert np.array_equal(scenario.target_cov, np.diag([250.0, 250.0, 9.0, 9.0]))
     assert scenario.master_seed == 77
-    # include_nbo = false drops the nominal arm; nt_values sets the others.
-    assert [(name, planner.n_trajectories) for name, planner in arms] == [("nt4", 4), ("nt9", 9)]
+    # The nominal arm always runs, first; nt_values sets the others.
+    assert [(name, planner.n_trajectories) for name, planner in arms] == [("nbo", 1), ("nt4", 4), ("nt9", 9)]
     for _, planner in arms:
         assert (planner.horizon, planner.eval_budget, planner.master_seed) == (3, 11, 77)
     # n_runs is the episode count of each arm.
@@ -430,14 +430,6 @@ def test_uav_monte_carlo_writes_one_cdf_per_arm(tmp_path):
         stats = metadata["summary"]["arms"][arm]
         assert stats["mean"] == pytest.approx(float(np.mean(errors)), abs=0.0)
         assert stats["median"] == pytest.approx(float(np.median(errors)), abs=0.0)
-
-
-def test_uav_monte_carlo_can_skip_nominal_arm(tmp_path):
-    params = _uav_params()
-    params["include_nbo"] = False
-    spec = _spec(ExperimentKind.UAV_MONTE_CARLO, tmp_path, **params)
-    metadata = run_experiment(spec)
-    assert metadata["files"] == ["cdf_nt3.csv", "cdf_nt5.csv"]
 
 
 def _uav_params():
@@ -682,6 +674,17 @@ def test_cli_validate_rejects_what_the_tracking_run_would(tmp_path, capsys, key,
     )
     assert main(["validate", str(config)]) == 2
     assert f"uav_monte_carlo.{key}: " in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_the_removed_include_nbo_key(tmp_path, capsys):
+    # The nominal arm always runs, so a config may no longer switch it.
+    config = _write_config(
+        tmp_path / "exp.ini",
+        "[experiment]\nkind = uav_monte_carlo\noutput = out\n\n"
+        "[uav_monte_carlo]\ninclude_nbo = true\n",
+    )
+    assert main(["validate", str(config)]) == 2
+    assert "uav_monte_carlo.include_nbo: unknown key" in capsys.readouterr().err
 
 
 def test_cli_run_writes_artifacts(tmp_path, capsys):

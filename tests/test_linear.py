@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from rsmhp import (
-    DegenerateNoise,
+    DiscreteNoise,
     GaussianNoise,
     LinearModel,
     LqgParams,
@@ -26,7 +26,8 @@ from rsmhp import (
     sample_independent,
     var_p,
 )
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _streams
+from rsmhp._seeds import seed_states
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _Rekeyed
 
 
 def _benchmark():
@@ -74,7 +75,8 @@ def test_var_p_is_zero_for_zero_noise_covariance():
 def test_tiny_noise_covariance_stays_gaussian():
     # Only an exactly zero covariance means no noise; 1e-9 is a real law.
     zero = linear_stochastic_model(LinearModel(0.5, 0.0, 1.0, 0.0, 0.0, 3), [0.0])
-    assert isinstance(zero.noise, DegenerateNoise)
+    assert isinstance(zero.noise, DiscreteNoise)
+    assert zero.noise.values.tolist() == [[0.0]] and zero.noise.probs.tolist() == [1.0]
     model = LinearModel(0.5, 0.0, 1.0, 0.0, 1e-9, 3)
     stochastic = linear_stochastic_model(model, [0.0])
     assert isinstance(stochastic.noise, GaussianNoise)
@@ -139,22 +141,24 @@ def test_chebyshev_bound_zero_variance_is_zero():
 
 
 def test_chebyshev_bound_hand_value():
-    out = chebyshev_bound(_benchmark(), n_samples=100, epsilon=0.5, clamp=False)
+    model = _benchmark()
+    out = chebyshev_bound(model, n_samples=100, epsilon=0.5)
+    assert out == var_p(model) / (100 * 0.5**2)
     assert out == pytest.approx(0.13, rel=1e-12)
 
 
 def test_chebyshev_bound_halves_when_samples_double():
     model = _benchmark()
-    one = chebyshev_bound(model, n_samples=400, epsilon=0.5, clamp=False)
-    two = chebyshev_bound(model, n_samples=800, epsilon=0.5, clamp=False)
+    one = chebyshev_bound(model, n_samples=400, epsilon=0.5)
+    two = chebyshev_bound(model, n_samples=800, epsilon=0.5)
+    assert one == var_p(model) / (400 * 0.5**2) < 1.0
     assert two == pytest.approx(0.5 * one, rel=1e-12)
 
 
 def test_chebyshev_bound_clamps_to_one_by_default():
     model = _benchmark()
+    assert var_p(model) / (1 * 0.01**2) > 1.0
     assert chebyshev_bound(model, n_samples=1, epsilon=0.01) == 1.0
-    raw = chebyshev_bound(model, n_samples=1, epsilon=0.01, clamp=False)
-    assert raw > 1.0
 
 
 def test_chebyshev_bound_rejects_bad_arguments():
@@ -163,6 +167,8 @@ def test_chebyshev_bound_rejects_bad_arguments():
         chebyshev_bound(model, n_samples=0, epsilon=0.5)
     with pytest.raises(ValueError):
         chebyshev_bound(model, n_samples=10, epsilon=0.0)
+    with pytest.raises(ValueError):
+        chebyshev_bound(model, n_samples=10, epsilon=float("nan"))
 
 
 def test_chebyshev_coverage_holds_empirically():
@@ -382,7 +388,8 @@ def test_rollout_equals_its_row_of_a_stacked_two_state_batch(control_dim, horizo
     controls = rng.normal(size=(horizon, control_dim))
     batch = sample_independent(model, controls, SamplerConfig(branch_factor=count, seeds=tuple(seeds)))
     # The draws the sampler takes: one sample_batch call over every seed's stream.
-    draws, weights = model.noise.sample_batch(_streams(seeds, _INDEPENDENT_DOMAIN), count * horizon)
+    streams = _Rekeyed(seed_states(seeds, (_INDEPENDENT_DOMAIN,), 2))
+    draws, weights = model.noise.sample_batch(streams, count * horizon)
     draws = draws.reshape(len(seeds) * count, horizon, 2)
     weights = weights.reshape(len(seeds) * count, horizon)
     for i in range(len(batch)):

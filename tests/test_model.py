@@ -9,20 +9,31 @@ import pytest
 from conftest import CyclicNoise
 
 from rsmhp import (
-    DegenerateNoise,
     DimensionError,
     DiscreteNoise,
     GaussianNoise,
+    LinearModel,
+    LqgParams,
+    SamplerConfig,
     StochasticModel,
     TrajectorySet,
     as_controls,
+    chebyshev_bound,
+    lqg_cost_variance,
+    lqg_exact_cost,
+    lqg_stochastic_model,
     rollout,
+    sample_independent,
     trajectory_cost,
 )
+from rsmhp.uav import ScenarioConfig
+
+_LQG = dict(a=0.5, r=10.0, target=1.0, sigma=1.0, x0=0.0, horizon=2)
+_LINEAR = dict(a_matrix=0.5, b_matrix=1.0, cost_state=1.0, cost_control=0.0, noise_cov=1.0, horizon=2)
 
 
 def _tracking_model(a=0.5, r=10.0, target=1.0, horizon=2, x0=0.0, sigma=1.0):
-    noise = GaussianNoise([0.0], [[sigma**2]]) if sigma > 0 else DegenerateNoise([0.0])
+    noise = GaussianNoise([0.0], [[sigma**2]]) if sigma > 0 else DiscreteNoise([[0.0]], [1.0])
 
     def transition(xs, u, ws):
         return (1.0 - a) * xs + a * u + ws
@@ -242,8 +253,8 @@ def test_gaussian_noise_transform_matches_the_matrix_form():
         (lambda: DiscreteNoise([[math.nan]], [1.0]), "values"),
         (lambda: DiscreteNoise([-math.inf, 1.0], [0.5, 0.5]), "values"),
         (lambda: DiscreteNoise([-1.0, 1.0], [math.nan, 0.5]), "probs"),
-        (lambda: DegenerateNoise([math.nan]), "value"),
-        (lambda: DegenerateNoise([0.0, -math.inf]), "value"),
+        (lambda: DiscreteNoise([[0.0, math.nan]], [1.0]), "values"),
+        (lambda: DiscreteNoise([[0.0, -math.inf]], [1.0]), "values"),
     ],
     ids=[
         "gaussian-nan-mean",
@@ -263,6 +274,50 @@ def test_noise_laws_reject_non_finite_parameters_by_name(make, name):
         make()
 
 
+def _lqg_model():
+    return lqg_stochastic_model(LqgParams(**_LQG))
+
+
+@pytest.mark.parametrize(
+    "make, field, error",
+    [
+        pytest.param(lambda: LqgParams(**{**_LQG, "r": math.inf}), "r", ValueError, id="LqgParams.r"),
+        pytest.param(lambda: LqgParams(**{**_LQG, "sigma": math.nan}), "sigma", ValueError, id="LqgParams.sigma"),
+        pytest.param(lambda: LqgParams(**{**_LQG, "x0": math.nan}), "x0", ValueError, id="LqgParams.x0"),
+        pytest.param(lambda: LqgParams(**{**_LQG, "target": math.inf}), "target", ValueError, id="LqgParams.target"),
+        pytest.param(lambda: LinearModel(**{**_LINEAR, "a_matrix": math.nan}), "a_matrix", ValueError,
+                     id="LinearModel.a_matrix"),
+        pytest.param(lambda: LinearModel(**{**_LINEAR, "cost_control": math.inf}), "cost_control", ValueError,
+                     id="LinearModel.cost_control"),
+        pytest.param(lambda: ScenarioConfig(dt=math.inf), "dt", ValueError, id="ScenarioConfig.dt"),
+        pytest.param(lambda: ScenarioConfig(accel_max=math.nan), "accel_max", ValueError,
+                     id="ScenarioConfig.accel_max"),
+        pytest.param(lambda: ScenarioConfig(sigma0=math.nan), "sigma0", ValueError, id="ScenarioConfig.sigma0"),
+        pytest.param(lambda: ScenarioConfig(eta=math.inf), "eta", ValueError, id="ScenarioConfig.eta"),
+        pytest.param(lambda: ScenarioConfig(process_intensity=math.nan), "process_intensity", ValueError,
+                     id="ScenarioConfig.process_intensity"),
+        pytest.param(lambda: ScenarioConfig(uav_heading=math.nan), "uav_heading", ValueError,
+                     id="ScenarioConfig.uav_heading"),
+        pytest.param(lambda: ScenarioConfig(uav_position=(math.nan, 0.0)), "uav_position", ValueError,
+                     id="ScenarioConfig.uav_position"),
+        pytest.param(lambda: ScenarioConfig(target_mean=[math.nan, 0.0, 0.0, 0.0]), "target_mean", ValueError,
+                     id="ScenarioConfig.target_mean"),
+        pytest.param(lambda: sample_independent(_lqg_model(), [0.1, math.nan], SamplerConfig(branch_factor=4)),
+                     "controls at step 1", ValueError, id="sample_independent.controls"),
+        pytest.param(lambda: lqg_exact_cost(LqgParams(**_LQG), [math.nan, 0.1]), "controls", ValueError,
+                     id="lqg_exact_cost.controls"),
+        pytest.param(lambda: lqg_cost_variance(LqgParams(**_LQG), [0.1, math.inf]), "controls", ValueError,
+                     id="lqg_cost_variance.controls"),
+        pytest.param(lambda: chebyshev_bound(LinearModel(**_LINEAR), True, 0.5), "n_samples", TypeError,
+                     id="chebyshev_bound.n_samples"),
+    ],
+)
+def test_bad_inputs_fail_naming_their_field(make, field, error):
+    # Each of these once ran on to a NaN or infinite result.
+    with pytest.raises(error, match=rf"^{field} must be "):
+        make()
+
+
 def test_discrete_noise_weights_are_masses():
     law = DiscreteNoise([-1.0, 1.0], [0.9, 0.1])
     rng = np.random.default_rng(5)
@@ -275,10 +330,12 @@ def test_discrete_noise_weights_are_masses():
 
 
 def test_degenerate_noise_is_constant_with_unit_weight():
-    law = DegenerateNoise([2.5])
-    draws, weights = law.sample_batch([np.random.default_rng(0)], 10)
-    assert np.all(draws == 2.5)
-    assert np.all(weights == 1.0)
+    # A one-point law is the deterministic disturbance.
+    law = DiscreteNoise([[2.5, -1.0]], [1.0])
+    draws, weights = law.sample_batch([np.random.default_rng(0), np.random.default_rng(1)], 10)
+    assert draws.tolist() == [[2.5, -1.0]] * 20
+    assert weights.tolist() == [1.0] * 20
+    assert law.mean.tolist() == [2.5, -1.0]
 
 
 def test_cyclic_noise_fixture_enumerates_in_order():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import CyclicNoise, accumulator_model, likeliness_rank, set_arrays_equal
 
 from rsmhp import (
-    DegenerateNoise,
     DimensionError,
     DiscreteNoise,
     GaussianNoise,
@@ -32,13 +31,19 @@ from rsmhp import (
     sample_tree_pruned_logged,
 )
 from rsmhp import sampling
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _independent_blocks, _streams
+from rsmhp._seeds import seed_states
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _independent_blocks, _Rekeyed
 
 
 def _lqg(horizon=2, sigma=1.0):
     return lqg_stochastic_model(
         LqgParams(a=0.5, r=10.0, target=1.0, sigma=sigma, x0=0.0, horizon=horizon)
     )
+
+
+def _streams(seeds, *key):
+    """Each seed's stream for ``key`` in turn, re-keyed as the samplers draw them."""
+    return _Rekeyed(seed_states(seeds, key, 2))
 
 
 def _fresh_stream(seed, *key):
@@ -398,8 +403,6 @@ def test_independent_costs_are_uncorrelated():
         ("master_seed", 1.5),
         ("master_seed", "3"),
         ("master_seed", True),
-        ("tree_cap", 1e6),
-        ("tree_cap", True),
     ],
 )
 def test_config_rejects_non_integers_naming_the_field(field, value):
@@ -431,21 +434,23 @@ def test_config_rejects_seeds_with_a_master_seed():
     assert SamplerConfig(branch_factor=2, master_seed=3).replication_seeds == (3,)
 
 
-def test_tree_cap_bounds_the_rows_of_all_replications():
+def test_tree_cap_bounds_the_rows_of_all_replications(monkeypatch):
     seeds = (1, 2, 3, 4)
-    with pytest.raises(TreeSizeError):
-        sample_tree(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, seeds=seeds, tree_cap=35))
-    assert len(sample_tree(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, seeds=seeds, tree_cap=36))) == 36
-    with pytest.raises(TreeSizeError):
-        sample_tree_pruned(
-            _lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, prune_width=2, seeds=seeds, tree_cap=23)
-        )
+    monkeypatch.setattr(sampling, "_TREE_CAP", 35)
+    with pytest.raises(TreeSizeError, match="over the cap 35; use sample_tree_pruned or sample_independent$"):
+        sample_tree(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, seeds=seeds))
+    monkeypatch.setattr(sampling, "_TREE_CAP", 36)
+    assert len(sample_tree(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, seeds=seeds))) == 36
+    monkeypatch.setattr(sampling, "_TREE_CAP", 23)
+    with pytest.raises(TreeSizeError, match="tree width 24 at depth 2 exceeds the cap 23; lower prune_width$"):
+        sample_tree_pruned(_lqg(3), np.zeros(3), SamplerConfig(branch_factor=3, prune_width=2, seeds=seeds))
 
 
-def test_independent_batch_is_not_capped():
+def test_independent_batch_is_not_capped(monkeypatch):
     # The cap bounds a tree's N^(H-1) growth; an independent batch holds
     # exactly the paths its config names.
-    assert len(sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=50, tree_cap=10))) == 50
+    monkeypatch.setattr(sampling, "_TREE_CAP", 10)
+    assert len(sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=50))) == 50
 
 
 def test_logged_pruning_takes_one_replication():
@@ -497,7 +502,7 @@ def test_stacked_block_equals_its_single_seed_call(
     model = linear_stochastic_model(lin, rng.normal(size=dim))
     if kind != "gaussian":
         # Two of three discrete outcomes share a mass, so pruning meets
-        # likeliness ties; degenerate draws tie everywhere.
+        # likeliness ties; one-point (degenerate) draws tie everywhere.
         model = dataclasses.replace(model, noise=_law(kind, dim, rng))
     controls = rng.normal(size=(horizon, 2))
     full = branch ** (horizon - 1)
@@ -539,7 +544,7 @@ def _law(kind, dim, rng):
         return GaussianNoise(rng.normal(size=dim), root @ root.T + 0.1 * np.eye(dim))
     if kind == "discrete":
         return DiscreteNoise(rng.normal(size=(3, dim)), [0.25, 0.25, 0.5])
-    return DegenerateNoise(rng.normal(size=dim))
+    return DiscreteNoise(rng.normal(size=(1, dim)), [1.0])
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "discrete", "degenerate"])
