@@ -351,7 +351,8 @@ def _simulate_paths(
 def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
     """Simulate one trajectory from explicit per-step (draw, weight) pairs.
 
-    ``noise_draws`` must supply exactly one pair per step.  The path runs
+    ``noise_draws`` must supply exactly one pair per step, each draw finite
+    and each weight finite and positive, as a noise law's are.  The path runs
     as a batch of one, returned as a one-row ``TrajectorySet``, so it
     matches the same draws' row of a sampled batch bit for bit.  The
     function is pure: repeated calls return identical values.
@@ -370,6 +371,9 @@ def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
             raise DimensionError(
                 f"noise draw at step {k} must have shape ({dim},), got {vec.shape}"
             )
+        check_finite(f"noise draw at step {k}", vec)
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"noise weight at step {k} must be finite and > 0, got {weight!r}")
         draws[0, k] = vec
         weights[0, k] = weight
     out = (np.empty((1, model.horizon + 1, model.state_dim)), np.empty(1), np.empty(1))

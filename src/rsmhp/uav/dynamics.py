@@ -24,17 +24,8 @@ if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
 __all__ = [
-    "GRAVITY",
-    "UavState",
-    "UavControl",
-    "uav_step",
-    "uav_step_floats",
-    "target_transition_matrix",
-    "target_process_cov",
-    "target_step",
-    "measurement_matrix",
-    "sensor_cov",
-    "sensor_measure",
+    "GRAVITY", "UavState", "UavControl", "uav_step", "uav_step_floats", "target_transition_matrix",
+    "target_process_cov", "target_step", "sensor_cov", "sensor_measure",
 ]
 
 GRAVITY = 9.81
@@ -132,14 +123,6 @@ def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator):
     cov = target_process_cov(intensity, dt)
     root = np.linalg.cholesky(cov)
     return mean + root @ rng.standard_normal(4)
-
-
-def measurement_matrix() -> np.ndarray:
-    """Position-only observation of the 4-dimensional target state."""
-    h = np.zeros((2, 4))
-    h[0, 0] = 1.0
-    h[1, 1] = 1.0
-    return h
 
 
 def sensor_cov(uav_position, target_position, scenario: ScenarioConfig) -> np.ndarray:

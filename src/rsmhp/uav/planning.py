@@ -16,9 +16,9 @@ the range-dependent sensor noise, and on the future only through the
 target positions.  Measurements and belief means never reach the value, so
 none are simulated: the target paths are fixed once per objective, and an
 evaluation is the vehicle path, the noise variances, and H steps of the
-Kalman covariance recursion.  With a position sensor of isotropic noise and
-a prior without cross-axis covariance, that recursion splits into two
-independent per-axis recursions over (P_pp, P_pv, P_vv).
+Kalman covariance recursion.  A ``TargetBelief`` has no cross-axis
+covariance, so with a position sensor of isotropic noise that recursion
+splits into two independent per-axis recursions over (P_pp, P_pv, P_vv).
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from .._checks import check_int, check_seed
 from .._seeds import seed_states
 from .dynamics import UavControl, target_process_cov, target_transition_matrix, uav_step_floats
-from .filtering import TargetBelief, require_per_axis
+from .filtering import TargetBelief
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -128,12 +128,10 @@ def _trace_objective(uav, belief, scenario, process_raw):
     target paths, the prior per-axis covariance entries and the process
     noise.  The returned function maps a flat control list to (n,) totals.
     """
-    require_per_axis(belief.covariance, "belief covariance")
     targets = _target_paths(belief, scenario, process_raw)
     n = targets.shape[2]
-    cov = 0.5 * (belief.covariance + belief.covariance.T)
     # Entries P_pp, P_pv, P_vv, each a (2, n) array: x and y axis by future.
-    prior = np.array([np.diag(cov)[:2], np.diag(cov, 2), np.diag(cov)[2:]])
+    prior = np.array([axis[2:] for axis in belief.axes]).T
     prior = np.ascontiguousarray(np.broadcast_to(prior[:, :, None], (3, 2, n)))
     q = target_process_cov(scenario.process_intensity, scenario.dt)
     q_axis = np.array([q[0, 0], q[0, 2], q[2, 2]])[:, None, None]

@@ -13,17 +13,9 @@ import numpy as np
 
 from .._checks import check_finite, check_int, check_seed
 from .dynamics import GRAVITY
-from .filtering import require_per_axis
+from .filtering import covariance_axes
 
 __all__ = ["ScenarioConfig"]
-
-
-def _default_target_mean() -> np.ndarray:
-    return np.array([600.0, 400.0, 5.0, 0.0])
-
-
-def _default_target_cov() -> np.ndarray:
-    return np.diag([400.0, 400.0, 16.0, 16.0])
 
 
 @dataclass(frozen=True)
@@ -48,14 +40,14 @@ class ScenarioConfig:
     uav_position: tuple = (0.0, 0.0)
     uav_heading: float = 0.0
     uav_speed: float = 30.0
-    target_mean: np.ndarray = field(default_factory=_default_target_mean)
-    target_cov: np.ndarray = field(default_factory=_default_target_cov)
+    target_mean: np.ndarray = field(default_factory=lambda: np.array([600.0, 400.0, 5.0, 0.0]))
+    target_cov: np.ndarray = field(default_factory=lambda: np.diag([400.0, 400.0, 16.0, 16.0]))
     master_seed: int = 0
     gravity: ClassVar[float] = GRAVITY
 
     def __post_init__(self) -> None:
         for name in ("dt", "v_min", "v_max", "accel_max", "bank_max", "process_intensity", "sigma0", "eta",
-                     "uav_position", "uav_heading", "uav_speed", "target_mean", "target_cov"):
+                     "uav_position", "uav_heading", "uav_speed", "target_mean"):
             check_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
@@ -75,19 +67,11 @@ class ScenarioConfig:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.process_intensity < 0.0:
             raise ValueError(f"process_intensity must be nonnegative, got {self.process_intensity}")
-        mean = np.asarray(self.target_mean, dtype=float)
-        cov = np.asarray(self.target_cov, dtype=float)
+        mean = np.array(self.target_mean, dtype=float)
         if mean.shape != (4,):
             raise ValueError(f"target_mean must be a 4-vector, got shape {mean.shape}")
-        if cov.shape != (4, 4):
-            raise ValueError(f"target_cov must be 4x4, got shape {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-9):
-            raise ValueError("target_cov must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-9:
-            raise ValueError("target_cov must be positive semidefinite")
-        require_per_axis(cov, "target_cov")
-        mean = mean.copy()
-        cov = cov.copy()
+        covariance_axes(self.target_cov, "target_cov")
+        cov = np.array(self.target_cov, dtype=float)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "target_mean", mean)

@@ -304,6 +304,12 @@ def _lqg_model():
                      id="ScenarioConfig.target_mean"),
         pytest.param(lambda: sample_independent(_lqg_model(), [0.1, math.nan], SamplerConfig(branch_factor=4)),
                      "controls at step 1", ValueError, id="sample_independent.controls"),
+        pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(math.nan, 1.0), (0.0, 1.0)]),
+                     "noise draw at step 0", ValueError, id="rollout.draw"),
+        pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(0.0, 1.0), (0.0, -3.0)]),
+                     "noise weight at step 1", ValueError, id="rollout.weight"),
+        pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(0.0, math.nan), (0.0, 1.0)]),
+                     "noise weight at step 0", ValueError, id="rollout.nan_weight"),
         pytest.param(lambda: lqg_exact_cost(LqgParams(**_LQG), [math.nan, 0.1]), "controls", ValueError,
                      id="lqg_exact_cost.controls"),
         pytest.param(lambda: lqg_cost_variance(LqgParams(**_LQG), [0.1, math.inf]), "controls", ValueError,

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -204,12 +203,19 @@ def test_kalman_update_with_zero_noise_pins_position():
     np.testing.assert_allclose(out.position, z, atol=1e-6)
 
 
+def _per_axis_cov(blocks):
+    """The 4x4 (px, py, vx, vy) covariance of x and y (P_pp, P_pv, P_vv) blocks."""
+    (xpp, xpv, xvv), (ypp, ypv, yvv) = blocks
+    return np.array([[xpp, 0.0, xpv, 0.0], [0.0, ypp, 0.0, ypv], [xpv, 0.0, xvv, 0.0], [0.0, ypv, 0.0, yvv]])
+
+
 def test_kalman_update_never_increases_trace():
     rng = np.random.default_rng(3)
     belief = _belief()
     for _ in range(50):
-        root = rng.normal(size=(4, 4))
-        belief = TargetBelief(belief.mean, root @ root.T + 0.1 * np.eye(4))
+        roots = rng.normal(size=(2, 2, 2))
+        blocks = [root @ root.T + 0.1 * np.eye(2) for root in roots]
+        belief = TargetBelief(belief.mean, _per_axis_cov([(b[0, 0], b[0, 1], b[1, 1]) for b in blocks]))
         noise = float(rng.uniform(0.1, 100.0))
         z = belief.position + rng.normal(size=2)
         updated = kalman_update(belief, z, noise * np.eye(2))
@@ -254,6 +260,99 @@ def test_belief_validation():
     indefinite = np.diag([1.0, 1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         TargetBelief(np.zeros(4), indefinite)
+
+
+def _ref_kalman_predict(mean, cov, scenario):
+    """The filter's time update as 4x4 matrix products: the reference."""
+    f = target_transition_matrix(scenario.dt)
+    q = target_process_cov(scenario.process_intensity, scenario.dt)
+    cov = f @ cov @ f.T + q
+    return f @ mean, 0.5 * (cov + cov.T)
+
+
+def _ref_kalman_update(mean, cov, measurement, noise_cov):
+    """The Joseph-form update as 4x4 matrix products with an inverse: the reference."""
+    h = np.zeros((2, 4))
+    h[0, 0] = h[1, 1] = 1.0
+    gain = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + noise_cov)
+    mean = mean + gain @ (measurement - h @ mean)
+    closed = np.eye(4) - gain @ h
+    cov = closed @ cov @ closed.T + gain @ noise_cov @ gain.T
+    return mean, 0.5 * (cov + cov.T)
+
+
+_axis_blocks = st.tuples(
+    st.floats(1e-3, 1e6), st.floats(-0.99, 0.99), st.floats(1e-3, 1e6)
+).map(lambda b: (b[0], b[1] * np.sqrt(b[0] * b[2]), b[2]))
+_means = st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4)
+
+
+@given(
+    blocks=st.tuples(_axis_blocks, _axis_blocks),
+    mean=_means,
+    measurement=st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=2),
+    dt=st.integers(-6, 4).map(lambda k: 2.0**k),
+    intensity=st.just(0.0) | st.floats(1e-3, 1e3),
+    noise=st.sampled_from([0.0, 1e12]) | st.floats(1e-3, 1e6),
+)
+@settings(max_examples=300, deadline=None)
+def test_per_axis_filter_equals_the_4x4_reference_bit_for_bit(blocks, mean, measurement, dt, intensity, noise):
+    # dt is a power of two, the study's dt = 1 among them, so dt times an
+    # entry is exact.  Otherwise the reference's own bits depend on whether
+    # the BLAS kernel fuses the multiply-adds of F P F' (see the next test).
+    mean, cov = np.array(mean), _per_axis_cov(blocks)
+    sc = ScenarioConfig(dt=dt, process_intensity=intensity)
+    predicted = kalman_predict(TargetBelief(mean, cov), sc)
+    ref_mean, ref_cov = _ref_kalman_predict(mean, cov, sc)
+    assert np.array_equal(predicted.mean, ref_mean)
+    assert np.array_equal(predicted.covariance, ref_cov)
+    noise_cov = noise * np.eye(2)
+    updated = kalman_update(predicted, np.array(measurement), noise_cov)
+    ref_mean, ref_cov = _ref_kalman_update(ref_mean, ref_cov, np.array(measurement), noise_cov)
+    assert np.array_equal(updated.mean, ref_mean)
+    assert np.array_equal(updated.covariance, ref_cov)
+
+
+@given(blocks=st.tuples(_axis_blocks, _axis_blocks), mean=_means, dt=st.floats(1e-3, 10.0),
+       intensity=st.just(0.0) | st.floats(1e-3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_per_axis_predict_is_within_a_rounding_of_the_4x4_reference_at_any_dt(blocks, mean, dt, intensity):
+    # A product that fuses pp + dt * pv rounds once where the per-axis
+    # code rounds twice, so each entry may differ by a few units in the last
+    # place of the largest term that entry sums.
+    mean, cov = np.array(mean), _per_axis_cov(blocks)
+    sc = ScenarioConfig(dt=dt, process_intensity=intensity)
+    predicted = kalman_predict(TargetBelief(mean, cov), sc)
+    ref_mean, ref_cov = _ref_kalman_predict(mean, cov, sc)
+    _, term_scale = _ref_kalman_predict(np.abs(mean), np.abs(cov), sc)
+    assert np.array_equal(predicted.mean, ref_mean)
+    assert np.all(np.abs(predicted.covariance - ref_cov) <= 4.0 * np.finfo(float).eps * term_scale)
+
+
+def test_belief_keeps_the_mean_and_covariance_it_was_built_from():
+    mean = np.array([600.0, 400.0, 5.0, -2.0])
+    cov = _per_axis_cov([(900.0, 30.0, 25.0), (100.0, -5.0, 4.0)])
+    belief = TargetBelief(mean, cov)
+    assert np.array_equal(belief.mean, mean)
+    assert np.array_equal(belief.covariance, cov)
+    assert np.array_equal(belief.position, mean[:2])
+    assert belief.axes == ((600.0, 5.0, 900.0, 30.0, 25.0), (400.0, -2.0, 100.0, -5.0, 4.0))
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+def test_kalman_update_rejects_off_diagonal_noise_naming_the_entry(entry):
+    noise_cov = 10.0 * np.eye(2)
+    noise_cov[entry] = 1.0
+    with pytest.raises(ValueError, match=r"noise_cov must be diagonal, got \[0,1\]"):
+        kalman_update(_belief(), np.zeros(2), noise_cov)
+
+
+def test_kalman_update_rejects_a_non_positive_innovation_variance():
+    # P_pp + r <= 0 on the y axis only.
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman_update(_belief(), np.zeros(2), np.diag([1.0, -400.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman_update(_belief(), np.zeros(2), np.diag([1.0, -500.0]))
 
 
 # ---------------------------------------------------------------- objectives
@@ -420,19 +519,10 @@ def _coupled_cov(i, j, value=1.0):
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 2), (2, 3)])
 def test_planner_rejects_cross_axis_belief_covariance(entry):
-    sc = ScenarioConfig()
-    belief = TargetBelief(np.array([600.0, 400.0, 5.0, 0.0]), _coupled_cov(*entry))
-    cfg = PlannerConfig(horizon=3, n_trajectories=4, objective=PlannerObjective.RSMHP, eval_budget=20)
-    match = rf"belief covariance .*\[{entry[0]},{entry[1]}\]"
-    with pytest.raises(ValueError, match=match):
-        objective_nbo(_uav(), belief, _straight(3), sc)
-    with pytest.raises(ValueError, match=match):
-        objective_mhp(_uav(), belief, _straight(3), sc, cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=match):
-        scenario_objective_terms(_uav(), belief, _straight(3), sc, cfg, np.random.default_rng(0))
-    for objective in PlannerObjective:
-        with pytest.raises(ValueError, match=match):
-            plan_step(_uav(), belief, sc, replace(cfg, objective=objective), np.random.default_rng(0))
+    # The planner's per-axis recursion needs a per-axis belief, and no
+    # TargetBelief with a cross-axis entry can be built.
+    with pytest.raises(ValueError, match=rf"belief covariance .*\[{entry[0]},{entry[1]}\]"):
+        TargetBelief(np.array([600.0, 400.0, 5.0, 0.0]), _coupled_cov(*entry))
 
 
 # ------------------------------------------------------------------- planner
