@@ -157,7 +157,8 @@ class DiscreteNoise(NoiseLaw):
     """Finite-support disturbance; weights are probability masses.
 
     A one-point law, ``DiscreteNoise([v], [1.0])``, is a deterministic
-    disturbance: every draw is v with weight 1.
+    disturbance: every draw is v with weight 1, and it takes no values from
+    the streams, since there is nothing to choose.
     """
 
     def __init__(self, values, probs) -> None:
@@ -179,6 +180,9 @@ class DiscreteNoise(NoiseLaw):
         self.mean = self.probs @ self.values
 
     def sample_batch(self, streams: Streams, count: int) -> tuple[Array, Array]:
+        if self.values.shape[0] == 1:
+            rows = len(streams) * count
+            return np.repeat(self.values, rows, axis=0), np.full(rows, self.probs[0])
         idx = np.empty((len(streams), count), dtype=np.intp)
         for block, stream in zip(idx, streams):
             block[:] = stream.choice(self.values.shape[0], size=count, p=self.probs)

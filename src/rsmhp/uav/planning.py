@@ -19,6 +19,16 @@ evaluation is the vehicle path, the noise variances, and H steps of the
 Kalman covariance recursion.  A ``TargetBelief`` has no cross-axis
 covariance, so with a position sensor of isotropic noise that recursion
 splits into two independent per-axis recursions over (P_pp, P_pv, P_vv).
+
+Two kernels run that recursion.  ``_trace_terms`` holds every future in
+numpy arrays and serves several futures.  ``_one_future_total`` runs on
+Python floats and serves one future (the nominal objective, or any
+planner with ``n_trajectories = 1``): there every numpy call would work on
+a (2, 1) array and cost its call overhead, about seven times the float
+arithmetic.  ``_trace_objective`` picks the kernel by the number of
+futures.  The float kernel does the numpy kernel's rounded operations in
+its order, and elementwise numpy never fuses a multiply and an add, so
+the two give the same bits.
 """
 from __future__ import annotations
 
@@ -121,12 +131,13 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
     return paths
 
 
-def _trace_objective(uav, belief, scenario, process_raw):
+def _trace_terms(uav, belief, scenario, process_raw):
     """Per-future accumulated covariance trace as a function of the controls.
 
     Everything that does not depend on the controls is fixed here: the
     target paths, the prior per-axis covariance entries and the process
-    noise.  The returned function maps a flat control list to (n,) totals.
+    noise.  The returned function maps a flat control list to (n,) totals,
+    each future's recursion one column of (2, n) numpy arrays.
     """
     targets = _target_paths(belief, scenario, process_raw)
     n = targets.shape[2]
@@ -163,6 +174,73 @@ def _trace_objective(uav, belief, scenario, process_raw):
     return totals
 
 
+def _one_future_total(uav, belief, scenario, process_raw):
+    """The accumulated covariance trace of one future, on Python floats.
+
+    The same recursion as ``_trace_terms`` for ``process_raw`` of shape
+    (1, H, 4), doing each of its rounded operations in its order, so the
+    float it returns is that kernel's one total bit for bit.
+    """
+    targets_x, targets_y = _target_paths(belief, scenario, process_raw)[:, :, 0].tolist()
+    (_, _, x_pp, x_pv, x_vv), (_, _, y_pp, y_pv, y_vv) = belief.axes
+    q = target_process_cov(scenario.process_intensity, scenario.dt).tolist()
+    q_pp, q_pv, q_vv = q[0][0], q[0][2], q[2][2]
+    dt = scenario.dt
+    sigma0_sq = scenario.sigma0**2
+    eta = scenario.eta
+    start_x, start_y = uav.position.tolist()
+
+    def total(flat_controls) -> float:
+        x, y, heading, speed = start_x, start_y, uav.heading, uav.speed
+        xpp, xpv, xvv, ypp, ypv, yvv = x_pp, x_pv, x_vv, y_pp, y_pv, y_vv
+        acc_xpp = acc_xvv = acc_ypp = acc_yvv = 0.0
+        try:
+            for target_x, target_y, accel, bank in zip(
+                targets_x, targets_y, flat_controls[0::2], flat_controls[1::2]
+            ):
+                x, y, heading, speed = uav_step_floats(x, y, heading, speed, accel, bank, scenario)
+                dx, dy = target_x - x, target_y - y
+                r = sigma0_sq + eta * (dx * dx + dy * dy)
+                # Predict per axis: (F P) first, then (F P) F', then + Q.
+                xpp, xpv = xpp + dt * xpv, xpv + dt * xvv
+                ypp, ypv = ypp + dt * ypv, ypv + dt * yvv
+                xpp, xpv, xvv = xpp + dt * xpv + q_pp, xpv + q_pv, xvv + q_vv
+                ypp, ypv, yvv = ypp + dt * ypv + q_pp, ypv + q_pv, yvv + q_vv
+                # Update with a scalar position measurement of variance r.
+                s = xpp + r
+                xvv -= xpv / s * xpv
+                gain = r / s
+                xpp, xpv = xpp * gain, xpv * gain
+                s = ypp + r
+                yvv -= ypv / s * ypv
+                gain = r / s
+                ypp, ypv = ypp * gain, ypv * gain
+                acc_xpp += xpp
+                acc_xvv += xvv
+                acc_ypp += ypp
+                acc_yvv += yvv
+        except ZeroDivisionError:
+            # A zero innovation variance, where numpy divides to inf or NaN
+            # instead of raising: score this candidate with numpy's kernel.
+            return float(_trace_terms(uav, belief, scenario, process_raw)(flat_controls)[0])
+        return (acc_xpp + acc_xvv) + (acc_ypp + acc_yvv)
+
+    return total
+
+
+def _trace_objective(uav, belief, scenario, process_raw):
+    """The mean accumulated trace over the futures of ``process_raw``, as ``score(flat) -> float``.
+
+    One future is scored by ``_one_future_total`` on floats; several by the
+    numpy kernel ``_trace_terms`` and ``_future_mean``.  The two kernels
+    agree bit for bit on one future.
+    """
+    if process_raw.shape[0] == 1:
+        return _one_future_total(uav, belief, scenario, process_raw)
+    totals = _trace_terms(uav, belief, scenario, process_raw)
+    return lambda flat_controls: _future_mean(totals(flat_controls))
+
+
 def _future_mean(terms: np.ndarray) -> float:
     """Average over futures; exactly the common value when all futures agree."""
     return float(terms[0] + (terms - terms[0]).sum() / terms.size)
@@ -177,7 +255,7 @@ def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig)
     """
     flat = _as_control_pairs(controls, len(controls))
     nominal = np.zeros((1, len(controls), 4))
-    return float(_trace_objective(uav, belief, scenario, nominal)(flat)[0])
+    return _trace_objective(uav, belief, scenario, nominal)(flat)
 
 
 # PCG64's 128-bit LCG multiplier, for its seeding step (``pcg64_srandom_r``).
@@ -228,7 +306,7 @@ def scenario_objective_terms(
     """Per-future accumulated covariance traces for the sampled objective."""
     flat = _as_control_pairs(controls, config.horizon)
     process_raw = _frozen_draws(config, config.horizon, rng)
-    return _trace_objective(uav, belief, scenario, process_raw)(flat)
+    return _trace_terms(uav, belief, scenario, process_raw)(flat)
 
 
 def objective_mhp(
@@ -272,10 +350,10 @@ def plan_step(
         process_raw = _frozen_draws(config, horizon, rng)
     else:
         process_raw = np.zeros((1, horizon, 4))
-    totals = _trace_objective(uav, belief, scenario, process_raw)
+    score = _trace_objective(uav, belief, scenario, process_raw)
 
     best_y = np.zeros(dim)
-    best_value = _future_mean(totals((best_y * scales).tolist()))
+    best_value = score((best_y * scales).tolist())
     evals = 1
     start = best_y
     while config.eval_budget - evals >= dim + 2:
@@ -286,8 +364,8 @@ def plan_step(
                 y = search.send(value)
             except StopIteration:
                 break
-            y = np.clip(y, -1.0, 1.0)
-            value = _future_mean(totals((y * scales).tolist()))
+            y = np.minimum(np.maximum(y, -1.0), 1.0)
+            value = score((y * scales).tolist())
             evals += 1
             if value < best_value:
                 best_value, best_y = value, y
@@ -333,8 +411,8 @@ def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
         fsim = np.take(fsim, ind, 0)
 
     while not (
-        np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        np.abs(sim[1:] - sim[0]).max() <= xatol
+        and np.abs(fsim[0] - fsim[1:]).max() <= fatol
     ):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]

@@ -26,6 +26,9 @@ class ScenarioConfig:
     controls how strongly vehicle position matters.  ``process_intensity``
     is the target's white-acceleration power density.  Every float must be
     finite.  ``gravity`` is a constant of the class, not a field.
+    ``target_root`` is derived, not passed: the lower Cholesky factor of
+    ``target_cov + 1e-12 I``, from which an episode draws its initial
+    target state.  A ``target_cov`` without one is rejected.
     """
 
     dt: float = 1.0
@@ -43,6 +46,7 @@ class ScenarioConfig:
     target_mean: np.ndarray = field(default_factory=lambda: np.array([600.0, 400.0, 5.0, 0.0]))
     target_cov: np.ndarray = field(default_factory=lambda: np.diag([400.0, 400.0, 16.0, 16.0]))
     master_seed: int = 0
+    target_root: np.ndarray = field(init=False, repr=False, compare=False)
     gravity: ClassVar[float] = GRAVITY
 
     def __post_init__(self) -> None:
@@ -72,8 +76,13 @@ class ScenarioConfig:
             raise ValueError(f"target_mean must be a 4-vector, got shape {mean.shape}")
         covariance_axes(self.target_cov, "target_cov")
         cov = np.array(self.target_cov, dtype=float)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
+        try:
+            root = np.linalg.cholesky(cov + 1e-12 * np.eye(4))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"target_cov must have a Cholesky factor after adding 1e-12 I: {exc}") from None
+        for array in (mean, cov, root):
+            array.setflags(write=False)
         object.__setattr__(self, "target_mean", mean)
         object.__setattr__(self, "target_cov", cov)
+        object.__setattr__(self, "target_root", root)
         object.__setattr__(self, "uav_position", tuple(float(v) for v in self.uav_position))

@@ -49,10 +49,7 @@ def run_episode(
     )
 
     belief = TargetBelief(scenario.target_mean, scenario.target_cov)
-    root = np.linalg.cholesky(
-        scenario.target_cov + 1e-12 * np.eye(4)
-    )
-    truth = scenario.target_mean + root @ init_rng.standard_normal(4)
+    truth = scenario.target_mean + scenario.target_root @ init_rng.standard_normal(4)
     uav = UavState(
         position=np.asarray(scenario.uav_position, dtype=float),
         heading=scenario.uav_heading,

@@ -344,6 +344,28 @@ def test_degenerate_noise_is_constant_with_unit_weight():
     assert law.mean.tolist() == [2.5, -1.0]
 
 
+class _UnreadStreams:
+    """Streams of a known count that fail if any generator is taken."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        raise AssertionError("a one-point law must not take any stream")
+
+
+def test_degenerate_noise_draws_from_no_stream():
+    law = DiscreteNoise([[2.5, -1.0]], [1.0])
+    draws, weights = law.sample_batch(_UnreadStreams(3), 4)
+    assert draws.tolist() == [[2.5, -1.0]] * 12
+    assert weights.tolist() == [1.0] * 12
+    draws[0, 0] = 7.0  # the rows are the caller's own, not a view of the law
+    assert law.sample_batch(_UnreadStreams(1), 1)[0].tolist() == [[2.5, -1.0]]
+
+
 def test_cyclic_noise_fixture_enumerates_in_order():
     law = CyclicNoise([-1.0, 1.0], [0.5, 0.5])
     draws, weights = law.sample_batch([np.random.default_rng(0)], 4)

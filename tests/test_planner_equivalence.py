@@ -4,12 +4,17 @@ The reference pushes every sampled future through the complete Kalman
 filter: sampled truths, simulated measurements, mean updates and Joseph-form
 4x4 covariance updates.  The planner's objective keeps only the per-axis
 covariance recursion that reaches the value, so both must agree to
-rounding on every future.
+rounding on every future.  A one-future objective is scored on Python
+floats, and that kernel must equal the numpy one bit for bit.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmhp.uav import (
     PlannerConfig,
@@ -29,6 +34,7 @@ from rsmhp.uav import (
     target_transition_matrix,
     uav_step,
 )
+from rsmhp.uav import planning
 
 RTOL = 1e-12
 HORIZON = 6
@@ -182,3 +188,65 @@ def test_objective_mhp_equals_nbo_exactly_without_range_dependence(n):
         controls = _controls(_random_pairs(sc, rng))
         sampled = objective_mhp(uav, belief, controls, sc, cfg, np.random.default_rng(n))
         assert sampled == objective_nbo(uav, belief, controls, sc)
+
+
+@pytest.mark.parametrize("sc", SCENARIOS)
+def test_one_future_terms_are_a_one_element_array(sc):
+    cfg = PlannerConfig(horizon=HORIZON, n_trajectories=1, objective=PlannerObjective.RSMHP)
+    uav, belief = _unequal_belief()
+    controls = _controls(_random_pairs(sc, np.random.default_rng(8)))
+    terms = scenario_objective_terms(uav, belief, controls, sc, cfg, np.random.default_rng(9))
+    assert isinstance(terms, np.ndarray) and terms.shape == (1,)
+    assert terms[0] == objective_mhp(uav, belief, controls, sc, cfg, np.random.default_rng(9))
+
+
+# Per-axis (p, v, P_pp, P_pv, P_vv): variances 1e-3 to 1e6, correlation up to +-0.99.
+_axes = st.tuples(
+    st.floats(-1e4, 1e4), st.floats(-50.0, 50.0),
+    st.floats(1e-3, 1e6), st.floats(-0.99, 0.99), st.floats(1e-3, 1e6),
+).map(lambda a: (a[0], a[1], a[2], a[3] * math.sqrt(a[2] * a[4]), a[4]))
+
+
+@given(
+    x_axis=_axes,
+    y_axis=_axes,
+    dt=st.floats(1e-3, 10.0),
+    eta=st.just(0.0) | st.floats(1e-6, 1.0),
+    sigma0=st.floats(0.0, 10.0),
+    intensity=st.just(0.0) | st.floats(1e-3, 1e3),
+    horizon=st.integers(1, 8),
+    # Controls up to twice the actuator box: inside and outside it.
+    reach=st.sampled_from([1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_future_float_kernel_equals_the_numpy_kernel(
+    x_axis, y_axis, dt, eta, sigma0, intensity, horizon, reach, seed
+):
+    sc = ScenarioConfig(dt=dt, eta=eta, sigma0=sigma0, process_intensity=intensity)
+    belief = TargetBelief.from_axes(x_axis, y_axis)
+    uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
+    rng = np.random.default_rng(seed)
+    process_raw = rng.standard_normal((1, horizon, 4))
+    flat = (rng.uniform(-reach, reach, (horizon, 2)) * [sc.accel_max, sc.bank_max]).ravel().tolist()
+    # sigma0 = eta = 0 is noiseless sensing, where P_pp + r can reach 0 and
+    # both kernels give NaN.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = planning._trace_objective(uav, belief, sc, process_raw)(flat)
+        expected = planning._trace_terms(uav, belief, sc, process_raw)(flat)[0]
+    assert type(value) is float
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
+
+
+def test_one_future_float_kernel_matches_numpy_at_zero_innovation_variance():
+    # No prior, process or sensor noise: P_pp + r is 0 and numpy's kernel
+    # divides 0 by 0; the float kernel must give its NaN rather than raise.
+    sc = ScenarioConfig(sigma0=0.0, eta=0.0, process_intensity=0.0)
+    belief = TargetBelief(np.array([600.0, 400.0, 5.0, 0.0]), np.zeros((4, 4)))
+    uav = UavState(position=np.zeros(2), heading=0.0, speed=30.0)
+    process_raw = np.zeros((1, 3, 4))
+    flat = [1.0, 0.1] * 3
+    with np.errstate(invalid="ignore", divide="ignore"):
+        expected = planning._trace_terms(uav, belief, sc, process_raw)(flat)[0]
+        value = planning._trace_objective(uav, belief, sc, process_raw)(flat)
+    assert np.isnan(expected) and np.isnan(value)

@@ -629,6 +629,26 @@ def test_scenario_accepts_unequal_per_axis_blocks():
     np.testing.assert_array_equal(ScenarioConfig(target_cov=cov).target_cov, cov)
 
 
+def test_scenario_rejects_target_cov_without_a_cholesky_factor():
+    # The y block has eigenvalues 400 and -1e-7: within the PSD tolerance
+    # -1e-9 * 400, so a belief may hold it, but target_cov + 1e-12 I has no
+    # Cholesky factor to draw an episode's initial target state with.
+    cov = np.diag([400.0, 400.0, 16.0, 16.0])
+    half = 0.5e-7
+    cov[1, 1] = cov[3, 3] = 200.0 - half
+    cov[1, 3] = cov[3, 1] = 200.0 + half
+    TargetBelief(np.zeros(4), cov)
+    with pytest.raises(ValueError, match="target_cov must have a Cholesky factor"):
+        ScenarioConfig(target_cov=cov)
+
+
+def test_scenario_target_root_is_the_cholesky_factor():
+    cov = np.diag([900.0, 100.0, 25.0, 4.0])
+    cov[0, 2] = cov[2, 0] = 30.0
+    root = ScenarioConfig(target_cov=cov).target_root
+    assert np.array_equal(root, np.linalg.cholesky(cov + 1e-12 * np.eye(4)))
+
+
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 2), (2, 3)])
 def test_scenario_rejects_cross_axis_target_cov_naming_the_entry(entry):
     with pytest.raises(ValueError, match=rf"target_cov .*\[{entry[0]},{entry[1]}\]"):
