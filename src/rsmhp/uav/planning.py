@@ -6,10 +6,13 @@ provided: a nominal one (future noise replaced by its mean, so one target
 future pinned to the noiseless prediction) and a sampled one (average over
 independently drawn target futures).  A budgeted Nelder-Mead search with
 restarts minimizes the scorer over the flattened (acceleration, bank)
-sequence.  The search is a generator that yields each candidate and takes
-its score through ``send``, so the caller, not the search, owns the budget
-and the scoring; it replays scipy's Nelder-Mead point for point without
-importing scipy.
+sequence.  The search is a generator that yields its candidates and takes
+their scores through ``send``, so the caller, not the search, owns the
+budget and the scoring; it replays scipy's Nelder-Mead point for point
+without importing scipy.  Points the search fixes before scoring any of
+them come as one batch: the initial simplex, and each shrink's new
+vertices.  The scorer takes a list of candidates and returns one score
+per candidate, so ``plan_step`` scores a batch in one call.
 
 The covariance recursion of a future depends on the controls only through
 the range-dependent sensor noise, and on the future only through the
@@ -19,21 +22,28 @@ evaluation is the vehicle path, the noise variances, and H steps of the
 Kalman covariance recursion.  A ``TargetBelief`` has no cross-axis
 covariance, so with a position sensor of isotropic noise that recursion
 splits into two independent per-axis recursions over (P_pp, P_pv, P_vv).
+Axes whose blocks are equal bit for bit run the same recursion, which is
+then run once: an isotropic prior under an isotropic sensor stays so.
+The first predict reads only the prior and is done once per objective.
 
-Two kernels run that recursion.  ``_trace_terms`` holds every future in
-numpy arrays and serves several futures.  ``_one_future_total`` runs on
-Python floats and serves one future (the nominal objective, or any
-planner with ``n_trajectories = 1``): there every numpy call would work on
-a (2, 1) array and cost its call overhead, about seven times the float
-arithmetic.  ``_trace_objective`` picks the kernel by the number of
-futures.  The float kernel does the numpy kernel's rounded operations in
-its order, and elementwise numpy never fuses a multiply and an add, so
-the two give the same bits.
+Two kernels run that recursion.  ``_trace_terms`` holds every future of
+every candidate in numpy arrays, the candidates' futures stacked on one
+lane axis, and serves several futures.  ``_one_future_totals`` runs on
+Python floats, one candidate after another, and serves one future (the
+nominal objective, or any planner with ``n_trajectories = 1``): there
+every numpy call would work on a few lanes and cost its call overhead,
+several times the float arithmetic.  ``_trace_objective`` picks the
+kernel by the number of futures.  The float kernel does the numpy
+kernel's rounded operations in its order, and elementwise numpy never
+fuses a multiply and an add, so the two give the same bits.  Every
+operation is elementwise, so a candidate's score does not depend on the
+other candidates of its call.
 """
 from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +104,13 @@ def _as_control_pairs(controls, horizon: int) -> list:
     return flat
 
 
-def _planned_path(uav, flat_controls, scenario) -> np.ndarray:
+def _planned_path(uav, flat_controls, scenario, out=None) -> np.ndarray:
     """Vehicle positions after each of the H planned steps, shape (H, 2).
 
     The steps are ``uav_step_floats``, the episode's own kinematics, on
     Python floats since the path does not depend on the sampled futures and
-    sits inside the optimizer's inner loop.
+    sits inside the optimizer's inner loop.  The path is written into
+    ``out`` when one is given.
     """
     x, y = uav.position.tolist()
     heading = uav.heading
@@ -108,7 +119,10 @@ def _planned_path(uav, flat_controls, scenario) -> np.ndarray:
     for accel, bank in zip(flat_controls[0::2], flat_controls[1::2]):
         x, y, heading, speed = uav_step_floats(x, y, heading, speed, accel, bank, scenario)
         path.append((x, y))
-    return np.array(path)
+    if out is None:
+        return np.array(path)
+    out[...] = path
+    return out
 
 
 def _target_paths(belief, scenario, process_raw) -> np.ndarray:
@@ -131,58 +145,103 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
     return paths
 
 
+def _first_predicts(belief, scenario):
+    """The distinct per-axis blocks after the first predict, and each axis's block index.
+
+    Returns ([(P_pp, P_pv, P_vv), ...], (x index, y index)).  Axes whose
+    prior blocks are equal bit for bit (an isotropic prior under an
+    isotropic sensor stays so) run the same recursion, so it is run once:
+    one block and indices (0, 0).  The first predict reads only the prior,
+    so it is the same for every future and candidate.  It rounds as the
+    kernels' predict does: (F P) first, then (F P) F', then + Q.
+    """
+    q = target_process_cov(scenario.process_intensity, scenario.dt).tolist()
+    dt = scenario.dt
+    blocks = [axis[2:] for axis in belief.axes]
+    if struct.pack("3d", *blocks[0]) == struct.pack("3d", *blocks[1]):
+        blocks, rows = blocks[:1], (0, 0)
+    else:
+        rows = (0, 1)
+    predicted = []
+    for pp, pv, vv in blocks:
+        pp, pv = pp + dt * pv, pv + dt * vv
+        predicted.append((pp + dt * pv + q[0][0], pv + q[0][2], vv + q[2][2]))
+    return predicted, rows
+
+
 def _trace_terms(uav, belief, scenario, process_raw):
-    """Per-future accumulated covariance trace as a function of the controls.
+    """Per-candidate, per-future accumulated covariance trace.
 
     Everything that does not depend on the controls is fixed here: the
-    target paths, the prior per-axis covariance entries and the process
-    noise.  The returned function maps a flat control list to (n,) totals,
-    each future's recursion one column of (2, n) numpy arrays.
+    target paths, the first predict of each distinct axis block and the
+    process noise.  The returned function maps a list of k flat control
+    lists to (k, n) totals.  The recursion runs on one lane axis: per
+    distinct axis block, the k candidates' n futures, candidate by
+    candidate.  Every operation is elementwise, so a lane's bits do not
+    depend on the other lanes.
     """
-    targets = _target_paths(belief, scenario, process_raw)
-    n = targets.shape[2]
-    # Entries P_pp, P_pv, P_vv, each a (2, n) array: x and y axis by future.
-    prior = np.array([axis[2:] for axis in belief.axes]).T
-    prior = np.ascontiguousarray(np.broadcast_to(prior[:, :, None], (3, 2, n)))
+    targets = _target_paths(belief, scenario, process_raw)[:, :, None, :]
+    horizon, n = targets.shape[1], targets.shape[3]
+    predicted, (x_row, y_row) = _first_predicts(belief, scenario)
+    blocks = len(predicted)
+    # Rows P_pp, P_pv, P_vv by distinct axis block; each is spread over its
+    # block's lanes per call.
+    first = np.array(predicted).T
     q = target_process_cov(scenario.process_intensity, scenario.dt)
-    q_axis = np.array([q[0, 0], q[0, 2], q[2, 2]])[:, None, None]
+    q_entries = np.array([[q[0, 0]], [q[0, 2]], [q[2, 2]]])
     dt = scenario.dt
     sigma0_sq = scenario.sigma0**2
     eta = scenario.eta
 
-    def totals(flat_controls) -> np.ndarray:
-        delta = targets - _planned_path(uav, flat_controls, scenario).T[:, :, None]
+    def totals(candidates) -> np.ndarray:
+        k = len(candidates)
+        lanes = k * n
+        paths = np.empty((k, horizon, 2))
+        for flat, path in zip(candidates, paths):
+            _planned_path(uav, flat, scenario, path)
+        # (2, H, k, n): axis by step by candidate by future.
+        delta = targets - paths.transpose(2, 1, 0)[:, :, :, None]
         np.square(delta, out=delta)
-        # (H, n): one isotropic variance per step and future, shared by both axes.
-        noise_vars = sigma0_sq + eta * (delta[0] + delta[1])
-        p = prior.copy()
+        # (H, k n): one isotropic variance per step and lane, shared by both axes.
+        noise_vars = (sigma0_sq + eta * (delta[0] + delta[1])).reshape(horizon, lanes)
+        if blocks > 1:
+            noise_vars = np.tile(noise_vars, blocks)
+        # Q is spread over the lanes too: numpy's same-shape loops cost less
+        # per call than its broadcasting ones at these sizes.
+        p = first.repeat(lanes, axis=1)
+        q_lanes = q_entries.repeat(p.shape[1], axis=1)
         pp, pv, vv = p
         upper, lower = p[:2], p[1:]
         accumulated = np.zeros_like(p)
-        for r in noise_vars:
-            # Predict: F P F' + Q per axis, with F = [[1, dt], [0, 1]].
-            upper += dt * lower
-            pp += dt * pv
-            p += q_axis
+        for step, r in enumerate(noise_vars):
+            if step:
+                # Predict: F P F' + Q per axis, with F = [[1, dt], [0, 1]].
+                upper += dt * lower
+                pp += dt * pv
+                p += q_lanes
             # Update with a scalar position measurement of variance r.
             s = pp + r
             vv -= pv / s * pv
-            upper *= r / s
+            gain = r / s
+            pp *= gain
+            pv *= gain
             accumulated += p
-        return (accumulated[0] + accumulated[2]).sum(axis=0)
+        per_axis = (accumulated[0] + accumulated[2]).reshape(blocks, lanes)
+        return (per_axis[x_row] + per_axis[y_row]).reshape(k, n)
 
     return totals
 
 
-def _one_future_total(uav, belief, scenario, process_raw):
-    """The accumulated covariance trace of one future, on Python floats.
+def _one_future_totals(uav, belief, scenario, process_raw):
+    """The accumulated covariance trace of one future per candidate, on Python floats.
 
     The same recursion as ``_trace_terms`` for ``process_raw`` of shape
-    (1, H, 4), doing each of its rounded operations in its order, so the
-    float it returns is that kernel's one total bit for bit.
+    (1, H, 4), doing each of its rounded operations in its order, so each
+    float it returns is that kernel's total bit for bit.  The candidates
+    are scored one after another.
     """
-    targets_x, targets_y = _target_paths(belief, scenario, process_raw)[:, :, 0].tolist()
-    (_, _, x_pp, x_pv, x_vv), (_, _, y_pp, y_pv, y_vv) = belief.axes
+    targets = list(zip(*_target_paths(belief, scenario, process_raw)[:, :, 0].tolist()))
+    predicted, (x_row, y_row) = _first_predicts(belief, scenario)
     q = target_process_cov(scenario.process_intensity, scenario.dt).tolist()
     q_pp, q_pv, q_vv = q[0][0], q[0][2], q[2][2]
     dt = scenario.dt
@@ -190,60 +249,66 @@ def _one_future_total(uav, belief, scenario, process_raw):
     eta = scenario.eta
     start_x, start_y = uav.position.tolist()
 
-    def total(flat_controls) -> float:
-        x, y, heading, speed = start_x, start_y, uav.heading, uav.speed
-        xpp, xpv, xvv, ypp, ypv, yvv = x_pp, x_pv, x_vv, y_pp, y_pv, y_vv
-        acc_xpp = acc_xvv = acc_ypp = acc_yvv = 0.0
-        try:
-            for target_x, target_y, accel, bank in zip(
-                targets_x, targets_y, flat_controls[0::2], flat_controls[1::2]
-            ):
+    def block_total(pp, pv, vv, noise_vars) -> float:
+        acc_pp = acc_vv = 0.0
+        for r in noise_vars:
+            # Update with a scalar position measurement of variance r.
+            s = pp + r
+            vv -= pv / s * pv
+            gain = r / s
+            pp, pv = pp * gain, pv * gain
+            acc_pp += pp
+            acc_vv += vv
+            # Predict the next step: (F P) first, then (F P) F', then + Q.
+            # The last one is not used; it cannot raise.
+            pp, pv = pp + dt * pv, pv + dt * vv
+            pp, pv, vv = pp + dt * pv + q_pp, pv + q_pv, vv + q_vv
+        return acc_pp + acc_vv
+
+    def totals(candidates) -> list:
+        out = []
+        for flat in candidates:
+            x, y, heading, speed = start_x, start_y, uav.heading, uav.speed
+            noise_vars = []
+            for (target_x, target_y), accel, bank in zip(targets, flat[0::2], flat[1::2]):
                 x, y, heading, speed = uav_step_floats(x, y, heading, speed, accel, bank, scenario)
                 dx, dy = target_x - x, target_y - y
-                r = sigma0_sq + eta * (dx * dx + dy * dy)
-                # Predict per axis: (F P) first, then (F P) F', then + Q.
-                xpp, xpv = xpp + dt * xpv, xpv + dt * xvv
-                ypp, ypv = ypp + dt * ypv, ypv + dt * yvv
-                xpp, xpv, xvv = xpp + dt * xpv + q_pp, xpv + q_pv, xvv + q_vv
-                ypp, ypv, yvv = ypp + dt * ypv + q_pp, ypv + q_pv, yvv + q_vv
-                # Update with a scalar position measurement of variance r.
-                s = xpp + r
-                xvv -= xpv / s * xpv
-                gain = r / s
-                xpp, xpv = xpp * gain, xpv * gain
-                s = ypp + r
-                yvv -= ypv / s * ypv
-                gain = r / s
-                ypp, ypv = ypp * gain, ypv * gain
-                acc_xpp += xpp
-                acc_xvv += xvv
-                acc_ypp += ypp
-                acc_yvv += yvv
-        except ZeroDivisionError:
-            # A zero innovation variance, where numpy divides to inf or NaN
-            # instead of raising: score this candidate with numpy's kernel.
-            return float(_trace_terms(uav, belief, scenario, process_raw)(flat_controls)[0])
-        return (acc_xpp + acc_xvv) + (acc_ypp + acc_yvv)
+                noise_vars.append(sigma0_sq + eta * (dx * dx + dy * dy))
+            try:
+                per_axis = [block_total(*block, noise_vars) for block in predicted]
+            except ZeroDivisionError:
+                # A zero innovation variance, where numpy divides to inf or
+                # NaN instead of raising: score it with numpy's kernel.
+                out.append(float(_trace_terms(uav, belief, scenario, process_raw)([flat])[0, 0]))
+                continue
+            out.append(per_axis[x_row] + per_axis[y_row])
+        return out
 
-    return total
+    return totals
 
 
 def _trace_objective(uav, belief, scenario, process_raw):
-    """The mean accumulated trace over the futures of ``process_raw``, as ``score(flat) -> float``.
+    """The mean accumulated trace over the futures of ``process_raw``, per candidate.
 
-    One future is scored by ``_one_future_total`` on floats; several by the
-    numpy kernel ``_trace_terms`` and ``_future_mean``.  The two kernels
-    agree bit for bit on one future.
+    Returns ``score(candidates) -> list`` of one float per flat control
+    list.  One future is scored by ``_one_future_totals`` on floats;
+    several by the numpy kernel ``_trace_terms`` and ``_future_means``.
+    The two kernels agree bit for bit on one future.
     """
     if process_raw.shape[0] == 1:
-        return _one_future_total(uav, belief, scenario, process_raw)
+        return _one_future_totals(uav, belief, scenario, process_raw)
     totals = _trace_terms(uav, belief, scenario, process_raw)
-    return lambda flat_controls: _future_mean(totals(flat_controls))
+    return lambda candidates: _future_means(totals(candidates)).tolist()
 
 
 def _future_mean(terms: np.ndarray) -> float:
     """Average over futures; exactly the common value when all futures agree."""
     return float(terms[0] + (terms - terms[0]).sum() / terms.size)
+
+
+def _future_means(terms: np.ndarray) -> np.ndarray:
+    """``_future_mean`` of each row of a (k, n) array, in one reduction along the rows."""
+    return terms[:, 0] + (terms - terms[:, :1]).sum(axis=1) / terms.shape[1]
 
 
 def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig) -> float:
@@ -255,7 +320,7 @@ def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig)
     """
     flat = _as_control_pairs(controls, len(controls))
     nominal = np.zeros((1, len(controls), 4))
-    return _trace_objective(uav, belief, scenario, nominal)(flat)
+    return _trace_objective(uav, belief, scenario, nominal)([flat])[0]
 
 
 # PCG64's 128-bit LCG multiplier, for its seeding step (``pcg64_srandom_r``).
@@ -306,7 +371,7 @@ def scenario_objective_terms(
     """Per-future accumulated covariance traces for the sampled objective."""
     flat = _as_control_pairs(controls, config.horizon)
     process_raw = _frozen_draws(config, config.horizon, rng)
-    return _trace_terms(uav, belief, scenario, process_raw)(flat)
+    return _trace_terms(uav, belief, scenario, process_raw)([flat])[0]
 
 
 def objective_mhp(
@@ -335,12 +400,15 @@ def plan_step(
     control always respects the actuator limits.  Sampled futures are drawn
     once and reused for every evaluation (common random numbers), which
     keeps the objective deterministic during the search.  At most
-    ``eval_budget`` candidates are scored: first the straight-flight guess,
+    ``eval_budget`` candidates are counted: first the straight-flight guess,
     then Nelder-Mead searches, each started while the budget left covers a
-    full initial simplex plus one step.  After each search, the next one
-    starts from the best point so far, perturbed by the supplied generator.
-    Returns the first control of the best sequence found (the initial
-    straight-flight guess if nothing strictly improves on it).
+    full initial simplex plus one step.  A batch the search yields is cut
+    to the budget left and scored in one call.  The first simplex's vertex
+    0 is the straight-flight guess again: it counts, but its score is
+    reused.  After each search, the next one starts from the best point so
+    far, perturbed by the supplied generator.  Returns the first control of
+    the best sequence found, in scoring order (the initial straight-flight
+    guess if nothing strictly improves on it).
     """
     horizon = config.horizon
     dim = 2 * horizon
@@ -353,22 +421,30 @@ def plan_step(
     score = _trace_objective(uav, belief, scenario, process_raw)
 
     best_y = np.zeros(dim)
-    best_value = score((best_y * scales).tolist())
+    (best_value,) = score([[0.0] * dim])
     evals = 1
+    guess_value = best_value  # until the first simplex reuses it as vertex 0's
     start = best_y
     while config.eval_budget - evals >= dim + 2:
         search = _nelder_mead(_initial_simplex(start, 0.25), xatol=1e-3, fatol=1e-9)
-        value = None
+        values = None
         while evals < config.eval_budget:
             try:
-                y = search.send(value)
+                points = search.send(values)
             except StopIteration:
                 break
-            y = np.minimum(np.maximum(y, -1.0), 1.0)
-            value = score((y * scales).tolist())
-            evals += 1
-            if value < best_value:
-                best_value, best_y = value, y
+            batch = np.minimum(np.maximum(points, -1.0), 1.0).reshape(-1, dim)[: config.eval_budget - evals]
+            if guess_value is None:
+                values = score((batch * scales).tolist())
+            else:
+                values = [guess_value] + score((batch[1:] * scales).tolist())
+                guess_value = None
+            evals += len(batch)
+            for i, value in enumerate(values):
+                if value < best_value:
+                    best_value, best_y = value, batch[i]
+            if points.ndim == 1:
+                (values,) = values
         start = np.clip(best_y + rng.uniform(-0.2, 0.2, size=dim), -1.0, 1.0)
 
     best = best_y * scales
@@ -387,33 +463,35 @@ def _initial_simplex(center: np.ndarray, step: float) -> np.ndarray:
 def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
     """Nelder-Mead from an initial simplex, as a generator of points to score.
 
-    Yields each point as a new array, which the caller may keep but must not
-    modify, and takes its value through ``send``.  Returns once the simplex
-    has converged: every vertex within ``xatol`` of the best in each
-    coordinate and every value within ``fatol``.  The caller owns the
-    evaluation budget and simply stops sending.  The steps, their arithmetic
-    and the ``np.argsort`` orderings (not stable past 16 vertices) are those
-    of scipy's ``_minimize_neldermead`` without bounds and not adaptive
-    (rho = 1, chi = 2, psi = sigma = 0.5), so the evaluated points match
-    scipy's bit for bit (Nelder & Mead, "A simplex method for function
-    minimization", 1965).
+    Yields the initial simplex as one (n + 1, n) array and each shrink's n
+    new vertices as one (n, n) array, and takes their values back through
+    ``send`` as a sequence in row order; yields each reflection, expansion
+    and contraction point as an (n,) array and takes its one value.  Every
+    yielded array is new, and the caller may keep it but must not modify
+    it.  Returns once the simplex has converged: every vertex within
+    ``xatol`` of the best in each coordinate and every value within
+    ``fatol``.  The caller owns the evaluation budget and simply stops
+    sending.  The steps, their arithmetic and the ``np.argsort`` orderings
+    (not stable past 16 vertices) are those of scipy's
+    ``_minimize_neldermead`` without bounds and not adaptive (rho = 1,
+    chi = 2, psi = sigma = 0.5), so the evaluated points match scipy's bit
+    for bit (Nelder & Mead, "A simplex method for function minimization",
+    1965).
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
     fsim = np.full((n + 1,), np.inf, dtype=float)
-    for k in range(n + 1):
-        fsim[k] = yield sim[k].copy()
+    fsim[:] = yield sim.copy()
     # scipy sorts the first simplex twice; with ties the passes can differ.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)  # cheaper than fancy indexing on rows
+        fsim = fsim[ind]
 
-    while not (
-        np.abs(sim[1:] - sim[0]).max() <= xatol
-        and np.abs(fsim[0] - fsim[1:]).max() <= fatol
-    ):
+    # fsim is sorted with any NaN last, so fsim[-1] - fsim[0] is the largest
+    # |fsim[0] - fsim[j]|, or NaN where that is NaN: the same test as scipy's.
+    while not (fsim[-1] - fsim[0] <= fatol and np.abs(sim[1:] - sim[0]).max() <= xatol):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
         fxr = yield xr
@@ -438,9 +516,8 @@ def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = yield sim[j].copy()
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:].copy()
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim[ind]

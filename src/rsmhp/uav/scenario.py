@@ -6,7 +6,7 @@ levels, initial conditions, and the master seed that derives every stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -28,7 +28,9 @@ class ScenarioConfig:
     finite.  ``gravity`` is a constant of the class, not a field.
     ``target_root`` is derived, not passed: the lower Cholesky factor of
     ``target_cov + 1e-12 I``, from which an episode draws its initial
-    target state.  A ``target_cov`` without one is rejected.
+    target state.  A ``target_cov`` without one is rejected, and so are
+    ``sigma0``, ``eta`` and ``process_intensity`` all 0.  Configs compare
+    equal when every compared field, the arrays included, is equal by value.
     """
 
     dt: float = 1.0
@@ -71,6 +73,10 @@ class ScenarioConfig:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.process_intensity < 0.0:
             raise ValueError(f"process_intensity must be nonnegative, got {self.process_intensity}")
+        if self.sigma0 == 0.0 and self.eta == 0.0 and self.process_intensity == 0.0:
+            # A noiseless sensor on a noiseless target: the filter's position
+            # variance collapses to 0, and with it the innovation variance.
+            raise ValueError("sigma0, eta and process_intensity are all 0: no episode can filter without noise")
         mean = np.array(self.target_mean, dtype=float)
         if mean.shape != (4,):
             raise ValueError(f"target_mean must be a 4-vector, got shape {mean.shape}")
@@ -86,3 +92,16 @@ class ScenarioConfig:
         object.__setattr__(self, "target_cov", cov)
         object.__setattr__(self, "target_root", root)
         object.__setattr__(self, "uav_position", tuple(float(v) for v in self.uav_position))
+
+    def __eq__(self, other) -> bool:
+        # The generated __eq__ compares fields inside a tuple, where the
+        # elementwise == of the array fields has no truth value.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def _compared(self) -> tuple:
+        return tuple(
+            value.tolist() if isinstance(value, np.ndarray) else value
+            for value in (getattr(self, f.name) for f in fields(self) if f.compare)
+        )

@@ -44,16 +44,23 @@ def _scipy_points(fun, simplex, budget):
 
 
 def _generator_points(fun, simplex, budget):
-    """Evaluated points, and whether the search returned before the budget ran out."""
+    """Evaluated points, and whether the search returned before the budget ran out.
+
+    A yielded 2-D array is a batch of points, cut to the budget left and
+    answered with one value per scored row; a 1-D array is one point.
+    """
     search = _nelder_mead(simplex, xatol=XATOL, fatol=FATOL)
-    points, value = [], None
+    points, values = [], None
     while len(points) < budget:
         try:
-            x = search.send(value)
+            x = search.send(values)
         except StopIteration:
             return points, True
-        points.append(x.copy())
-        value = fun(x)
+        batch = x.reshape(-1, x.shape[-1])[: budget - len(points)]
+        points.extend(row.copy() for row in batch)
+        values = [fun(row) for row in batch]
+        if x.ndim == 1:
+            (values,) = values
     return points, False
 
 
@@ -129,9 +136,9 @@ def _count_evaluations(monkeypatch):
     def counted(*args):
         totals = trace_objective(*args)
 
-        def wrapped(flat):
-            calls.append(list(flat))
-            return totals(flat)
+        def wrapped(candidates):
+            calls.extend(list(flat) for flat in candidates)
+            return totals(candidates)
 
         return wrapped
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsmhp.uav import (
@@ -223,30 +223,119 @@ _axes = st.tuples(
 def test_one_future_float_kernel_equals_the_numpy_kernel(
     x_axis, y_axis, dt, eta, sigma0, intensity, horizon, reach, seed
 ):
+    # A scenario rejects a noiseless sensor on a noiseless target.
+    assume(sigma0 > 0.0 or eta > 0.0 or intensity > 0.0)
     sc = ScenarioConfig(dt=dt, eta=eta, sigma0=sigma0, process_intensity=intensity)
     belief = TargetBelief.from_axes(x_axis, y_axis)
     uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
     rng = np.random.default_rng(seed)
     process_raw = rng.standard_normal((1, horizon, 4))
     flat = (rng.uniform(-reach, reach, (horizon, 2)) * [sc.accel_max, sc.bank_max]).ravel().tolist()
-    # sigma0 = eta = 0 is noiseless sensing, where P_pp + r can reach 0 and
-    # both kernels give NaN.
+    # Extreme inputs can overflow to inf or NaN, where both kernels must
+    # give the same non-finite value.
     with np.errstate(invalid="ignore", divide="ignore"):
-        value = planning._trace_objective(uav, belief, sc, process_raw)(flat)
-        expected = planning._trace_terms(uav, belief, sc, process_raw)(flat)[0]
+        (value,) = planning._trace_objective(uav, belief, sc, process_raw)([flat])
+        expected = planning._trace_terms(uav, belief, sc, process_raw)([flat])[0, 0]
     assert type(value) is float
     assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 def test_one_future_float_kernel_matches_numpy_at_zero_innovation_variance():
-    # No prior, process or sensor noise: P_pp + r is 0 and numpy's kernel
-    # divides 0 by 0; the float kernel must give its NaN rather than raise.
-    sc = ScenarioConfig(sigma0=0.0, eta=0.0, process_intensity=0.0)
-    belief = TargetBelief(np.array([600.0, 400.0, 5.0, 0.0]), np.zeros((4, 4)))
-    uav = UavState(position=np.zeros(2), heading=0.0, speed=30.0)
+    # No prior or process noise, no sensor floor, and a vehicle flying
+    # straight over a target moving at its speed: the range is 0, so r is 0,
+    # P_pp + r is 0 and numpy's kernel divides 0 by 0; the float kernel must
+    # give its NaN rather than raise.
+    sc = ScenarioConfig(sigma0=0.0, process_intensity=0.0)
+    belief = TargetBelief(np.array([600.0, 400.0, 10.0, 0.0]), np.zeros((4, 4)))
+    uav = UavState(position=np.array([600.0, 400.0]), heading=0.0, speed=10.0)
     process_raw = np.zeros((1, 3, 4))
-    flat = [1.0, 0.1] * 3
+    flat = [0.0, 0.0] * 3
+    targets = planning._target_paths(belief, sc, process_raw)[:, :, 0].T
+    assert np.array_equal(planning._planned_path(uav, flat, sc), targets)
     with np.errstate(invalid="ignore", divide="ignore"):
-        expected = planning._trace_terms(uav, belief, sc, process_raw)(flat)[0]
-        value = planning._trace_objective(uav, belief, sc, process_raw)(flat)
+        expected = planning._trace_terms(uav, belief, sc, process_raw)([flat])[0, 0]
+        (value,) = planning._trace_objective(uav, belief, sc, process_raw)([flat])
     assert np.isnan(expected) and np.isnan(value)
+
+
+# ------------------------------------------------------------ batched scoring
+
+
+def _per_axis_totals(uav, belief, sc, process_raw, flat):
+    """Per-future totals of both axes' recursions, each run in full on floats, (n,)."""
+    targets = planning._target_paths(belief, sc, process_raw)
+    path = planning._planned_path(uav, flat, sc)
+    noise_vars = sc.sigma0**2 + sc.eta * np.square(targets - path.T[:, :, None]).sum(axis=0)
+    q = target_process_cov(sc.process_intensity, sc.dt)
+    totals = []
+    for r_future in noise_vars.T.tolist():
+        axis_totals = []
+        for _, _, pp, pv, vv in belief.axes:
+            acc_pp = acc_vv = 0.0
+            for r in r_future:
+                pp, pv = pp + sc.dt * pv, pv + sc.dt * vv
+                pp, pv, vv = pp + sc.dt * pv + q[0, 0], pv + q[0, 2], vv + q[2, 2]
+                s = pp + r
+                vv -= pv / s * pv
+                pp, pv = pp * (r / s), pv * (r / s)
+                acc_pp += pp
+                acc_vv += vv
+            axis_totals.append(acc_pp + acc_vv)
+        totals.append(axis_totals[0] + axis_totals[1])
+    return np.array(totals)
+
+
+# Per-axis (P_pp, P_pv, P_vv) blocks: a shared one, one with its P_pv's sign
+# of zero flipped on the other axis, or two independent ones.
+_zero_pv = st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)).map(lambda b: (b[0], 0.0, b[1]))
+_block = st.tuples(st.floats(1e-3, 1e6), st.floats(-0.99, 0.99), st.floats(1e-3, 1e6)).map(
+    lambda b: (b[0], b[1] * math.sqrt(b[0] * b[2]), b[2])
+)
+_block_pairs = (
+    _block.map(lambda b: (b, b))
+    | _zero_pv.map(lambda b: (b, (b[0], -0.0, b[2])))
+    | _zero_pv.map(lambda b: ((b[0], -0.0, b[2]), b))
+    | st.tuples(_block, _block)
+)
+
+
+@given(
+    blocks=_block_pairs,
+    n=st.sampled_from([1, 2, 5, 50]),
+    k=st.integers(1, 14),
+    sc=st.sampled_from(SCENARIOS),
+    horizon=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_scores_equal_each_candidates_own_score(blocks, n, k, sc, horizon, seed):
+    x_block, y_block = blocks
+    belief = TargetBelief.from_axes((500.0, -3.0) + x_block, (250.0, 6.0) + y_block)
+    uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
+    rng = np.random.default_rng(seed)
+    process_raw = rng.standard_normal((n, horizon, 4))
+    candidates = (rng.uniform(-1.0, 1.0, (k, horizon, 2)) * [sc.accel_max, sc.bank_max]).reshape(k, -1).tolist()
+    terms = planning._trace_terms(uav, belief, sc, process_raw)
+    batched = terms(candidates)
+    assert batched.shape == (k, n)
+    score = planning._trace_objective(uav, belief, sc, process_raw)
+    scores = score(candidates)
+    assert len(scores) == k and all(type(value) is float for value in scores)
+    for flat, row, value in zip(candidates, batched, scores):
+        assert row.tobytes() == terms([flat])[0].tobytes()
+        assert row.tobytes() == _per_axis_totals(uav, belief, sc, process_raw, flat).tobytes()
+        assert value == score([flat])[0] == planning._future_mean(row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 50, 127, 128, 129, 250, 1000])
+def test_row_future_means_equal_each_rows_future_mean(n):
+    rng = np.random.default_rng(n)
+    terms = np.concatenate([
+        rng.uniform(50.0, 5000.0, (3, n)),
+        np.exp(rng.uniform(-30.0, 30.0, (3, n))),
+        np.full((1, n), 1234.5678),
+    ])
+    means = planning._future_means(terms)
+    assert means.shape == (terms.shape[0],)
+    assert [float(m) for m in means] == [planning._future_mean(row) for row in terms]
+    assert means[-1] == 1234.5678

@@ -33,6 +33,7 @@ from rsmhp.uav import (
     target_transition_matrix,
     uav_step,
 )
+from rsmhp.uav import simulate
 from rsmhp.uav.planning import _frozen_draws, _planned_path
 
 
@@ -590,6 +591,24 @@ def test_episode_zero_sensor_noise_gives_negligible_error():
     assert errors.max() < 1e-9
 
 
+def test_episode_belief_keeps_equal_axis_blocks_under_an_isotropic_scenario(monkeypatch):
+    # The planner runs one covariance recursion for axes whose blocks are
+    # equal bit for bit; under the default scenario every step's are.
+    beliefs = []
+
+    def recording(uav, belief, *args):
+        beliefs.append(belief)
+        return plan_step(uav, belief, *args)
+
+    monkeypatch.setattr(simulate, "plan_step", recording)
+    sc = _small_scenario(n_steps=20)
+    run_episode(sc, _small_planner(), run_index=1)
+    assert len(beliefs) == sc.n_steps
+    for belief in beliefs:
+        (_, _, *x_block), (_, _, *y_block) = belief.axes
+        assert np.array(x_block).tobytes() == np.array(y_block).tobytes()
+
+
 def test_episode_error_trace_reproducible():
     sc = _small_scenario()
     cfg = _small_planner(
@@ -647,6 +666,21 @@ def test_scenario_target_root_is_the_cholesky_factor():
     cov[0, 2] = cov[2, 0] = 30.0
     root = ScenarioConfig(target_cov=cov).target_root
     assert np.array_equal(root, np.linalg.cholesky(cov + 1e-12 * np.eye(4)))
+
+
+def test_scenario_rejects_a_noiseless_sensor_on_a_noiseless_target():
+    with pytest.raises(ValueError, match="sigma0, eta and process_intensity are all 0"):
+        ScenarioConfig(sigma0=0.0, eta=0.0, process_intensity=0.0)
+    for field in ("sigma0", "eta", "process_intensity"):
+        ScenarioConfig(**{name: 0.0 for name in ("sigma0", "eta", "process_intensity") if name != field})
+
+
+def test_scenarios_compare_by_value():
+    assert ScenarioConfig() == ScenarioConfig()
+    assert ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 16.0])) == ScenarioConfig()
+    assert ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 25.0])) != ScenarioConfig()
+    assert ScenarioConfig(target_mean=np.array([600.0, 400.0, 5.0, 1.0])) != ScenarioConfig()
+    assert ScenarioConfig(eta=1e-3) != ScenarioConfig()
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 2), (2, 3)])
