@@ -44,9 +44,10 @@ class LinearModel:
     """Linear dynamics x' = A x + B u + w with linear stage cost c'x + d'u.
 
     The noise is zero-mean Gaussian with covariance ``noise_cov`` (positive
-    semidefinite; symmetric within 1e-12).  ``cost_state`` and
-    ``cost_control`` are the row vectors c and d.  Every entry must be
-    finite.
+    semidefinite; symmetric within 1e-12); ``linear_stochastic_model``,
+    unlike ``var_p``, needs it positive definite or exactly zero.
+    ``cost_state`` and ``cost_control`` are the row vectors c and d.  Every
+    entry must be finite.
     """
 
     def __init__(self, a_matrix, b_matrix, cost_state, cost_control, noise_cov, horizon: int) -> None:
@@ -243,7 +244,8 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     shifts the mean.)  The expected cost therefore equals the nominal-path
     cost, and estimate_nbo gives the exact expectation.  The noise is
     Gaussian, or the one-point law at zero when ``noise_cov`` is exactly
-    zero.
+    zero; any other singular ``noise_cov`` has no Gaussian to draw from and
+    raises ValueError naming it.
 
     Every product (A x, B u, c'x, d'u) is a sum of elementwise products
     taken in column order (``_products``), as ``GaussianNoise.sample_batch``
@@ -261,7 +263,10 @@ def linear_stochastic_model(model: LinearModel, initial_state) -> StochasticMode
     if not model.noise_cov.any():
         noise = DiscreteNoise(np.zeros((1, model.state_dim)), [1.0])
     else:
-        noise = GaussianNoise(np.zeros(model.state_dim), model.noise_cov)
+        try:
+            noise = GaussianNoise(np.zeros(model.state_dim), model.noise_cov)
+        except ValueError:
+            raise ValueError("noise_cov must be positive definite or exactly zero to draw from") from None
 
     def transition(xs, u, ws):
         out = _products(xs, a_matrix)

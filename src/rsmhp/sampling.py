@@ -176,9 +176,9 @@ def _grow_tree(
     model: StochasticModel,
     controls,
     config: SamplerConfig,
-    prune_to: int | None,
     log: list[PruneRecord] | None,
 ) -> TrajectorySet:
+    """Grow the tree of every tree sampler, pruned to ``config.prune_width`` per depth when it is set."""
     u = as_controls(model, controls)
     horizon = model.horizon
     n_branch = config.branch_factor
@@ -186,7 +186,7 @@ def _grow_tree(
     seeds = config.replication_seeds
     n_reps = len(seeds)
 
-    if prune_to is None and n_reps * n_branch ** max(horizon - 1, 0) > _TREE_CAP:
+    if config.prune_width is None and n_reps * n_branch ** max(horizon - 1, 0) > _TREE_CAP:
         raise TreeSizeError(
             f"unpruned tree has {n_reps} x {n_branch}^{horizon - 1} trajectories, over the cap "
             f"{_TREE_CAP}; use sample_tree_pruned or sample_independent"
@@ -232,14 +232,14 @@ def _grow_tree(
         paths[:, level] = np.tile(np.arange(n_branch, dtype=np.intp), count)
         states = children
 
-        if prune_to is not None and per_rep > prune_to:
+        if config.prune_width is not None and per_rep > config.prune_width:
             # Within each replication, rank by likeliness descending, ties
             # by branch digits (most significant first); lexsort keys go
             # least to most significant, so the replication index comes last.
             keys = tuple(paths[:, col] for col in range(level, -1, -1))
             replication = np.repeat(np.arange(n_reps, dtype=np.intp), per_rep)
             order = np.lexsort(keys + (-likeliness, replication))
-            kept = order.reshape(n_reps, per_rep)[:, :prune_to].ravel()
+            kept = order.reshape(n_reps, per_rep)[:, :config.prune_width].ravel()
             if log is not None:
                 log.append(
                     PruneRecord(
@@ -274,7 +274,7 @@ def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> Traj
     """
     if config.prune_width is not None:
         raise ValueError("sample_tree requires prune_width=None; use sample_tree_pruned")
-    return _grow_tree(model, controls, config, prune_to=None, log=None)
+    return _grow_tree(model, controls, config, log=None)
 
 
 def sample_tree_pruned(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
@@ -290,7 +290,7 @@ def sample_tree_pruned(model: StochasticModel, controls, config: SamplerConfig) 
     """
     if config.prune_width is None:
         raise ValueError("sample_tree_pruned requires prune_width to be set")
-    return _grow_tree(model, controls, config, prune_to=config.prune_width, log=None)
+    return _grow_tree(model, controls, config, log=None)
 
 
 def sample_tree_pruned_logged(
@@ -307,7 +307,7 @@ def sample_tree_pruned_logged(
         raise ValueError("sample_tree_pruned_logged takes a single replication, got "
                          f"{len(config.seeds)} seeds")
     log: list[PruneRecord] = []
-    out = _grow_tree(model, controls, config, prune_to=config.prune_width, log=log)
+    out = _grow_tree(model, controls, config, log=log)
     return out, log
 
 

@@ -9,8 +9,9 @@ which is what couples vehicle motion to tracking quality.
 
 The step functions read every world parameter (time step, speed bounds,
 noise levels) from the episode's ``ScenarioConfig``, which validates them
-once; none has a default of its own.  Gravity is the constant ``GRAVITY``,
-read as the class attribute ``ScenarioConfig.gravity``.
+once and derives the process covariance's factor from them; none has a
+default of its own.  Gravity is the constant ``GRAVITY``, read as the
+class attribute ``ScenarioConfig.gravity``.
 """
 from __future__ import annotations
 
@@ -112,17 +113,14 @@ def target_process_cov(intensity: float, dt: float) -> np.ndarray:
 
 
 def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator):
-    """Advance the true target state with sampled process noise."""
-    dt = scenario.dt
-    intensity = scenario.process_intensity
-    state = np.asarray(state, dtype=float)
-    f = target_transition_matrix(dt)
-    mean = f @ state
-    if intensity == 0.0:
+    """Advance the true target state with process noise scaled by ``scenario.process_root``.
+
+    At ``process_intensity`` 0 the step is the noiseless prediction and draws nothing.
+    """
+    mean = target_transition_matrix(scenario.dt) @ np.asarray(state, dtype=float)
+    if scenario.process_intensity == 0.0:
         return mean
-    cov = target_process_cov(intensity, dt)
-    root = np.linalg.cholesky(cov)
-    return mean + root @ rng.standard_normal(4)
+    return mean + scenario.process_root @ rng.standard_normal(4)
 
 
 def sensor_cov(uav_position, target_position, scenario: ScenarioConfig) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .._checks import check_finite
-from .dynamics import target_process_cov
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -104,16 +103,16 @@ class TargetBelief:
 
 
 def kalman_predict(belief: TargetBelief, scenario: ScenarioConfig) -> TargetBelief:
-    """Time update: constant-velocity transition plus the scenario's process noise."""
+    """Time update: constant-velocity transition plus the scenario's per-axis ``process_block``."""
     dt = scenario.dt
-    q = target_process_cov(scenario.process_intensity, dt).tolist()
+    q_pp, q_pv, q_vv = scenario.process_block
     axes = []
     for p, v, pp, pv, vv in belief.axes:
         # F P F' with F = [[1, dt], [0, 1]]: (F P) first, then (F P) F'.
         pp += dt * pv
         pv += dt * vv
         pp += dt * pv
-        axes.append((p + dt * v, v, pp + q[0][0], pv + q[0][2], vv + q[2][2]))
+        axes.append((p + dt * v, v, pp + q_pp, pv + q_pv, vv + q_vv))
     return TargetBelief.from_axes(*axes)
 
 

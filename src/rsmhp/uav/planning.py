@@ -22,9 +22,12 @@ evaluation is the vehicle path, the noise variances, and H steps of the
 Kalman covariance recursion.  A ``TargetBelief`` has no cross-axis
 covariance, so with a position sensor of isotropic noise that recursion
 splits into two independent per-axis recursions over (P_pp, P_pv, P_vv).
-Axes whose blocks are equal bit for bit run the same recursion, which is
-then run once: an isotropic prior under an isotropic sensor stays so.
-The first predict reads only the prior and is done once per objective.
+The first predict reads only the prior, so it is the filter's own
+``kalman_predict``, done once per objective.  Axes whose predicted blocks
+are equal bit for bit run the same recursion, which is then run once: an
+isotropic prior under an isotropic sensor stays so.  The target model's
+constants (the process covariance's Cholesky factor and its per-axis
+block) are read from the ``ScenarioConfig``, which derives them once.
 
 Two kernels run that recursion.  ``_trace_terms`` holds every future of
 every candidate in numpy arrays, the candidates' futures stacked on one
@@ -33,11 +36,12 @@ Python floats, one candidate after another, and serves one future (the
 nominal objective, or any planner with ``n_trajectories = 1``): there
 every numpy call would work on a few lanes and cost its call overhead,
 several times the float arithmetic.  ``_trace_objective`` picks the
-kernel by the number of futures.  The float kernel does the numpy
-kernel's rounded operations in its order, and elementwise numpy never
-fuses a multiply and an add, so the two give the same bits.  Every
-operation is elementwise, so a candidate's score does not depend on the
-other candidates of its call.
+kernel by the number of futures.  Both take the vehicle path from
+``_planned_path``.  The float kernel does the numpy kernel's rounded
+operations in its order, and elementwise numpy never fuses a multiply and
+an add, so the two give the same bits.  Every operation is elementwise,
+so a candidate's score does not depend on the other candidates of its
+call.
 """
 from __future__ import annotations
 
@@ -50,8 +54,8 @@ import numpy as np
 
 from .._checks import check_int, check_seed
 from .._seeds import seed_states
-from .dynamics import UavControl, target_process_cov, target_transition_matrix, uav_step_floats
-from .filtering import TargetBelief
+from .dynamics import UavControl, target_transition_matrix, uav_step_floats
+from .filtering import TargetBelief, kalman_predict
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -104,25 +108,20 @@ def _as_control_pairs(controls, horizon: int) -> list:
     return flat
 
 
-def _planned_path(uav, flat_controls, scenario, out=None) -> np.ndarray:
-    """Vehicle positions after each of the H planned steps, shape (H, 2).
+def _planned_path(uav, flat_controls, scenario) -> list:
+    """Vehicle (x, y) float pairs after each of the H planned steps.
 
     The steps are ``uav_step_floats``, the episode's own kinematics, on
     Python floats since the path does not depend on the sampled futures and
-    sits inside the optimizer's inner loop.  The path is written into
-    ``out`` when one is given.
+    sits inside the optimizer's inner loop.
     """
     x, y = uav.position.tolist()
-    heading = uav.heading
-    speed = uav.speed
+    heading, speed = uav.heading, uav.speed
     path = []
     for accel, bank in zip(flat_controls[0::2], flat_controls[1::2]):
         x, y, heading, speed = uav_step_floats(x, y, heading, speed, accel, bank, scenario)
         path.append((x, y))
-    if out is None:
-        return np.array(path)
-    out[...] = path
-    return out
+    return path
 
 
 def _target_paths(belief, scenario, process_raw) -> np.ndarray:
@@ -133,14 +132,10 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
     """
     n, horizon, _ = process_raw.shape
     f = target_transition_matrix(scenario.dt)
-    if scenario.process_intensity > 0.0:
-        q_root = np.linalg.cholesky(target_process_cov(scenario.process_intensity, scenario.dt))
-    else:
-        q_root = np.zeros((4, 4))
     truths = np.broadcast_to(belief.mean, (n, 4))
     paths = np.empty((2, horizon, n))
     for k in range(horizon):
-        truths = truths @ f.T + process_raw[:, k] @ q_root.T
+        truths = truths @ f.T + process_raw[:, k] @ scenario.process_root.T
         paths[:, k] = truths[:, :2].T
     return paths
 
@@ -148,25 +143,17 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
 def _first_predicts(belief, scenario):
     """The distinct per-axis blocks after the first predict, and each axis's block index.
 
-    Returns ([(P_pp, P_pv, P_vv), ...], (x index, y index)).  Axes whose
-    prior blocks are equal bit for bit (an isotropic prior under an
-    isotropic sensor stays so) run the same recursion, so it is run once:
-    one block and indices (0, 0).  The first predict reads only the prior,
-    so it is the same for every future and candidate.  It rounds as the
-    kernels' predict does: (F P) first, then (F P) F', then + Q.
+    Returns ([(P_pp, P_pv, P_vv), ...], (x index, y index)).  The first
+    predict is ``kalman_predict``: it reads only the prior, so it is the
+    same for every future and candidate, and the kernels' later predicts
+    round as it does.  Axes whose predicted blocks are equal bit for bit
+    (an isotropic prior under an isotropic sensor stays so) run the same
+    recursion, so it is run once: one block and indices (0, 0).
     """
-    q = target_process_cov(scenario.process_intensity, scenario.dt).tolist()
-    dt = scenario.dt
-    blocks = [axis[2:] for axis in belief.axes]
+    blocks = [axis[2:] for axis in kalman_predict(belief, scenario).axes]
     if struct.pack("3d", *blocks[0]) == struct.pack("3d", *blocks[1]):
-        blocks, rows = blocks[:1], (0, 0)
-    else:
-        rows = (0, 1)
-    predicted = []
-    for pp, pv, vv in blocks:
-        pp, pv = pp + dt * pv, pv + dt * vv
-        predicted.append((pp + dt * pv + q[0][0], pv + q[0][2], vv + q[2][2]))
-    return predicted, rows
+        return blocks[:1], (0, 0)
+    return blocks, (0, 1)
 
 
 def _trace_terms(uav, belief, scenario, process_raw):
@@ -187,8 +174,7 @@ def _trace_terms(uav, belief, scenario, process_raw):
     # Rows P_pp, P_pv, P_vv by distinct axis block; each is spread over its
     # block's lanes per call.
     first = np.array(predicted).T
-    q = target_process_cov(scenario.process_intensity, scenario.dt)
-    q_entries = np.array([[q[0, 0]], [q[0, 2]], [q[2, 2]]])
+    q_entries = np.array(scenario.process_block)[:, None]
     dt = scenario.dt
     sigma0_sq = scenario.sigma0**2
     eta = scenario.eta
@@ -196,9 +182,7 @@ def _trace_terms(uav, belief, scenario, process_raw):
     def totals(candidates) -> np.ndarray:
         k = len(candidates)
         lanes = k * n
-        paths = np.empty((k, horizon, 2))
-        for flat, path in zip(candidates, paths):
-            _planned_path(uav, flat, scenario, path)
+        paths = np.array([_planned_path(uav, flat, scenario) for flat in candidates])
         # (2, H, k, n): axis by step by candidate by future.
         delta = targets - paths.transpose(2, 1, 0)[:, :, :, None]
         np.square(delta, out=delta)
@@ -242,12 +226,10 @@ def _one_future_totals(uav, belief, scenario, process_raw):
     """
     targets = list(zip(*_target_paths(belief, scenario, process_raw)[:, :, 0].tolist()))
     predicted, (x_row, y_row) = _first_predicts(belief, scenario)
-    q = target_process_cov(scenario.process_intensity, scenario.dt).tolist()
-    q_pp, q_pv, q_vv = q[0][0], q[0][2], q[2][2]
+    q_pp, q_pv, q_vv = scenario.process_block
     dt = scenario.dt
     sigma0_sq = scenario.sigma0**2
     eta = scenario.eta
-    start_x, start_y = uav.position.tolist()
 
     def block_total(pp, pv, vv, noise_vars) -> float:
         acc_pp = acc_vv = 0.0
@@ -268,10 +250,8 @@ def _one_future_totals(uav, belief, scenario, process_raw):
     def totals(candidates) -> list:
         out = []
         for flat in candidates:
-            x, y, heading, speed = start_x, start_y, uav.heading, uav.speed
             noise_vars = []
-            for (target_x, target_y), accel, bank in zip(targets, flat[0::2], flat[1::2]):
-                x, y, heading, speed = uav_step_floats(x, y, heading, speed, accel, bank, scenario)
+            for (target_x, target_y), (x, y) in zip(targets, _planned_path(uav, flat, scenario)):
                 dx, dy = target_x - x, target_y - y
                 noise_vars.append(sigma0_sq + eta * (dx * dx + dy * dy))
             try:
@@ -301,13 +281,8 @@ def _trace_objective(uav, belief, scenario, process_raw):
     return lambda candidates: _future_means(totals(candidates)).tolist()
 
 
-def _future_mean(terms: np.ndarray) -> float:
-    """Average over futures; exactly the common value when all futures agree."""
-    return float(terms[0] + (terms - terms[0]).sum() / terms.size)
-
-
 def _future_means(terms: np.ndarray) -> np.ndarray:
-    """``_future_mean`` of each row of a (k, n) array, in one reduction along the rows."""
+    """Average over futures of each row of a (k, n) array; exactly the common value of a row whose futures agree."""
     return terms[:, 0] + (terms - terms[:, :1]).sum(axis=1) / terms.shape[1]
 
 
@@ -383,7 +358,8 @@ def objective_mhp(
     rng: np.random.Generator,
 ) -> float:
     """Sampled tracking objective: average trace total over drawn futures."""
-    return _future_mean(scenario_objective_terms(uav, belief, controls, scenario, config, rng))
+    terms = scenario_objective_terms(uav, belief, controls, scenario, config, rng)
+    return float(_future_means(terms[None])[0])
 
 
 def plan_step(

@@ -12,7 +12,7 @@ from typing import ClassVar
 import numpy as np
 
 from .._checks import check_finite, check_int, check_seed
-from .dynamics import GRAVITY
+from .dynamics import GRAVITY, target_process_cov
 from .filtering import covariance_axes
 
 __all__ = ["ScenarioConfig"]
@@ -26,11 +26,14 @@ class ScenarioConfig:
     controls how strongly vehicle position matters.  ``process_intensity``
     is the target's white-acceleration power density.  Every float must be
     finite.  ``gravity`` is a constant of the class, not a field.
-    ``target_root`` is derived, not passed: the lower Cholesky factor of
-    ``target_cov + 1e-12 I``, from which an episode draws its initial
-    target state.  A ``target_cov`` without one is rejected, and so are
-    ``sigma0``, ``eta`` and ``process_intensity`` all 0.  Configs compare
-    equal when every compared field, the arrays included, is equal by value.
+    The target model's constants are derived once, not passed: the
+    read-only lower Cholesky factors ``target_root`` of ``target_cov +
+    1e-12 I`` (the initial target draw) and ``process_root`` of the process
+    covariance (zeros at intensity 0), and ``process_block``, that
+    covariance's per-axis (q_pp, q_pv, q_vv).  Configs without these
+    factors are rejected, and so are ``sigma0``, ``eta`` and
+    ``process_intensity`` all 0.  Configs compare and hash equal when every
+    compared field, arrays included, is equal by value.
     """
 
     dt: float = 1.0
@@ -49,6 +52,8 @@ class ScenarioConfig:
     target_cov: np.ndarray = field(default_factory=lambda: np.diag([400.0, 400.0, 16.0, 16.0]))
     master_seed: int = 0
     target_root: np.ndarray = field(init=False, repr=False, compare=False)
+    process_root: np.ndarray = field(init=False, repr=False, compare=False)
+    process_block: tuple = field(init=False, repr=False, compare=False)
     gravity: ClassVar[float] = GRAVITY
 
     def __post_init__(self) -> None:
@@ -86,11 +91,19 @@ class ScenarioConfig:
             root = np.linalg.cholesky(cov + 1e-12 * np.eye(4))
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"target_cov must have a Cholesky factor after adding 1e-12 I: {exc}") from None
-        for array in (mean, cov, root):
+        process = target_process_cov(self.process_intensity, self.dt)
+        try:
+            process_root = np.linalg.cholesky(process) if self.process_intensity > 0.0 else np.zeros((4, 4))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"process_intensity {self.process_intensity!r} is too small to factor") from None
+        for array in (mean, cov, root, process_root):
             array.setflags(write=False)
+        q = process.tolist()
         object.__setattr__(self, "target_mean", mean)
         object.__setattr__(self, "target_cov", cov)
         object.__setattr__(self, "target_root", root)
+        object.__setattr__(self, "process_root", process_root)
+        object.__setattr__(self, "process_block", (q[0][0], q[0][2], q[2][2]))
         object.__setattr__(self, "uav_position", tuple(float(v) for v in self.uav_position))
 
     def __eq__(self, other) -> bool:
@@ -100,8 +113,12 @@ class ScenarioConfig:
             return NotImplemented
         return self._compared() == other._compared()
 
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
     def _compared(self) -> tuple:
+        # Validation fixes the arrays' shapes, so their flat entries are their value.
         return tuple(
-            value.tolist() if isinstance(value, np.ndarray) else value
+            tuple(value.ravel().tolist()) if isinstance(value, np.ndarray) else value
             for value in (getattr(self, f.name) for f in fields(self) if f.compare)
         )

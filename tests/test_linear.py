@@ -88,6 +88,15 @@ def test_tiny_noise_covariance_stays_gaussian():
     assert chi2.ppf(0.0005, n - 1) / (n - 1) < ratio < chi2.ppf(0.9995, n - 1) / (n - 1)
 
 
+def test_singular_noise_covariance_is_rejected_naming_noise_cov():
+    # var_p takes a PSD covariance, but only a positive definite or an
+    # exactly zero one can be simulated.
+    model = LinearModel(np.eye(2), np.ones(2), [1.0, 1.0], 0.0, np.diag([1.0, 0.0]), horizon=3)
+    assert np.isfinite(var_p(model))
+    with pytest.raises(ValueError, match="noise_cov must be positive definite or exactly zero"):
+        linear_stochastic_model(model, [0.0, 0.0])
+
+
 def test_var_p_scalar_hand_value():
     assert var_p(_benchmark()) == pytest.approx(3.25, rel=1e-12)
 

@@ -74,6 +74,11 @@ def _ref_joseph_update(covs, noise_vars):
     return gain, 0.5 * (covs + covs.swapaxes(-1, -2))
 
 
+def _future_mean(terms):
+    """Average over the futures of one row; exactly the common value when all futures agree."""
+    return float(terms[0] + (terms - terms[0]).sum() / terms.size)
+
+
 def _ref_draws(n, horizon, rng):
     seeds = rng.integers(np.iinfo(np.int64).max, size=n)
     blocks = np.array([np.random.default_rng(int(s)).standard_normal((horizon, 6)) for s in seeds])
@@ -264,7 +269,7 @@ def test_one_future_float_kernel_matches_numpy_at_zero_innovation_variance():
 def _per_axis_totals(uav, belief, sc, process_raw, flat):
     """Per-future totals of both axes' recursions, each run in full on floats, (n,)."""
     targets = planning._target_paths(belief, sc, process_raw)
-    path = planning._planned_path(uav, flat, sc)
+    path = np.array(planning._planned_path(uav, flat, sc))
     noise_vars = sc.sigma0**2 + sc.eta * np.square(targets - path.T[:, :, None]).sum(axis=0)
     q = target_process_cov(sc.process_intensity, sc.dt)
     totals = []
@@ -324,7 +329,7 @@ def test_batched_scores_equal_each_candidates_own_score(blocks, n, k, sc, horizo
     for flat, row, value in zip(candidates, batched, scores):
         assert row.tobytes() == terms([flat])[0].tobytes()
         assert row.tobytes() == _per_axis_totals(uav, belief, sc, process_raw, flat).tobytes()
-        assert value == score([flat])[0] == planning._future_mean(row)
+        assert value == score([flat])[0] == _future_mean(row)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 50, 127, 128, 129, 250, 1000])
@@ -337,5 +342,5 @@ def test_row_future_means_equal_each_rows_future_mean(n):
     ])
     means = planning._future_means(terms)
     assert means.shape == (terms.shape[0],)
-    assert [float(m) for m in means] == [planning._future_mean(row) for row in terms]
+    assert [float(m) for m in means] == [_future_mean(row) for row in terms]
     assert means[-1] == 1234.5678

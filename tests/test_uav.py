@@ -1,6 +1,7 @@
 """Tracking case study: kinematics, filter, planner objectives, episodes."""
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -148,6 +149,29 @@ def test_target_sample_mean_matches_noiseless_prediction():
     np.testing.assert_array_less(
         np.abs(draws.mean(axis=0) - predicted), 3.0 * stds / 100.0 + 1e-12
     )
+
+
+def _ref_target_step(state, scenario, rng):
+    """The target step with a Cholesky factor computed per call: the reference."""
+    mean = target_transition_matrix(scenario.dt) @ np.asarray(state, dtype=float)
+    if scenario.process_intensity == 0.0:
+        return mean
+    root = np.linalg.cholesky(target_process_cov(scenario.process_intensity, scenario.dt))
+    return mean + root @ rng.standard_normal(4)
+
+
+@pytest.mark.parametrize("dt, intensity", [(1.0, 2.0), (0.1, 8.0), (0.37, 1e-6), (2.5, 0.0)])
+def test_target_step_is_the_per_call_cholesky_step_bit_for_bit(dt, intensity):
+    sc = ScenarioConfig(dt=dt, process_intensity=intensity)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    state = ref_state = np.array([600.0, 400.0, 5.0, -3.0])
+    for _ in range(50):
+        state, ref_state = target_step(state, sc, rng), _ref_target_step(ref_state, sc, ref_rng)
+        assert state.tobytes() == ref_state.tobytes()
+    # Both draw the same normals, and at intensity 0 none.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if intensity == 0.0:
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 # -------------------------------------------------------------------- sensor
@@ -668,6 +692,23 @@ def test_scenario_target_root_is_the_cholesky_factor():
     assert np.array_equal(root, np.linalg.cholesky(cov + 1e-12 * np.eye(4)))
 
 
+@pytest.mark.parametrize("dt, intensity", [(1.0, 2.0), (0.1, 8.0), (0.37, 1e-6), (2.5, 0.0)])
+def test_scenario_derives_the_process_factor_and_block(dt, intensity):
+    sc = ScenarioConfig(dt=dt, process_intensity=intensity)
+    q = target_process_cov(intensity, dt)
+    root = np.linalg.cholesky(q) if intensity > 0.0 else np.zeros((4, 4))
+    assert sc.process_root.tobytes() == root.tobytes()
+    assert not sc.process_root.flags.writeable
+    assert sc.process_block == (q[0, 0], q[0, 2], q[2, 2])
+    assert all(type(entry) is float for entry in sc.process_block)
+    assert dataclasses.replace(sc, eta=0.0).process_block == sc.process_block
+
+
+def test_scenario_rejects_a_process_intensity_too_small_to_factor():
+    with pytest.raises(ValueError, match="process_intensity 5e-324"):
+        ScenarioConfig(process_intensity=5e-324)
+
+
 def test_scenario_rejects_a_noiseless_sensor_on_a_noiseless_target():
     with pytest.raises(ValueError, match="sigma0, eta and process_intensity are all 0"):
         ScenarioConfig(sigma0=0.0, eta=0.0, process_intensity=0.0)
@@ -681,6 +722,15 @@ def test_scenarios_compare_by_value():
     assert ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 25.0])) != ScenarioConfig()
     assert ScenarioConfig(target_mean=np.array([600.0, 400.0, 5.0, 1.0])) != ScenarioConfig()
     assert ScenarioConfig(eta=1e-3) != ScenarioConfig()
+
+
+def test_scenarios_hash_by_value():
+    cov = np.diag([400.0, 400.0, 16.0, 25.0])
+    assert hash(ScenarioConfig()) == hash(ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 16.0])))
+    assert hash(ScenarioConfig(target_cov=cov)) == hash(ScenarioConfig(target_cov=cov.copy()))
+    table = {ScenarioConfig(): "default", ScenarioConfig(target_cov=cov): "wide"}
+    assert table[ScenarioConfig()] == "default" and table[ScenarioConfig(target_cov=cov)] == "wide"
+    assert ScenarioConfig(target_cov=cov) != ScenarioConfig() and len(table) == 2
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 2), (2, 3)])
