@@ -1,4 +1,4 @@
-"""``SeedSequence`` state words for many seeds in one pass.
+"""Every random stream of the package: seed words, and the generators built from them.
 
 ``np.random.SeedSequence`` is O'Neill's seed_seq hash (``hashmix``,
 ``mix_entropy`` and ``generate_state`` in numpy's ``bit_generator.pyx``):
@@ -6,13 +6,17 @@ wrapping uint32 multiplies, xors and shifts with fixed constants.
 ``seed_states`` runs that arithmetic over an array of seeds with numpy
 uint32 ops, vectorized over the pool words too, so one call makes the same
 few dozen ufunc calls however many seeds it derives, where numpy builds one
-``SeedSequence`` object per seed.
+``SeedSequence`` object per seed.  ``generators`` (PCG64, seeded through
+numpy's ``ISeedSequence`` hook) and ``_Rekeyed`` (Philox, re-keyed through
+its state) build every generator the package draws from out of those words.
 """
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -103,3 +107,59 @@ def seed_states(seeds, keys, n_words: int) -> np.ndarray:
     out <<= 32
     out |= state[0::2]
     return np.ascontiguousarray(out.T)
+
+
+class _Words(ISeedSequence):
+    """A C-contiguous uint64 row of ``seed_states``, which PCG64 reads as it is; any other request raises."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words, asked for {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def generators(seeds, keys) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence(seed, spawn_key=key))`` per row of ``seed_states``' arguments, in turn, bit for bit."""
+    return (np.random.Generator(np.random.PCG64(_Words(words))) for words in seed_states(seeds, keys, 4))
+
+
+class _Rekeyed:
+    """A Philox stream per row of ``philox_keys`` (n, 2), in turn: a noise law's ``streams``.
+
+    A row is the key a ``SeedSequence`` gives Philox, ``generate_state(2,
+    np.uint64)``; ``seed_states`` derives the rows of many seeds and keys in
+    one pass.  Each pass over the streams re-keys one Philox generator per
+    row, with its counter and buffer reset, which draws the same values as a
+    fresh one at about a tenth of the set-up cost.  The re-key stays per
+    replication, since each replication's values must come from its own key
+    in sequence; only the transform of the draws is shared.  So a yielded
+    stream is one-shot: it is valid only until the next one is taken.
+    """
+
+    def __init__(self, philox_keys: np.ndarray) -> None:
+        self.philox_keys = philox_keys
+
+    def __len__(self) -> int:
+        return len(self.philox_keys)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        bit_generator = np.random.Philox(0)
+        stream = np.random.Generator(bit_generator)
+        # A fresh generator's state with plain ints, which the state setter
+        # reads several times faster than numpy arrays.
+        key = [0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for row in self.philox_keys.tolist():
+            key[:] = row
+            bit_generator.state = state
+            yield stream

@@ -81,10 +81,10 @@ def _map(fn, items, workers: int) -> list:
 
 
 def _derived_seeds(master_seed: int, index: int, count: int) -> list[int]:
-    """Task seeds ``SeedSequence(master_seed, spawn_key=(index, i))`` for i < ``count``.
+    """Task seeds of ``master_seed`` with spawn keys ``(index, i)`` for i < ``count``.
 
-    Each is the sequence's first 64-bit state word, equal to numpy's bit for
-    bit; ``seed_states`` derives all ``count`` of them in one pass.
+    Each is the first 64-bit state word of numpy's ``SeedSequence`` of that
+    seed and key, bit for bit; ``seed_states`` derives them in one pass.
     """
     keys = np.column_stack([np.full(count, index), np.arange(count)])
     return seed_states(master_seed, keys, 1)[:, 0].tolist()

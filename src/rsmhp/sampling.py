@@ -16,12 +16,12 @@ ranks within each replication.  The estimators take the replication count as
 
 Every scheme steps its whole population of paths, all replications at once,
 through the model's row-stacked callables, with the checked stepping code of
-``model``.  Randomness comes from counter-based Philox streams derived from
-each replication's seed with structured spawn keys (one stream per tree
-depth, one per independent batch), with batch rows assigned positionally to
-nodes, so output is a pure function of the model, controls and config.  At
-each depth one ``sample_batch`` call takes every replication's stream and
-transforms all their draws at once.
+``model``.  Randomness comes from counter-based Philox streams that ``_seeds``
+derives from each replication's seed with structured spawn keys (one stream
+per tree depth, one per independent batch), with batch rows assigned
+positionally to nodes, so output is a pure function of the model, controls
+and config.  At each depth one ``sample_batch`` call takes every
+replication's stream and transforms all their draws at once.
 
 The independent scheme draws, weighs and steps its paths in blocks of at
 most ``_BLOCK_ROWS`` paths, writing each block into output arrays allocated
@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from ._checks import check_int, check_seed, check_seeds
-from ._seeds import seed_states
+from ._seeds import _Rekeyed, seed_states
 from .model import (
     Array,
     StochasticModel,
@@ -131,45 +131,6 @@ class PruneRecord:
     likeliness: Array
     branch_paths: np.ndarray
     kept: np.ndarray
-
-
-class _Rekeyed:
-    """A Philox stream per row of ``philox_keys`` (n, 2), in turn: a noise law's ``streams``.
-
-    A row is the key a ``SeedSequence`` gives Philox, ``generate_state(2,
-    np.uint64)``; ``seed_states`` derives the rows of many seeds and keys in
-    one pass.  Each pass over the streams re-keys one Philox generator per
-    row, with its counter and buffer reset, which draws the same values as a
-    fresh one at about a tenth of the set-up cost.  The re-key stays per
-    replication, since each replication's values must come from its own key
-    in sequence; only the transform of the draws is shared.  So a yielded
-    stream is one-shot: it is valid only until the next one is taken.
-    """
-
-    def __init__(self, philox_keys: np.ndarray) -> None:
-        self.philox_keys = philox_keys
-
-    def __len__(self) -> int:
-        return len(self.philox_keys)
-
-    def __iter__(self) -> Iterator[np.random.Generator]:
-        bit_generator = np.random.Philox(0)
-        stream = np.random.Generator(bit_generator)
-        # A fresh generator's state with plain ints, which the state setter
-        # reads several times faster than numpy arrays.
-        key = [0, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for row in self.philox_keys.tolist():
-            key[:] = row
-            bit_generator.state = state
-            yield stream
 
 
 def _grow_tree(

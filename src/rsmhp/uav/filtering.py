@@ -126,6 +126,7 @@ def kalman_update(belief: TargetBelief, measurement, noise_cov) -> TargetBelief:
     z, r = np.asarray(measurement, dtype=float), np.asarray(noise_cov, dtype=float)
     if z.shape != (2,) or r.shape != (2, 2):
         raise ValueError(f"need a 2-vector measurement and 2x2 noise_cov, got shapes {z.shape} and {r.shape}")
+    check_finite("measurement", z)
     r = r.tolist()
     if r[0][1] != 0.0 or r[1][0] != 0.0:
         raise ValueError(f"noise_cov must be diagonal, got [0,1] = {r[0][1]!r}, [1,0] = {r[1][0]!r}")

@@ -4,7 +4,7 @@ The planner scores a candidate control sequence by the accumulated trace
 of the filter covariance along the planned vehicle path.  Two scorers are
 provided: a nominal one (future noise replaced by its mean, so one target
 future pinned to the noiseless prediction) and a sampled one (average over
-independently drawn target futures).  A budgeted Nelder-Mead search with
+target futures, one child stream each).  A budgeted Nelder-Mead search with
 restarts minimizes the scorer over the flattened (acceleration, bank)
 sequence.  The search is a generator that yields its candidates and takes
 their scores through ``send``, so the caller, not the search, owns the
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._checks import check_int, check_seed
-from .._seeds import seed_states
+from .._seeds import generators
 from .dynamics import UavControl, target_transition_matrix, uav_step_floats
 from .filtering import TargetBelief, kalman_predict
 from .scenario import ScenarioConfig
@@ -298,38 +298,22 @@ def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig)
     return _trace_objective(uav, belief, scenario, nominal)([flat])[0]
 
 
-# PCG64's 128-bit LCG multiplier, for its seeding step (``pcg64_srandom_r``).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
 def _frozen_draws(config: PlannerConfig, horizon: int, rng: np.random.Generator):
-    """Per-future frozen process standard normals (n, H, 4), one sub-seed per future.
+    """Per-future frozen process standard normals (n, H, 4), one child stream per future.
 
-    Each future gets its own child seed, so the first future of an
-    n_trajectories = 2 evaluation is draw-identical to an n_trajectories = 1
-    evaluation started from the same generator state.  Each child stream
-    yields an (H, 6) block whose last two columns are not used: the
-    objective simulates no measurements, and drawing them keeps every
-    future's process draws at the same place in its stream.
-
-    Future i draws what ``np.random.default_rng(seed_i)`` would.  The
-    seeds' ``SeedSequence`` words come from one ``seed_states`` pass, and
-    one PCG64 is re-seeded per future through its ``state`` setter, with
-    PCG64's seeding step (state and increment from the four words) done in
-    Python ints.
+    Future i draws what ``np.random.default_rng(seed_i)`` would, for the
+    i-th child seed drawn off ``rng``; one ``generators`` pass builds the
+    streams.  So the first future of an n_trajectories = 2 evaluation is
+    draw-identical to an n_trajectories = 1 evaluation started from the same
+    generator state.  Each child stream yields an (H, 6) block whose last two
+    columns are not used: the objective simulates no measurements, and
+    drawing them keeps every future's process draws at the same place in
+    its stream.
     """
     seeds = rng.integers(np.iinfo(np.int64).max, size=config.n_trajectories)
-    bit_generator = np.random.PCG64(0)
-    stream = np.random.Generator(bit_generator)
-    state = bit_generator.state
     block = np.empty((horizon, 6))
     process_raw = np.empty((config.n_trajectories, horizon, 4))
-    for i, (w0, w1, w2, w3) in enumerate(seed_states(seeds, (), 4).tolist()):
-        inc = (((w2 << 64 | w3) << 1) | 1) & _MASK128
-        state["state"]["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-        state["state"]["inc"] = inc
-        bit_generator.state = state
+    for i, stream in enumerate(generators(seeds, ())):
         stream.standard_normal(out=block)
         process_raw[i] = block[:, :4]
     return process_raw

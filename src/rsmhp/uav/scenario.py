@@ -82,9 +82,10 @@ class ScenarioConfig:
             # A noiseless sensor on a noiseless target: the filter's position
             # variance collapses to 0, and with it the innovation variance.
             raise ValueError("sigma0, eta and process_intensity are all 0: no episode can filter without noise")
-        mean = np.array(self.target_mean, dtype=float)
-        if mean.shape != (4,):
-            raise ValueError(f"target_mean must be a 4-vector, got shape {mean.shape}")
+        position, mean = np.array(self.uav_position, dtype=float), np.array(self.target_mean, dtype=float)
+        for name, vector, size in (("uav_position", position, 2), ("target_mean", mean, 4)):
+            if vector.shape != (size,):
+                raise ValueError(f"{name} must be a {size}-vector, got shape {vector.shape}")
         covariance_axes(self.target_cov, "target_cov")
         cov = np.array(self.target_cov, dtype=float)
         try:
@@ -104,7 +105,7 @@ class ScenarioConfig:
         object.__setattr__(self, "target_root", root)
         object.__setattr__(self, "process_root", process_root)
         object.__setattr__(self, "process_block", (q[0][0], q[0][2], q[2][2]))
-        object.__setattr__(self, "uav_position", tuple(float(v) for v in self.uav_position))
+        object.__setattr__(self, "uav_position", tuple(position.tolist()))
 
     def __eq__(self, other) -> bool:
         # The generated __eq__ compares fields inside a tuple, where the

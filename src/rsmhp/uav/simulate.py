@@ -1,9 +1,10 @@
 """Closed-loop tracking episodes.
 
 Every stream of randomness is derived from (master seed, run index), and
-planner randomness is derived separately from the planner seed, so two
-studies with different planners but the same scenario seed face identical
-target paths and identical raw measurement noise (common random numbers).
+planner randomness is derived separately from the planner seed, all by
+``_seeds.generators``, so two studies with different planners but the same
+scenario seed face identical target paths and identical raw measurement
+noise (common random numbers).
 Each step's measurement is two standard normals from the measurement
 stream, which ``sensor_measure`` scales by the geometry-dependent standard
 deviation, so the pairing is exact even though planners steer different
@@ -15,22 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import check_int
+from .._seeds import generators
 from .dynamics import UavState, sensor_cov, sensor_measure, target_step, uav_step
 from .filtering import TargetBelief, kalman_predict, kalman_update
 from .planning import PlannerConfig, plan_step
 from .scenario import ScenarioConfig
 
 __all__ = ["run_episode"]
-
-
-def _episode_streams(scenario: ScenarioConfig, run_index: int):
-    root = np.random.SeedSequence(scenario.master_seed, spawn_key=(run_index,))
-    init_seed, process_seed, meas_seed = root.spawn(3)
-    return (
-        np.random.default_rng(init_seed),
-        np.random.default_rng(process_seed),
-        np.random.default_rng(meas_seed),
-    )
 
 
 def run_episode(
@@ -41,12 +34,13 @@ def run_episode(
     Step cycle: measure the target from the current vehicle position,
     update the belief, record the error between the belief mean position
     and the true position, plan, move the vehicle, move the target, predict
-    the belief forward.
+    the belief forward.  The initial-state, process and measurement streams
+    are the ``spawn(3)`` children of (scenario seed, ``run_index``), in that
+    order; ``run_index`` is one spawn-key word, an integer in [0, 2^32).
     """
-    init_rng, process_rng, meas_rng = _episode_streams(scenario, run_index)
-    planner_rng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(run_index,))
-    )
+    check_int("run_index", run_index, 0)
+    init_rng, process_rng, meas_rng = generators(scenario.master_seed, [(run_index, i) for i in range(3)])
+    (planner_rng,) = generators(config.master_seed, (run_index,))
 
     belief = TargetBelief(scenario.target_mean, scenario.target_cov)
     truth = scenario.target_mean + scenario.target_root @ init_rng.standard_normal(4)

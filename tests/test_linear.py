@@ -26,8 +26,8 @@ from rsmhp import (
     sample_independent,
     var_p,
 )
-from rsmhp._seeds import seed_states
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _Rekeyed
+from rsmhp._seeds import _Rekeyed, seed_states
+from rsmhp.sampling import _INDEPENDENT_DOMAIN
 
 
 def _benchmark():

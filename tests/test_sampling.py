@@ -31,8 +31,8 @@ from rsmhp import (
     sample_tree_pruned_logged,
 )
 from rsmhp import sampling
-from rsmhp._seeds import seed_states
-from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _independent_blocks, _Rekeyed
+from rsmhp._seeds import _Rekeyed, seed_states
+from rsmhp.sampling import _INDEPENDENT_DOMAIN, _TREE_DOMAIN, _independent_blocks
 
 
 def _lqg(horizon=2, sigma=1.0):

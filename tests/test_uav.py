@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -372,6 +373,14 @@ def test_kalman_update_rejects_off_diagonal_noise_naming_the_entry(entry):
         kalman_update(_belief(), np.zeros(2), noise_cov)
 
 
+@pytest.mark.parametrize("measurement", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]])
+def test_kalman_update_rejects_a_non_finite_measurement(measurement):
+    # The per-axis update would carry it into the mean: [nan, 0, nan, 0].
+    prior = TargetBelief(np.zeros(4), np.eye(4))
+    with pytest.raises(ValueError, match="^measurement must be finite"):
+        kalman_update(prior, measurement, np.eye(2))
+
+
 def test_kalman_update_rejects_a_non_positive_innovation_variance():
     # P_pp + r <= 0 on the y axis only.
     with pytest.raises(np.linalg.LinAlgError):
@@ -643,6 +652,34 @@ def test_episode_error_trace_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
+def test_episode_streams_are_the_spawned_children_of_its_seeds(monkeypatch):
+    # Initial state, process and measurement: the spawn(3) children of
+    # (scenario seed, run); then the planner's (planner seed, run) stream.
+    built, generators = [], simulate.generators
+
+    def recording(seeds, keys):
+        streams = list(generators(seeds, keys))
+        built.extend(stream.bit_generator.state for stream in streams)
+        return streams
+
+    monkeypatch.setattr(simulate, "generators", recording)
+    run_episode(_small_scenario(n_steps=1, master_seed=7), _small_planner(master_seed=11), run_index=4)
+    children = np.random.SeedSequence(7, spawn_key=(4,)).spawn(3)
+    expected = [*children, np.random.SeedSequence(11, spawn_key=(4,))]
+    assert built == [np.random.default_rng(seq).bit_generator.state for seq in expected]
+
+
+@pytest.mark.parametrize(
+    "run_index, error, message",
+    [(1.5, TypeError, "^run_index must be an integer"), (True, TypeError, "^run_index must be an integer"),
+     (-1, ValueError, "^run_index must be >= 0"), (2**32, ValueError, "below 2\\*\\*32")],
+)
+def test_run_episode_rejects_a_run_index_that_is_not_one_key_word(run_index, error, message):
+    # A float would otherwise be truncated to the key of another run.
+    with pytest.raises(error, match=message):
+        run_episode(_small_scenario(n_steps=1), _small_planner(), run_index=run_index)
+
+
 def test_monte_carlo_runs_differ_across_run_indices():
     sc = _small_scenario(n_steps=6)
     out = [run_episode(sc, _small_planner(), run_index=i).mean() for i in range(3)]
@@ -664,6 +701,13 @@ def test_scenario_validation():
         ScenarioConfig(sigma0=-1.0)
     with pytest.raises(ValueError):
         ScenarioConfig(target_mean=np.zeros(3))
+
+
+@pytest.mark.parametrize("position, shape", [((0.0, 0.0, 5.0), "(3,)"), ((1.0,), "(1,)"), (5.0, "()")])
+def test_scenario_rejects_a_uav_position_that_is_not_a_2_vector(position, shape):
+    with pytest.raises(ValueError, match=rf"^uav_position must be a 2-vector, got shape {re.escape(shape)}"):
+        ScenarioConfig(uav_position=position)
+    assert ScenarioConfig(uav_position=np.array([3, 4])).uav_position == (3.0, 4.0)
 
 
 def test_scenario_accepts_unequal_per_axis_blocks():
