@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import configparser
 import enum
+import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -59,7 +61,7 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def with_overrides(self, master_seed=None, output=None) -> "ExperimentSpec":
-        """A copy with a new seed or output; the seed passes the config's own check."""
+        """A copy with a new seed or output; the seed passes the config's own type check and check."""
         spec = self
         if master_seed is not None:
             spec = replace(spec, master_seed=_checked(_MASTER_SEED, master_seed, "experiment"))
@@ -112,7 +114,32 @@ class FieldSpec:
     help: str = ""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_float(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_list_of(is_item: Callable) -> Callable:
+    return lambda value: isinstance(value, (list, tuple)) and len(value) > 0 and all(map(is_item, value))
+
+
+# What each parser returns, for values that did not come through one: a
+# spec built in code passes these before its keys' checks.
+_IS_TYPE = {
+    "int": _is_int,
+    "float": _is_float,
+    "int_list": _is_list_of(_is_int),
+    "float_list": _is_list_of(_is_float),
+    "str": lambda value: isinstance(value, str),
+}
+
+
 def _checked(spec: FieldSpec, value, section: str):
+    if not _IS_TYPE[spec.type_name](value):
+        raise ConfigError(f"{section}.{spec.name}: expected {spec.type_name}, got {value!r}")
     if spec.check is not None:
         message = spec.check(value)
         if message is not None:
@@ -349,8 +376,11 @@ def _check_section(fields: list[FieldSpec], values: dict, section: str) -> None:
 def check_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Every check ``load_spec`` makes, on a spec from a file or built in code; returns ``spec``.
 
-    The head and the kind's parameters pass their fields' checks, then the
-    kind's cross-key checks and, for the tracking study, ``tracking_setup``.
+    The head and the kind's parameters pass their fields' type checks and
+    checks, then the kind's cross-key checks and, for the tracking study,
+    ``tracking_setup``.  An ``int`` is an integer other than a bool, a
+    ``float`` a finite real other than a bool, and a list type a non-empty
+    list or tuple of such entries.
     The first failure raises ``ConfigError`` naming its section and key.
     """
     head = {"kind": spec.kind.value, "master_seed": spec.master_seed, "output": spec.output}

@@ -3,9 +3,10 @@
 A fixed-wing style vehicle moves in the plane under forward acceleration
 and bank angle (coordinated turn: heading rate g tan(bank) / speed).  The
 tracked object follows a near-constant-velocity model with white
-acceleration noise.  An onboard position sensor reports the target with
-isotropic noise whose variance grows with the vehicle-to-target range,
-which is what couples vehicle motion to tracking quality.
+acceleration noise, the same on each axis.  An onboard position sensor
+reports the target with isotropic noise whose variance grows with the
+vehicle-to-target range, which is what couples vehicle motion to tracking
+quality; ``sensor_cov`` returns that one per-axis variance.
 
 The step functions read every world parameter (time step, speed bounds,
 noise levels) from the episode's ``ScenarioConfig``, which validates them
@@ -123,18 +124,18 @@ def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator):
     return mean + scenario.process_root @ rng.standard_normal(4)
 
 
-def sensor_cov(uav_position, target_position, scenario: ScenarioConfig) -> np.ndarray:
-    """Measurement covariance (sigma0^2 + eta * range^2) * I."""
+def sensor_cov(uav_position, target_position, scenario: ScenarioConfig) -> float:
+    """Per-axis measurement noise variance sigma0^2 + eta * range^2; the covariance is that times I."""
     delta = np.asarray(target_position, dtype=float) - np.asarray(uav_position, dtype=float)
     range_sq = float(delta @ delta)
-    return (scenario.sigma0**2 + scenario.eta * range_sq) * np.eye(2)
+    return scenario.sigma0**2 + scenario.eta * range_sq
 
 
-def sensor_measure(target_position, cov, rng: np.random.Generator) -> np.ndarray:
-    """Noisy target position under the isotropic noise covariance ``cov``.
+def sensor_measure(target_position, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """Noisy target position under isotropic noise of per-axis ``variance``.
 
-    ``cov`` is a ``sensor_cov`` result; two standard normals from ``rng`` are
-    scaled by its standard deviation, so the same draws serve any geometry.
+    ``variance`` is a ``sensor_cov`` result; two standard normals from
+    ``rng`` are scaled by its square root, so the same draws serve any
+    geometry.
     """
-    std = np.sqrt(cov[0, 0])
-    return np.asarray(target_position, dtype=float) + std * rng.standard_normal(2)
+    return np.asarray(target_position, dtype=float) + math.sqrt(variance) * rng.standard_normal(2)

@@ -19,15 +19,14 @@ the range-dependent sensor noise, and on the future only through the
 target positions.  Measurements and belief means never reach the value, so
 none are simulated: the target paths are fixed once per objective, and an
 evaluation is the vehicle path, the noise variances, and H steps of the
-Kalman covariance recursion.  A ``TargetBelief`` has no cross-axis
-covariance, so with a position sensor of isotropic noise that recursion
-splits into two independent per-axis recursions over (P_pp, P_pv, P_vv).
-The first predict reads only the prior, so it is the filter's own
-``kalman_predict``, done once per objective.  Axes whose predicted blocks
-are equal bit for bit run the same recursion, which is then run once: an
-isotropic prior under an isotropic sensor stays so.  The target model's
-constants (the process covariance's Cholesky factor and its per-axis
-block) are read from the ``ScenarioConfig``, which derives them once.
+Kalman covariance recursion.  A ``TargetBelief`` holds one (P_pp, P_pv,
+P_vv) block that both axes share, and a position sensor of isotropic noise
+keeps it shared, so the recursion runs once over that block and the trace
+is twice its P_pp + P_vv.  The first predict reads only the prior, so it
+is the filter's own ``kalman_predict``, done once per objective.  The
+target model's constants (the process covariance's Cholesky factor and its
+per-axis block) are read from the ``ScenarioConfig``, which derives them
+once.
 
 Two kernels run that recursion.  ``_trace_terms`` holds every future of
 every candidate in numpy arrays, the candidates' futures stacked on one
@@ -36,18 +35,18 @@ Python floats, one candidate after another, and serves one future (the
 nominal objective, or any planner with ``n_trajectories = 1``): there
 every numpy call would work on a few lanes and cost its call overhead,
 several times the float arithmetic.  ``_trace_objective`` picks the
-kernel by the number of futures.  Both take the vehicle path from
-``_planned_path``.  The float kernel does the numpy kernel's rounded
-operations in its order, and elementwise numpy never fuses a multiply and
-an add, so the two give the same bits.  Every operation is elementwise,
-so a candidate's score does not depend on the other candidates of its
-call.
+kernel by the number of futures, and ``objective_nbo``, ``objective_mhp``
+and ``plan_step`` all score through it.  Both kernels take the vehicle
+path from ``_planned_path``.  The float kernel does the numpy kernel's
+rounded operations in its order, and elementwise numpy never fuses a
+multiply and an add, so the two give the same bits.  Every operation is
+elementwise, so a candidate's score does not depend on the other
+candidates of its call.
 """
 from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,6 @@ __all__ = [
     "PlannerConfig",
     "objective_nbo",
     "objective_mhp",
-    "scenario_objective_terms",
     "plan_step",
 ]
 
@@ -140,40 +138,21 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
     return paths
 
 
-def _first_predicts(belief, scenario):
-    """The distinct per-axis blocks after the first predict, and each axis's block index.
-
-    Returns ([(P_pp, P_pv, P_vv), ...], (x index, y index)).  The first
-    predict is ``kalman_predict``: it reads only the prior, so it is the
-    same for every future and candidate, and the kernels' later predicts
-    round as it does.  Axes whose predicted blocks are equal bit for bit
-    (an isotropic prior under an isotropic sensor stays so) run the same
-    recursion, so it is run once: one block and indices (0, 0).
-    """
-    blocks = [axis[2:] for axis in kalman_predict(belief, scenario).axes]
-    if struct.pack("3d", *blocks[0]) == struct.pack("3d", *blocks[1]):
-        return blocks[:1], (0, 0)
-    return blocks, (0, 1)
-
-
 def _trace_terms(uav, belief, scenario, process_raw):
     """Per-candidate, per-future accumulated covariance trace.
 
     Everything that does not depend on the controls is fixed here: the
-    target paths, the first predict of each distinct axis block and the
-    process noise.  The returned function maps a list of k flat control
-    lists to (k, n) totals.  The recursion runs on one lane axis: per
-    distinct axis block, the k candidates' n futures, candidate by
+    target paths, the first predict, which is ``kalman_predict`` since it
+    reads only the prior, and the process noise.  The returned function
+    maps a list of k flat control lists to (k, n) totals.  The recursion
+    runs on one lane axis: the k candidates' n futures, candidate by
     candidate.  Every operation is elementwise, so a lane's bits do not
     depend on the other lanes.
     """
     targets = _target_paths(belief, scenario, process_raw)[:, :, None, :]
     horizon, n = targets.shape[1], targets.shape[3]
-    predicted, (x_row, y_row) = _first_predicts(belief, scenario)
-    blocks = len(predicted)
-    # Rows P_pp, P_pv, P_vv by distinct axis block; each is spread over its
-    # block's lanes per call.
-    first = np.array(predicted).T
+    # Rows P_pp, P_pv, P_vv of the predicted block, spread over the lanes per call.
+    first = np.array(kalman_predict(belief, scenario).block)[:, None]
     q_entries = np.array(scenario.process_block)[:, None]
     dt = scenario.dt
     sigma0_sq = scenario.sigma0**2
@@ -188,18 +167,16 @@ def _trace_terms(uav, belief, scenario, process_raw):
         np.square(delta, out=delta)
         # (H, k n): one isotropic variance per step and lane, shared by both axes.
         noise_vars = (sigma0_sq + eta * (delta[0] + delta[1])).reshape(horizon, lanes)
-        if blocks > 1:
-            noise_vars = np.tile(noise_vars, blocks)
         # Q is spread over the lanes too: numpy's same-shape loops cost less
         # per call than its broadcasting ones at these sizes.
         p = first.repeat(lanes, axis=1)
-        q_lanes = q_entries.repeat(p.shape[1], axis=1)
+        q_lanes = q_entries.repeat(lanes, axis=1)
         pp, pv, vv = p
         upper, lower = p[:2], p[1:]
         accumulated = np.zeros_like(p)
         for step, r in enumerate(noise_vars):
             if step:
-                # Predict: F P F' + Q per axis, with F = [[1, dt], [0, 1]].
+                # Predict: F P F' + Q, with F = [[1, dt], [0, 1]].
                 upper += dt * lower
                 pp += dt * pv
                 p += q_lanes
@@ -210,8 +187,9 @@ def _trace_terms(uav, belief, scenario, process_raw):
             pp *= gain
             pv *= gain
             accumulated += p
-        per_axis = (accumulated[0] + accumulated[2]).reshape(blocks, lanes)
-        return (per_axis[x_row] + per_axis[y_row]).reshape(k, n)
+        # Both axes run this recursion: the trace is twice one axis's.
+        total = accumulated[0] + accumulated[2]
+        return (total + total).reshape(k, n)
 
     return totals
 
@@ -225,13 +203,13 @@ def _one_future_totals(uav, belief, scenario, process_raw):
     are scored one after another.
     """
     targets = list(zip(*_target_paths(belief, scenario, process_raw)[:, :, 0].tolist()))
-    predicted, (x_row, y_row) = _first_predicts(belief, scenario)
+    first = kalman_predict(belief, scenario).block
     q_pp, q_pv, q_vv = scenario.process_block
     dt = scenario.dt
     sigma0_sq = scenario.sigma0**2
     eta = scenario.eta
 
-    def block_total(pp, pv, vv, noise_vars) -> float:
+    def axis_total(pp, pv, vv, noise_vars) -> float:
         acc_pp = acc_vv = 0.0
         for r in noise_vars:
             # Update with a scalar position measurement of variance r.
@@ -255,13 +233,13 @@ def _one_future_totals(uav, belief, scenario, process_raw):
                 dx, dy = target_x - x, target_y - y
                 noise_vars.append(sigma0_sq + eta * (dx * dx + dy * dy))
             try:
-                per_axis = [block_total(*block, noise_vars) for block in predicted]
+                total = axis_total(*first, noise_vars)
             except ZeroDivisionError:
                 # A zero innovation variance, where numpy divides to inf or
                 # NaN instead of raising: score it with numpy's kernel.
                 out.append(float(_trace_terms(uav, belief, scenario, process_raw)([flat])[0, 0]))
                 continue
-            out.append(per_axis[x_row] + per_axis[y_row])
+            out.append(total + total)
         return out
 
     return totals
@@ -319,20 +297,6 @@ def _frozen_draws(config: PlannerConfig, horizon: int, rng: np.random.Generator)
     return process_raw
 
 
-def scenario_objective_terms(
-    uav,
-    belief: TargetBelief,
-    controls,
-    scenario: ScenarioConfig,
-    config: PlannerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-future accumulated covariance traces for the sampled objective."""
-    flat = _as_control_pairs(controls, config.horizon)
-    process_raw = _frozen_draws(config, config.horizon, rng)
-    return _trace_terms(uav, belief, scenario, process_raw)([flat])[0]
-
-
 def objective_mhp(
     uav,
     belief: TargetBelief,
@@ -341,9 +305,10 @@ def objective_mhp(
     config: PlannerConfig,
     rng: np.random.Generator,
 ) -> float:
-    """Sampled tracking objective: average trace total over drawn futures."""
-    terms = scenario_objective_terms(uav, belief, controls, scenario, config, rng)
-    return float(_future_means(terms[None])[0])
+    """Sampled tracking objective: average trace total over ``config.n_trajectories`` drawn futures."""
+    flat = _as_control_pairs(controls, config.horizon)
+    process_raw = _frozen_draws(config, config.horizon, rng)
+    return _trace_objective(uav, belief, scenario, process_raw)([flat])[0]
 
 
 def plan_step(
@@ -372,7 +337,7 @@ def plan_step(
     """
     horizon = config.horizon
     dim = 2 * horizon
-    scales = np.tile([scenario.accel_max, scenario.bank_max], horizon)
+    scales = np.array([scenario.accel_max, scenario.bank_max] * horizon)
 
     if config.objective is PlannerObjective.RSMHP:
         process_raw = _frozen_draws(config, horizon, rng)
@@ -413,7 +378,7 @@ def plan_step(
 
 def _initial_simplex(center: np.ndarray, step: float) -> np.ndarray:
     dim = center.shape[0]
-    simplex = np.tile(center, (dim + 1, 1))
+    simplex = np.repeat(center[None], dim + 1, axis=0)
     for i in range(dim):
         # Step toward the interior when already at the upper bound.
         simplex[i + 1, i] += step if center[i] <= 1.0 - step else -step

@@ -13,7 +13,7 @@ import numpy as np
 
 from .._checks import check_finite, check_int, check_seed
 from .dynamics import GRAVITY, target_process_cov
-from .filtering import covariance_axes
+from .filtering import covariance_block
 
 __all__ = ["ScenarioConfig"]
 
@@ -25,12 +25,14 @@ class ScenarioConfig:
     The sensor noise variance is sigma0^2 + eta * range^2 per axis, so eta
     controls how strongly vehicle position matters.  ``process_intensity``
     is the target's white-acceleration power density.  Every float must be
-    finite.  ``gravity`` is a constant of the class, not a field.
+    finite.  The target model is isotropic, so ``target_cov`` must have
+    equal x and y blocks and no cross-axis entries (``covariance_block``).
+    ``gravity`` is a constant of the class, not a field.
     The target model's constants are derived once, not passed: the
     read-only lower Cholesky factors ``target_root`` of ``target_cov +
     1e-12 I`` (the initial target draw) and ``process_root`` of the process
     covariance (zeros at intensity 0), and ``process_block``, that
-    covariance's per-axis (q_pp, q_pv, q_vv).  Configs without these
+    covariance's (q_pp, q_pv, q_vv), the same on each axis.  Configs without these
     factors are rejected, and so are ``sigma0``, ``eta`` and
     ``process_intensity`` all 0.  Configs compare and hash equal when every
     compared field, arrays included, is equal by value.
@@ -86,7 +88,7 @@ class ScenarioConfig:
         for name, vector, size in (("uav_position", position, 2), ("target_mean", mean, 4)):
             if vector.shape != (size,):
                 raise ValueError(f"{name} must be a {size}-vector, got shape {vector.shape}")
-        covariance_axes(self.target_cov, "target_cov")
+        covariance_block(self.target_cov, "target_cov")
         cov = np.array(self.target_cov, dtype=float)
         try:
             root = np.linalg.cholesky(cov + 1e-12 * np.eye(4))

@@ -6,9 +6,9 @@ planner randomness is derived separately from the planner seed, all by
 scenario seed face identical target paths and identical raw measurement
 noise (common random numbers).
 Each step's measurement is two standard normals from the measurement
-stream, which ``sensor_measure`` scales by the geometry-dependent standard
-deviation, so the pairing is exact even though planners steer different
-vehicle paths.  Every step function reads its parameters from the one
+stream, which ``sensor_measure`` scales by the square root of the
+geometry-dependent per-axis variance ``sensor_cov``, so the pairing is
+exact even though planners steer different vehicle paths.  Every step function reads its parameters from the one
 ``ScenarioConfig``.  Episodes are independent given their run index, which
 is what lets the experiment runner fan them out over worker processes.
 """
@@ -52,8 +52,8 @@ def run_episode(
 
     errors = np.empty(scenario.n_steps)
     for step in range(scenario.n_steps):
-        cov = sensor_cov(uav.position, truth[:2], scenario)
-        belief = kalman_update(belief, sensor_measure(truth[:2], cov, meas_rng), cov)
+        variance = sensor_cov(uav.position, truth[:2], scenario)
+        belief = kalman_update(belief, sensor_measure(truth[:2], variance, meas_rng), variance)
         errors[step] = float(np.hypot(*(belief.position - truth[:2])))
         control = plan_step(uav, belief, scenario, config, planner_rng)
         uav = uav_step(uav, control, scenario)

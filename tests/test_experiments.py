@@ -513,6 +513,40 @@ def test_spec_built_in_code_gets_the_config_checks(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, seed, params, message",
+    [
+        # Without a type check a float or bool seed ran as seed 1.
+        (ExperimentKind.VARIANCE_SCALING, 1.5, {}, "experiment.master_seed: expected int, got 1.5"),
+        (ExperimentKind.VARIANCE_SCALING, True, {}, "experiment.master_seed: expected int, got True"),
+        # These failed mid-run, or with an error naming no section.
+        (ExperimentKind.VARIANCE_SCALING, 0, dict(reps=20.5), "variance_scaling.reps: expected int, got 20.5"),
+        (ExperimentKind.LQG_CONVERGENCE, 0, dict(p_step=1000.5), "lqg_convergence.p_step: expected int, got 1000.5"),
+        (ExperimentKind.UAV_MONTE_CARLO, 0, dict(horizon=3.0), "uav_monte_carlo.horizon: expected int, got 3.0"),
+        (ExperimentKind.UAV_MONTE_CARLO, 0, dict(eta=True), "uav_monte_carlo.eta: expected float, got True"),
+        (ExperimentKind.LQG_CONVERGENCE, 0, dict(sigma=math.nan), "lqg_convergence.sigma: expected float, got nan"),
+        (ExperimentKind.CHEBYSHEV_COVERAGE, 0, dict(n_values=[100, 2.5]),
+         r"chebyshev_coverage.n_values: expected int_list, got \[100, 2.5\]"),
+        (ExperimentKind.CHEBYSHEV_COVERAGE, 0, dict(epsilons=[0.5, math.inf]),
+         r"chebyshev_coverage.epsilons: expected float_list, got \[0.5, inf\]"),
+        (ExperimentKind.UAV_MONTE_CARLO, 0, dict(nt_values=[]), r"uav_monte_carlo.nt_values: expected int_list, got \[\]"),
+        (ExperimentKind.CHEBYSHEV_COVERAGE, 0, dict(epsilon_unit=1), "chebyshev_coverage.epsilon_unit: expected str"),
+    ],
+)
+def test_spec_built_in_code_gets_the_type_checks(tmp_path, monkeypatch, kind, seed, params, message):
+    def never_run(spec, workers):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setitem(runners._RUNNERS, kind, never_run)
+    defaults = {field.name: field.default for field in _SCHEMAS[kind]}
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        run_experiment(_spec(kind, tmp_path, seed=seed, **dict(defaults, **params)))
+    if seed:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            _spec(kind, tmp_path, **defaults).with_overrides(master_seed=seed)
+    assert not (tmp_path / "out").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     results = []
     for label in ("first", "second"):

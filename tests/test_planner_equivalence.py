@@ -2,9 +2,9 @@
 
 The reference pushes every sampled future through the complete Kalman
 filter: sampled truths, simulated measurements, mean updates and Joseph-form
-4x4 covariance updates.  The planner's objective keeps only the per-axis
-covariance recursion that reaches the value, so both must agree to
-rounding on every future.  A one-future objective is scored on Python
+4x4 covariance updates.  The planner's objective keeps only the covariance
+recursion of the one block both axes share, which is all that reaches the
+value, so both must agree to rounding on every future.  A one-future objective is scored on Python
 floats, and that kernel must equal the numpy one bit for bit.
 """
 from __future__ import annotations
@@ -27,7 +27,6 @@ from rsmhp.uav import (
     kalman_update,
     objective_mhp,
     objective_nbo,
-    scenario_objective_terms,
     sensor_cov,
     target_process_cov,
     target_step,
@@ -119,9 +118,9 @@ def _walk_beliefs(sc, steps=(0, 3, 12, 30)):
     uav = UavState(position=np.zeros(2), heading=0.0, speed=30.0)
     out = []
     for step in range(max(steps) + 1):
-        cov = sensor_cov(uav.position, truth[:2], sc)
-        measurement = truth[:2] + np.sqrt(cov[0, 0]) * rng.standard_normal(2)
-        belief = kalman_update(belief, measurement, cov)
+        variance = sensor_cov(uav.position, truth[:2], sc)
+        measurement = truth[:2] + np.sqrt(variance) * rng.standard_normal(2)
+        belief = kalman_update(belief, measurement, variance)
         if step in steps:
             out.append((uav, belief))
         uav = uav_step(uav, UavControl(1.0, 0.3), sc)
@@ -130,16 +129,21 @@ def _walk_beliefs(sc, steps=(0, 3, 12, 30)):
     return out
 
 
-def _unequal_belief():
-    cov = np.diag([900.0, 100.0, 25.0, 4.0])
-    cov[0, 2] = cov[2, 0] = 30.0
-    cov[1, 3] = cov[3, 1] = -5.0
+def _belief(means, block):
+    """The belief of (p, v) means per axis and the (P_pp, P_pv, P_vv) block both axes share."""
+    (px, vx), (py, vy) = means
+    pp, pv, vv = block
+    cov = np.array([[pp, 0.0, pv, 0.0], [0.0, pp, 0.0, pv], [pv, 0.0, vv, 0.0], [0.0, pv, 0.0, vv]])
+    return TargetBelief(np.array([px, py, vx, vy]), cov)
+
+
+def _correlated_belief():
     uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
-    return uav, TargetBelief(np.array([500.0, 250.0, -3.0, 6.0]), cov)
+    return uav, _belief(((500.0, -3.0), (250.0, 6.0)), (900.0, 30.0, 25.0))
 
 
 def _cases(sc):
-    return _walk_beliefs(sc) + [_unequal_belief()]
+    return _walk_beliefs(sc) + [_correlated_belief()]
 
 
 def _random_pairs(sc, rng):
@@ -176,9 +180,8 @@ def test_sampled_terms_match_full_filter_rollout(sc, n):
     for case, (uav, belief) in enumerate(_cases(sc)):
         pairs = _random_pairs(sc, rng)
         seed = 100 * n + case
-        terms = scenario_objective_terms(
-            uav, belief, _controls(pairs), sc, cfg, np.random.default_rng(seed)
-        )
+        draws = planning._frozen_draws(cfg, HORIZON, np.random.default_rng(seed))
+        terms = planning._trace_terms(uav, belief, sc, draws)([pairs.ravel().tolist()])[0]
         process_raw, meas_raw = _ref_draws(n, HORIZON, np.random.default_rng(seed))
         expected = _ref_totals(uav, belief, pairs, sc, process_raw, meas_raw)
         np.testing.assert_allclose(terms, expected, rtol=RTOL, atol=0.0)
@@ -195,26 +198,17 @@ def test_objective_mhp_equals_nbo_exactly_without_range_dependence(n):
         assert sampled == objective_nbo(uav, belief, controls, sc)
 
 
-@pytest.mark.parametrize("sc", SCENARIOS)
-def test_one_future_terms_are_a_one_element_array(sc):
-    cfg = PlannerConfig(horizon=HORIZON, n_trajectories=1, objective=PlannerObjective.RSMHP)
-    uav, belief = _unequal_belief()
-    controls = _controls(_random_pairs(sc, np.random.default_rng(8)))
-    terms = scenario_objective_terms(uav, belief, controls, sc, cfg, np.random.default_rng(9))
-    assert isinstance(terms, np.ndarray) and terms.shape == (1,)
-    assert terms[0] == objective_mhp(uav, belief, controls, sc, cfg, np.random.default_rng(9))
-
-
-# Per-axis (p, v, P_pp, P_pv, P_vv): variances 1e-3 to 1e6, correlation up to +-0.99.
-_axes = st.tuples(
-    st.floats(-1e4, 1e4), st.floats(-50.0, 50.0),
-    st.floats(1e-3, 1e6), st.floats(-0.99, 0.99), st.floats(1e-3, 1e6),
-).map(lambda a: (a[0], a[1], a[2], a[3] * math.sqrt(a[2] * a[4]), a[4]))
+# A (p, v) mean per axis, and one (P_pp, P_pv, P_vv) block: variances 1e-3
+# to 1e6, correlation up to +-0.99.
+_means = st.tuples(st.floats(-1e4, 1e4), st.floats(-50.0, 50.0))
+_block = st.tuples(st.floats(1e-3, 1e6), st.floats(-0.99, 0.99), st.floats(1e-3, 1e6)).map(
+    lambda b: (b[0], b[1] * math.sqrt(b[0] * b[2]), b[2])
+)
 
 
 @given(
-    x_axis=_axes,
-    y_axis=_axes,
+    means=st.tuples(_means, _means),
+    block=_block,
     dt=st.floats(1e-3, 10.0),
     eta=st.just(0.0) | st.floats(1e-6, 1.0),
     sigma0=st.floats(0.0, 10.0),
@@ -226,12 +220,12 @@ _axes = st.tuples(
 )
 @settings(max_examples=300, deadline=None)
 def test_one_future_float_kernel_equals_the_numpy_kernel(
-    x_axis, y_axis, dt, eta, sigma0, intensity, horizon, reach, seed
+    means, block, dt, eta, sigma0, intensity, horizon, reach, seed
 ):
     # A scenario rejects a noiseless sensor on a noiseless target.
     assume(sigma0 > 0.0 or eta > 0.0 or intensity > 0.0)
     sc = ScenarioConfig(dt=dt, eta=eta, sigma0=sigma0, process_intensity=intensity)
-    belief = TargetBelief.from_axes(x_axis, y_axis)
+    belief = _belief(means, block)
     uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
     rng = np.random.default_rng(seed)
     process_raw = rng.standard_normal((1, horizon, 4))
@@ -267,15 +261,16 @@ def test_one_future_float_kernel_matches_numpy_at_zero_innovation_variance():
 
 
 def _per_axis_totals(uav, belief, sc, process_raw, flat):
-    """Per-future totals of both axes' recursions, each run in full on floats, (n,)."""
+    """Per-future totals of both axes' recursions, each run in full on floats from the 4x4 covariance, (n,)."""
     targets = planning._target_paths(belief, sc, process_raw)
     path = np.array(planning._planned_path(uav, flat, sc))
     noise_vars = sc.sigma0**2 + sc.eta * np.square(targets - path.T[:, :, None]).sum(axis=0)
     q = target_process_cov(sc.process_intensity, sc.dt)
+    c = belief.covariance.tolist()
     totals = []
     for r_future in noise_vars.T.tolist():
         axis_totals = []
-        for _, _, pp, pv, vv in belief.axes:
+        for pp, pv, vv in ((c[i][i], c[i][i + 2], c[i + 2][i + 2]) for i in (0, 1)):
             acc_pp = acc_vv = 0.0
             for r in r_future:
                 pp, pv = pp + sc.dt * pv, pv + sc.dt * vv
@@ -290,22 +285,12 @@ def _per_axis_totals(uav, belief, sc, process_raw, flat):
     return np.array(totals)
 
 
-# Per-axis (P_pp, P_pv, P_vv) blocks: a shared one, one with its P_pv's sign
-# of zero flipped on the other axis, or two independent ones.
-_zero_pv = st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)).map(lambda b: (b[0], 0.0, b[1]))
-_block = st.tuples(st.floats(1e-3, 1e6), st.floats(-0.99, 0.99), st.floats(1e-3, 1e6)).map(
-    lambda b: (b[0], b[1] * math.sqrt(b[0] * b[2]), b[2])
-)
-_block_pairs = (
-    _block.map(lambda b: (b, b))
-    | _zero_pv.map(lambda b: (b, (b[0], -0.0, b[2])))
-    | _zero_pv.map(lambda b: ((b[0], -0.0, b[2]), b))
-    | st.tuples(_block, _block)
-)
+# The shared block, or one without correlation: P_pv 0.0 or -0.0.
+_zero_pv = st.tuples(st.floats(1e-3, 1e6), st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e6))
 
 
 @given(
-    blocks=_block_pairs,
+    block=_block | _zero_pv,
     n=st.sampled_from([1, 2, 5, 50]),
     k=st.integers(1, 14),
     sc=st.sampled_from(SCENARIOS),
@@ -313,9 +298,8 @@ _block_pairs = (
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_batched_scores_equal_each_candidates_own_score(blocks, n, k, sc, horizon, seed):
-    x_block, y_block = blocks
-    belief = TargetBelief.from_axes((500.0, -3.0) + x_block, (250.0, 6.0) + y_block)
+def test_batched_scores_equal_each_candidates_own_score(block, n, k, sc, horizon, seed):
+    belief = _belief(((500.0, -3.0), (250.0, 6.0)), block)
     uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
     rng = np.random.default_rng(seed)
     process_raw = rng.standard_normal((n, horizon, 4))

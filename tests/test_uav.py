@@ -27,7 +27,6 @@ from rsmhp.uav import (
     objective_nbo,
     plan_step,
     run_episode,
-    scenario_objective_terms,
     sensor_cov,
     sensor_measure,
     target_process_cov,
@@ -35,7 +34,7 @@ from rsmhp.uav import (
     target_transition_matrix,
     uav_step,
 )
-from rsmhp.uav import simulate
+from rsmhp.uav import planning, simulate
 from rsmhp.uav.planning import _frozen_draws, _planned_path
 
 
@@ -182,8 +181,8 @@ def test_sensor_cov_constant_when_range_free():
     sc = ScenarioConfig(sigma0=3.0, eta=0.0)
     a = sensor_cov([0.0, 0.0], [10.0, 0.0], sc)
     b = sensor_cov([0.0, 0.0], [1000.0, 500.0], sc)
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(a, 9.0 * np.eye(2), rtol=1e-15)
+    assert type(a) is float
+    assert a == b == 9.0
 
 
 def test_sensor_cov_range_doubling_adds_three_eta_r_squared():
@@ -192,9 +191,7 @@ def test_sensor_cov_range_doubling_adds_three_eta_r_squared():
     sc = ScenarioConfig(sigma0=5.0, eta=eta)
     near = sensor_cov([0.0, 0.0], [r, 0.0], sc)
     far = sensor_cov([0.0, 0.0], [2.0 * r, 0.0], sc)
-    increase = far[0, 0] - near[0, 0]
-    assert increase == pytest.approx(3.0 * eta * r * r, rel=1e-12)
-    assert far[1, 1] - near[1, 1] == pytest.approx(increase, rel=1e-12)
+    assert far - near == pytest.approx(3.0 * eta * r * r, rel=1e-12)
 
 
 def test_sensor_sample_covariance_matches_reported_cov():
@@ -202,11 +199,10 @@ def test_sensor_sample_covariance_matches_reported_cov():
     uav = _uav()
     target = np.array([300.0, 200.0])
     draws = np.empty((10_000, 2))
-    cov = sensor_cov(uav.position, target, ScenarioConfig(sigma0=4.0, eta=1e-3))
+    sigma_sq = sensor_cov(uav.position, target, ScenarioConfig(sigma0=4.0, eta=1e-3))
     for i in range(draws.shape[0]):
-        draws[i] = sensor_measure(target, cov, rng) - target
+        draws[i] = sensor_measure(target, sigma_sq, rng) - target
     sample = np.cov(draws.T)
-    sigma_sq = cov[0, 0]
     assert sample[0, 0] == pytest.approx(sigma_sq, rel=0.1)
     assert sample[1, 1] == pytest.approx(sigma_sq, rel=0.1)
     assert abs(sample[0, 1]) < 0.05 * sigma_sq
@@ -217,7 +213,7 @@ def test_sensor_sample_covariance_matches_reported_cov():
 
 def test_kalman_update_with_huge_noise_is_a_no_op():
     belief = _belief()
-    out = kalman_update(belief, np.array([0.0, 0.0]), 1e12 * np.eye(2))
+    out = kalman_update(belief, np.array([0.0, 0.0]), 1e12)
     np.testing.assert_allclose(out.mean, belief.mean, atol=1e-6)
     np.testing.assert_allclose(out.covariance, belief.covariance, atol=1e-6)
 
@@ -225,26 +221,26 @@ def test_kalman_update_with_huge_noise_is_a_no_op():
 def test_kalman_update_with_zero_noise_pins_position():
     belief = _belief()
     z = np.array([640.0, 383.0])
-    out = kalman_update(belief, z, np.zeros((2, 2)))
+    out = kalman_update(belief, z, 0.0)
     np.testing.assert_allclose(out.position, z, atol=1e-6)
 
 
-def _per_axis_cov(blocks):
-    """The 4x4 (px, py, vx, vy) covariance of x and y (P_pp, P_pv, P_vv) blocks."""
-    (xpp, xpv, xvv), (ypp, ypv, yvv) = blocks
-    return np.array([[xpp, 0.0, xpv, 0.0], [0.0, ypp, 0.0, ypv], [xpv, 0.0, xvv, 0.0], [0.0, ypv, 0.0, yvv]])
+def _block_cov(block):
+    """The 4x4 (px, py, vx, vy) covariance whose x and y axes share the (P_pp, P_pv, P_vv) ``block``."""
+    pp, pv, vv = block
+    return np.array([[pp, 0.0, pv, 0.0], [0.0, pp, 0.0, pv], [pv, 0.0, vv, 0.0], [0.0, pv, 0.0, vv]])
 
 
 def test_kalman_update_never_increases_trace():
     rng = np.random.default_rng(3)
     belief = _belief()
     for _ in range(50):
-        roots = rng.normal(size=(2, 2, 2))
-        blocks = [root @ root.T + 0.1 * np.eye(2) for root in roots]
-        belief = TargetBelief(belief.mean, _per_axis_cov([(b[0, 0], b[0, 1], b[1, 1]) for b in blocks]))
+        root = rng.normal(size=(2, 2))
+        block = root @ root.T + 0.1 * np.eye(2)
+        belief = TargetBelief(belief.mean, _block_cov((block[0, 0], block[0, 1], block[1, 1])))
         noise = float(rng.uniform(0.1, 100.0))
         z = belief.position + rng.normal(size=2)
-        updated = kalman_update(belief, z, noise * np.eye(2))
+        updated = kalman_update(belief, z, noise)
         assert np.trace(updated.covariance) <= np.trace(belief.covariance) + 1e-9
         belief = updated
 
@@ -255,7 +251,7 @@ def test_kalman_cycle_preserves_symmetry_and_positive_definiteness():
     for _ in range(100):
         belief = kalman_predict(belief, ScenarioConfig(dt=1.0, process_intensity=2.0))
         z = belief.position + rng.normal(scale=10.0, size=2)
-        belief = kalman_update(belief, z, float(rng.uniform(1.0, 50.0)) * np.eye(2))
+        belief = kalman_update(belief, z, float(rng.uniform(1.0, 50.0)))
         cov = belief.covariance
         np.testing.assert_allclose(cov, cov.T, atol=1e-9)
         assert np.linalg.eigvalsh(cov).min() > 0.0
@@ -273,7 +269,7 @@ def test_kalman_predict_trace_is_linear_without_process_noise():
 def test_kalman_update_rejects_singular_innovation():
     belief = TargetBelief(np.zeros(4), np.diag([0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(np.linalg.LinAlgError):
-        kalman_update(belief, np.zeros(2), np.zeros((2, 2)))
+        kalman_update(belief, np.zeros(2), 0.0)
 
 
 def test_belief_validation():
@@ -314,7 +310,7 @@ _means = st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4)
 
 
 @given(
-    blocks=st.tuples(_axis_blocks, _axis_blocks),
+    block=_axis_blocks,
     mean=_means,
     measurement=st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=2),
     dt=st.integers(-6, 4).map(lambda k: 2.0**k),
@@ -322,31 +318,29 @@ _means = st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4)
     noise=st.sampled_from([0.0, 1e12]) | st.floats(1e-3, 1e6),
 )
 @settings(max_examples=300, deadline=None)
-def test_per_axis_filter_equals_the_4x4_reference_bit_for_bit(blocks, mean, measurement, dt, intensity, noise):
+def test_per_axis_filter_equals_the_4x4_reference_bit_for_bit(block, mean, measurement, dt, intensity, noise):
     # dt is a power of two, the study's dt = 1 among them, so dt times an
     # entry is exact.  Otherwise the reference's own bits depend on whether
     # the BLAS kernel fuses the multiply-adds of F P F' (see the next test).
-    mean, cov = np.array(mean), _per_axis_cov(blocks)
+    mean, cov = np.array(mean), _block_cov(block)
     sc = ScenarioConfig(dt=dt, process_intensity=intensity)
     predicted = kalman_predict(TargetBelief(mean, cov), sc)
     ref_mean, ref_cov = _ref_kalman_predict(mean, cov, sc)
     assert np.array_equal(predicted.mean, ref_mean)
     assert np.array_equal(predicted.covariance, ref_cov)
-    noise_cov = noise * np.eye(2)
-    updated = kalman_update(predicted, np.array(measurement), noise_cov)
-    ref_mean, ref_cov = _ref_kalman_update(ref_mean, ref_cov, np.array(measurement), noise_cov)
+    updated = kalman_update(predicted, np.array(measurement), noise)
+    ref_mean, ref_cov = _ref_kalman_update(ref_mean, ref_cov, np.array(measurement), noise * np.eye(2))
     assert np.array_equal(updated.mean, ref_mean)
     assert np.array_equal(updated.covariance, ref_cov)
 
 
-@given(blocks=st.tuples(_axis_blocks, _axis_blocks), mean=_means, dt=st.floats(1e-3, 10.0),
-       intensity=st.just(0.0) | st.floats(1e-3, 1e3))
+@given(block=_axis_blocks, mean=_means, dt=st.floats(1e-3, 10.0), intensity=st.just(0.0) | st.floats(1e-3, 1e3))
 @settings(max_examples=200, deadline=None)
-def test_per_axis_predict_is_within_a_rounding_of_the_4x4_reference_at_any_dt(blocks, mean, dt, intensity):
+def test_per_axis_predict_is_within_a_rounding_of_the_4x4_reference_at_any_dt(block, mean, dt, intensity):
     # A product that fuses pp + dt * pv rounds once where the per-axis
     # code rounds twice, so each entry may differ by a few units in the last
     # place of the largest term that entry sums.
-    mean, cov = np.array(mean), _per_axis_cov(blocks)
+    mean, cov = np.array(mean), _block_cov(block)
     sc = ScenarioConfig(dt=dt, process_intensity=intensity)
     predicted = kalman_predict(TargetBelief(mean, cov), sc)
     ref_mean, ref_cov = _ref_kalman_predict(mean, cov, sc)
@@ -357,20 +351,35 @@ def test_per_axis_predict_is_within_a_rounding_of_the_4x4_reference_at_any_dt(bl
 
 def test_belief_keeps_the_mean_and_covariance_it_was_built_from():
     mean = np.array([600.0, 400.0, 5.0, -2.0])
-    cov = _per_axis_cov([(900.0, 30.0, 25.0), (100.0, -5.0, 4.0)])
+    cov = _block_cov((900.0, 30.0, 25.0))
     belief = TargetBelief(mean, cov)
     assert np.array_equal(belief.mean, mean)
     assert np.array_equal(belief.covariance, cov)
     assert np.array_equal(belief.position, mean[:2])
-    assert belief.axes == ((600.0, 5.0, 900.0, 30.0, 25.0), (400.0, -2.0, 100.0, -5.0, 4.0))
+    assert belief.means == ((600.0, 5.0), (400.0, -2.0))
+    assert belief.block == (900.0, 30.0, 25.0)
 
 
-@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
-def test_kalman_update_rejects_off_diagonal_noise_naming_the_entry(entry):
-    noise_cov = 10.0 * np.eye(2)
-    noise_cov[entry] = 1.0
-    with pytest.raises(ValueError, match=r"noise_cov must be diagonal, got \[0,1\]"):
-        kalman_update(_belief(), np.zeros(2), noise_cov)
+def _unequal_block_cov():
+    cov = np.diag([900.0, 100.0, 25.0, 4.0])
+    cov[0, 2] = cov[2, 0] = 30.0
+    return cov
+
+
+def test_belief_rejects_unequal_per_axis_blocks():
+    with pytest.raises(ValueError, match=r"^belief covariance must have equal x and y .* \(900\.0, 30\.0, 25\.0\)"):
+        TargetBelief(np.zeros(4), _unequal_block_cov())
+    # Only the velocity variance differs.
+    with pytest.raises(ValueError, match="^belief covariance must have equal x and y"):
+        TargetBelief(np.zeros(4), np.diag([400.0, 400.0, 16.0, 25.0]))
+
+
+@pytest.mark.parametrize("variance", [-1e-12, -1.0, np.nan, np.inf, -np.inf])
+def test_kalman_update_rejects_a_negative_or_non_finite_variance(variance):
+    # -1e-12 would otherwise give P_pp = -1.59e-12, and -1 a message about
+    # the belief covariance instead of the variance.
+    with pytest.raises(ValueError, match="^variance must be finite and nonnegative"):
+        kalman_update(_belief(), np.zeros(2), variance)
 
 
 @pytest.mark.parametrize("measurement", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]])
@@ -378,15 +387,19 @@ def test_kalman_update_rejects_a_non_finite_measurement(measurement):
     # The per-axis update would carry it into the mean: [nan, 0, nan, 0].
     prior = TargetBelief(np.zeros(4), np.eye(4))
     with pytest.raises(ValueError, match="^measurement must be finite"):
-        kalman_update(prior, measurement, np.eye(2))
+        kalman_update(prior, measurement, 1.0)
 
 
 def test_kalman_update_rejects_a_non_positive_innovation_variance():
-    # P_pp + r <= 0 on the y axis only.
-    with pytest.raises(np.linalg.LinAlgError):
-        kalman_update(_belief(), np.zeros(2), np.diag([1.0, -400.0]))
-    with pytest.raises(np.linalg.LinAlgError):
-        kalman_update(_belief(), np.zeros(2), np.diag([1.0, -500.0]))
+    # P_pp + r < 0: a P_pp of -1e-10 is within the belief's PSD tolerance,
+    # and a noiseless sensor adds nothing to it.
+    belief = TargetBelief(np.zeros(4), np.diag([-1e-10, -1e-10, 1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="innovation variance must be positive and finite, got -1e-10"):
+        kalman_update(belief, np.zeros(2), 0.0)
+    # P_pp + r overflows to inf.
+    huge = TargetBelief(np.zeros(4), np.diag([1e308, 1e308, 1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="got inf"):
+        kalman_update(huge, np.zeros(2), 1e308)
 
 
 # ---------------------------------------------------------------- objectives
@@ -439,9 +452,8 @@ def test_objective_mhp_single_future_matches_first_term_of_pair():
     belief = _belief()
     cfg1 = PlannerConfig(horizon=6, n_trajectories=1, objective=PlannerObjective.RSMHP)
     cfg2 = PlannerConfig(horizon=6, n_trajectories=2, objective=PlannerObjective.RSMHP)
-    terms = scenario_objective_terms(
-        _uav(), belief, _straight(6), sc, cfg2, np.random.default_rng(9)
-    )
+    process_raw = _frozen_draws(cfg2, 6, np.random.default_rng(9))
+    terms = planning._trace_terms(_uav(), belief, sc, process_raw)([[0.0] * 12])[0]
     single = objective_mhp(_uav(), belief, _straight(6), sc, cfg1, np.random.default_rng(9))
     assert single == terms[0]
 
@@ -624,24 +636,6 @@ def test_episode_zero_sensor_noise_gives_negligible_error():
     assert errors.max() < 1e-9
 
 
-def test_episode_belief_keeps_equal_axis_blocks_under_an_isotropic_scenario(monkeypatch):
-    # The planner runs one covariance recursion for axes whose blocks are
-    # equal bit for bit; under the default scenario every step's are.
-    beliefs = []
-
-    def recording(uav, belief, *args):
-        beliefs.append(belief)
-        return plan_step(uav, belief, *args)
-
-    monkeypatch.setattr(simulate, "plan_step", recording)
-    sc = _small_scenario(n_steps=20)
-    run_episode(sc, _small_planner(), run_index=1)
-    assert len(beliefs) == sc.n_steps
-    for belief in beliefs:
-        (_, _, *x_block), (_, _, *y_block) = belief.axes
-        assert np.array(x_block).tobytes() == np.array(y_block).tobytes()
-
-
 def test_episode_error_trace_reproducible():
     sc = _small_scenario()
     cfg = _small_planner(
@@ -710,28 +704,24 @@ def test_scenario_rejects_a_uav_position_that_is_not_a_2_vector(position, shape)
     assert ScenarioConfig(uav_position=np.array([3, 4])).uav_position == (3.0, 4.0)
 
 
-def test_scenario_accepts_unequal_per_axis_blocks():
-    cov = np.diag([900.0, 100.0, 25.0, 4.0])
-    cov[0, 2] = cov[2, 0] = 30.0
-    np.testing.assert_array_equal(ScenarioConfig(target_cov=cov).target_cov, cov)
+def test_scenario_rejects_unequal_per_axis_blocks():
+    with pytest.raises(ValueError, match=r"^target_cov must have equal x and y .* \(100\.0, 0\.0, 4\.0\)"):
+        ScenarioConfig(target_cov=_unequal_block_cov())
 
 
 def test_scenario_rejects_target_cov_without_a_cholesky_factor():
-    # The y block has eigenvalues 400 and -1e-7: within the PSD tolerance
+    # The block has eigenvalues 400 and -1e-7: within the PSD tolerance
     # -1e-9 * 400, so a belief may hold it, but target_cov + 1e-12 I has no
     # Cholesky factor to draw an episode's initial target state with.
-    cov = np.diag([400.0, 400.0, 16.0, 16.0])
     half = 0.5e-7
-    cov[1, 1] = cov[3, 3] = 200.0 - half
-    cov[1, 3] = cov[3, 1] = 200.0 + half
+    cov = _block_cov((200.0 - half, 200.0 + half, 200.0 - half))
     TargetBelief(np.zeros(4), cov)
     with pytest.raises(ValueError, match="target_cov must have a Cholesky factor"):
         ScenarioConfig(target_cov=cov)
 
 
 def test_scenario_target_root_is_the_cholesky_factor():
-    cov = np.diag([900.0, 100.0, 25.0, 4.0])
-    cov[0, 2] = cov[2, 0] = 30.0
+    cov = _block_cov((900.0, 30.0, 25.0))
     root = ScenarioConfig(target_cov=cov).target_root
     assert np.array_equal(root, np.linalg.cholesky(cov + 1e-12 * np.eye(4)))
 
@@ -763,13 +753,13 @@ def test_scenario_rejects_a_noiseless_sensor_on_a_noiseless_target():
 def test_scenarios_compare_by_value():
     assert ScenarioConfig() == ScenarioConfig()
     assert ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 16.0])) == ScenarioConfig()
-    assert ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 25.0])) != ScenarioConfig()
+    assert ScenarioConfig(target_cov=np.diag([400.0, 400.0, 25.0, 25.0])) != ScenarioConfig()
     assert ScenarioConfig(target_mean=np.array([600.0, 400.0, 5.0, 1.0])) != ScenarioConfig()
     assert ScenarioConfig(eta=1e-3) != ScenarioConfig()
 
 
 def test_scenarios_hash_by_value():
-    cov = np.diag([400.0, 400.0, 16.0, 25.0])
+    cov = np.diag([400.0, 400.0, 25.0, 25.0])
     assert hash(ScenarioConfig()) == hash(ScenarioConfig(target_cov=np.diag([400.0, 400.0, 16.0, 16.0])))
     assert hash(ScenarioConfig(target_cov=cov)) == hash(ScenarioConfig(target_cov=cov.copy()))
     table = {ScenarioConfig(): "default", ScenarioConfig(target_cov=cov): "wide"}
