@@ -41,7 +41,6 @@ from .linear import (
     lqg_exact_cost,
     lqg_stochastic_model,
     nbo_error,
-    power_sum,
     var_p,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "lqg_exact_cost",
     "lqg_stochastic_model",
     "nbo_error",
-    "power_sum",
     "var_p",
     "__version__",
 ]

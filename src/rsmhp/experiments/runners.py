@@ -5,13 +5,13 @@ randomness is derived from the spec's master seed through named spawn keys,
 so results are a pure function of the spec.  The replicated studies derive
 one seed per replication and cut the seeds into chunks of about
 ``_CHUNK_ROWS`` sampled rows (``_replicate``); each chunk is one stacked
-sampler call and one estimator call per estimate, which reduces every
-replication's block of rows at once (``blocks``).  The independent tasks
-of a study (chunks, grid points, tracking episodes) go through ``_map``, the
-one place where ``workers`` acts: it spreads them over forked worker
-processes and never changes a single value.  Neither the chunk size nor the
-worker count changes a CSV byte.  ``run_experiment`` is the dispatch point
-that also writes the artifacts.
+sampler call, whose set holds one row per replication, and one estimator
+call per estimate, which reduces every replication at once.  The
+independent tasks of a study (chunks, grid points, tracking episodes) go
+through ``_map``, the one place where ``workers`` acts: it spreads them over
+forked worker processes and never changes a single value.  Neither the
+chunk size nor the worker count changes a CSV byte.  ``run_experiment`` is
+the dispatch point that also writes the artifacts.
 """
 from __future__ import annotations
 
@@ -188,7 +188,7 @@ def run_chebyshev_coverage(spec: ExperimentSpec, workers: int = 1):
         def chunk(seeds, _count=count):
             config = SamplerConfig(branch_factor=_count, seeds=seeds)
             paths = sample_independent(stochastic, controls, config)
-            return np.abs(estimate_mean(paths, len(seeds)).value - exact)
+            return np.abs(estimate_mean(paths).value - exact)
 
         errors = _replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers)
         for epsilon in epsilons:
@@ -216,7 +216,7 @@ def run_variance_scaling(spec: ExperimentSpec, workers: int = 1):
         def chunk(seeds, _count=count):
             config = SamplerConfig(branch_factor=_count, seeds=seeds)
             paths = sample_independent(stochastic, controls, config)
-            return estimate_mean(paths, len(seeds)).value
+            return estimate_mean(paths).value
 
         values = _replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers)
         rows.append((count, p["reps"], float(np.var(values, ddof=1))))
@@ -240,8 +240,8 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
         def chunk(seeds, _width=width):
             config = SamplerConfig(branch_factor=p["branch_factor"], prune_width=_width, seeds=seeds)
             paths = sample_tree_pruned(stochastic, controls, config)
-            mean = estimate_mean(paths, len(seeds)).value
-            weighted = estimate_weighted(paths, len(seeds)).value
+            mean = estimate_mean(paths).value
+            weighted = estimate_weighted(paths).value
             return np.column_stack([np.abs(mean - exact), np.abs(weighted - exact)])
 
         # Every replication keeps min(width, full) leaves.
@@ -314,7 +314,7 @@ def run_covariance_decay(spec: ExperimentSpec, workers: int = 1):
 
     def chunk(seeds):
         config = SamplerConfig(branch_factor=branch, seeds=seeds)
-        return sample_tree(stochastic, controls, config).costs.reshape(len(seeds), n_leaves)
+        return sample_tree(stochastic, controls, config).costs
 
     costs = _replicate(chunk, spec.master_seed, 0, reps, n_leaves, workers)
     centered = costs - costs.mean(axis=0)

@@ -151,6 +151,10 @@ def _positive(value):
     return None if value > 0 else "must be positive"
 
 
+def _at_least(bound: int) -> Callable:
+    return lambda value: None if value >= bound else f"must be at least {bound}"
+
+
 def _nonnegative(value):
     return None if value >= 0 else "must be nonnegative"
 
@@ -237,17 +241,17 @@ _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
             "epsilon_unit", "str", "deviation", _choice("deviation", "absolute"),
             "thresholds as multiples of the cost std dev, or absolute",
         ),
-        FieldSpec("reps", "int", 1000, lambda v: _positive(v - 1), "replications"),
+        FieldSpec("reps", "int", 1000, _at_least(2), "replications"),
     ],
     ExperimentKind.VARIANCE_SCALING: _SCALAR_BENCHMARK + [
         FieldSpec(
             "n_values", "int_list", [100, 1000, 10000], _all_positive,
             "trajectory counts to test",
         ),
-        FieldSpec("reps", "int", 200, lambda v: _positive(v - 1), "replications"),
+        FieldSpec("reps", "int", 200, _at_least(2), "replications"),
     ],
     ExperimentKind.PRUNING_STUDY: _SCALAR_BENCHMARK + [
-        FieldSpec("branch_factor", "int", 3, lambda v: _positive(v - 1), "children per node"),
+        FieldSpec("branch_factor", "int", 3, _at_least(2), "children per node"),
         FieldSpec(
             "m_values", "int_list", [1, 2, 4, 8, 16, 27], _all_positive,
             "retained widths to test",
@@ -272,8 +276,8 @@ _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
                   "prior velocity variance per axis"),
     ],
     ExperimentKind.COVARIANCE_DECAY: _SCALAR_BENCHMARK + [
-        FieldSpec("branch_factor", "int", 3, lambda v: _positive(v - 1), "children per node"),
-        FieldSpec("reps", "int", 10000, lambda v: _positive(v - 9), "replications"),
+        FieldSpec("branch_factor", "int", 3, _at_least(2), "children per node"),
+        FieldSpec("reps", "int", 10000, _at_least(10), "replications"),
     ],
 }
 

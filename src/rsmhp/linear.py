@@ -29,7 +29,6 @@ from .model import (
 __all__ = [
     "LinearModel",
     "LqgParams",
-    "power_sum",
     "var_p",
     "chebyshev_bound",
     "lqg_exact_cost",
@@ -92,37 +91,21 @@ class LinearModel:
         self.control_dim = m
 
 
-def power_sum(a_matrix, horizon: int, k: int) -> Array:
-    """Matrix polynomial sum_{q=0}^{horizon-k-1} A^q by repeated multiplication.
-
-    At k = horizon-1 the sum is the identity (single q=0 term).
-    """
-    a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    n = a_matrix.shape[0]
-    if a_matrix.shape != (n, n):
-        raise DimensionError(f"A must be square, got {a_matrix.shape}")
-    if not 0 <= k <= horizon - 1:
-        raise ValueError(f"k must be in [0, {horizon - 1}], got {k}")
-    total = np.eye(n)
-    power = np.eye(n)
-    for _ in range(horizon - k - 1):
-        power = power @ a_matrix
-        total = total + power
-    return total
-
-
 def var_p(model: LinearModel) -> float:
     """Exact variance of the per-trajectory cost under independent paths.
 
-    Each step's noise enters the remaining stage costs through the powers of
-    A, so its contribution is c' A_k Sigma A_k' c with A_k = power_sum(A, H, k).
+    Step k's noise reaches the cost through the gain g_k = c' A_k, with
+    A_k = sum_{q=0}^{H-k-1} A^q, so its contribution is g_k Sigma g_k'.  The
+    gains follow the backward recurrence g_{H-1} = c', g_k = c' + g_{k+1} A:
+    one vector-matrix product per step.
     """
     c = model.cost_state
-    accum = np.zeros((model.state_dim, model.state_dim))
-    for k in range(model.horizon):
-        weight = power_sum(model.a_matrix, model.horizon, k)
-        accum = accum + weight @ model.noise_cov @ weight.T
-    return float(c @ accum @ c)
+    gain = c
+    total = float(gain @ model.noise_cov @ gain)
+    for _ in range(model.horizon - 1):
+        gain = c + gain @ model.a_matrix
+        total += float(gain @ model.noise_cov @ gain)
+    return total
 
 
 def chebyshev_bound(model: LinearModel, n_samples: int, epsilon: float) -> float:

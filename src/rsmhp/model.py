@@ -17,7 +17,8 @@ a replication's draws are the same bits whether it is sampled alone or
 stacked with others.  A sampled path's weight is its raw likeliness, the
 product of its step weights.  It is the one weight a ``TrajectorySet``
 stores; normalized weights are derived from it where an estimator needs
-them.
+them.  A set sampled for several replications carries them on a leading
+axis of each array, so its layout is its shape.
 """
 from __future__ import annotations
 
@@ -231,13 +232,17 @@ class StochasticModel:
 class TrajectorySet:
     """Batch of trajectories from one sampling call or rollout, as arrays only.
 
-    Arrays are stacked along the leading axis: ``states`` is (n, H+1, dim),
-    ``raw_likeliness`` and ``costs`` are (n,); row i of each is path i.  The
-    raw likeliness is the product of a path's step weights and the only
-    weight a set stores; ``estimators.normalize_weights`` derives the
-    normalized weights from it.  ``branch_paths`` records each tree
-    trajectory's branch digits (most significant first) and is None for
-    independent paths and rollouts.
+    Paths are stacked along the leading axis: ``states`` is (n, H+1, dim),
+    ``raw_likeliness`` and ``costs`` are (n,); row i of each is path i.  A
+    sampler call given several replications adds a leading replication
+    axis: ``states`` is then (R, n, H+1, dim), the others (R, n), and
+    ``costs[r]`` is replication r's paths.  The raw likeliness is the
+    product of a path's step weights and the only weight a set stores;
+    ``estimators.normalize_weights`` derives the normalized weights from it.
+    ``branch_paths`` records each tree trajectory's branch digits (most
+    significant first) on the same leading axes, and is None for
+    independent paths and rollouts.  ``len`` is the total path count.  The
+    float arrays are read-only.
     """
 
     def __init__(
@@ -250,29 +255,33 @@ class TrajectorySet:
         states = np.asarray(states, dtype=float)
         raw_likeliness = np.asarray(raw_likeliness, dtype=float)
         costs = np.asarray(costs, dtype=float)
-        if states.ndim != 3:
-            raise DimensionError(f"states must be (n, H+1, dim), got {states.shape}")
-        n = states.shape[0]
-        if raw_likeliness.shape != (n,) or costs.shape != (n,):
-            raise DimensionError("raw_likeliness and costs must be (n,)")
+        if states.ndim not in (3, 4):
+            raise DimensionError(
+                f"states must be (n, H+1, dim) or (R, n, H+1, dim), got {states.shape}"
+            )
+        lead = states.shape[:-2]
+        if raw_likeliness.shape != lead or costs.shape != lead:
+            raise DimensionError(
+                f"raw_likeliness and costs must be {lead}, one value per trajectory of states "
+                f"{states.shape}, got {raw_likeliness.shape} and {costs.shape}"
+            )
         if branch_paths is not None:
             digits = np.asarray(branch_paths)
-            if digits.dtype.kind not in "iu" or digits.ndim != 2 or digits.shape[0] != n:
+            if digits.dtype.kind not in "iu" or digits.ndim != len(lead) + 1 or digits.shape[:-1] != lead:
                 raise DimensionError(
                     f"branch_paths must be None or an integer array with one row per "
-                    f"trajectory ({n}), got {type(branch_paths).__name__} of dtype "
+                    f"trajectory {lead}, got {type(branch_paths).__name__} of dtype "
                     f"{digits.dtype} and shape {digits.shape}"
                 )
         for arr in (states, raw_likeliness, costs):
-            if arr.flags.owndata:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
         self.states = states
         self.raw_likeliness = raw_likeliness
         self.costs = costs
         self.branch_paths = branch_paths
 
     def __len__(self) -> int:
-        return self.states.shape[0]
+        return self.costs.size
 
 
 def as_controls(model: StochasticModel, controls) -> Array:

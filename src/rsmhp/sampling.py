@@ -8,11 +8,11 @@ independent scheme draws all H steps fresh per path.  A trajectory keeps
 one weight, its raw likeliness: the running product of its step weights.
 
 One call can also grow many independent replications side by side: with
-``SamplerConfig.seeds`` set, each seed is one replication, its rows come out
-as one contiguous block (replication-major), and block r equals the
-single-replication call with ``master_seed = seeds[r]`` bit for bit.  Pruning
-ranks within each replication.  The estimators take the replication count as
-``blocks`` and reduce every block in one call.
+``SamplerConfig.seeds`` set, each seed is one replication, the returned set
+carries them on a leading axis (``costs`` is (R, n)), and replication r
+equals the single-replication call with ``master_seed = seeds[r]`` bit for
+bit.  Pruning ranks within each replication.  The estimators reduce along
+the last axis, so one call estimates every replication.
 
 Every scheme steps its whole population of paths, all replications at once,
 through the model's row-stacked callables, with the checked stepping code of
@@ -133,6 +133,17 @@ class PruneRecord:
     kept: np.ndarray
 
 
+def _as_set(config: SamplerConfig, *arrays: np.ndarray) -> TrajectorySet:
+    """The sampled arrays, one row per path in replication-major order, as a set.
+
+    With ``config.seeds`` given, each array gains a leading replication axis.
+    """
+    if config.seeds:
+        reps = len(config.seeds)
+        arrays = tuple(a.reshape(reps, a.shape[0] // reps, *a.shape[1:]) for a in arrays)
+    return TrajectorySet(*arrays)
+
+
 def _grow_tree(
     model: StochasticModel,
     controls,
@@ -223,7 +234,7 @@ def _grow_tree(
     final_states = _transitions(model, states, u[last], terminal_draws, last)
     history[:, horizon] = final_states
     costs = costs + _terminal_costs(model, final_states)
-    return TrajectorySet(history, likeliness, costs, branch_paths=paths)
+    return _as_set(config, history, likeliness, costs, paths)
 
 
 def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
@@ -231,7 +242,7 @@ def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> Traj
 
     Trajectory i's branch digits are the base-N representation of i, most
     significant digit at the earliest depth.  With several seeds, each
-    replication's tree is one block of N^(H-1) rows.
+    replication's tree is one row of N^(H-1) paths along the leading axis.
     """
     if config.prune_width is not None:
         raise ValueError("sample_tree requires prune_width=None; use sample_tree_pruned")
@@ -247,7 +258,7 @@ def sample_tree_pruned(model: StochasticModel, controls, config: SamplerConfig) 
     When no pruning ever triggers the output is bit-identical to
     ``sample_tree`` with the same config, in the same order; otherwise
     trajectories appear in final rank order.  With several seeds, ranking
-    and the cut act within each replication's block.
+    and the cut act within each replication.
     """
     if config.prune_width is None:
         raise ValueError("sample_tree_pruned requires prune_width to be set")
@@ -260,7 +271,8 @@ def sample_tree_pruned_logged(
     """``sample_tree_pruned`` that also returns every pruning event, in depth order.
 
     Diagnostics for a single replication: a config with more than one seed
-    is rejected, since the record indexes refer to one candidate pool.
+    is rejected, since the record indexes refer to one candidate pool.  A
+    config with ``seeds=(s,)`` returns the (1, n) set.
     """
     if config.prune_width is None:
         raise ValueError("sample_tree_pruned_logged requires prune_width to be set")
@@ -299,6 +311,8 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     each written in place into the returned set's arrays; the blocks do not
     change the values.
     """
+    if config.prune_width is not None:
+        raise ValueError("sample_independent requires prune_width=None; use sample_tree_pruned")
     u = as_controls(model, controls)
     horizon = model.horizon
     count = config.branch_factor
@@ -321,4 +335,4 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
             out=(history[rows], likeliness[rows], costs[rows]),
         )
         start = rows.stop
-    return TrajectorySet(history, likeliness, costs)
+    return _as_set(config, history, likeliness, costs)

@@ -285,37 +285,38 @@ def test_running_mean_stays_inside_three_sigma_envelope():
 
 
 def _stacked_set(block_size, blocks, rng):
-    n = block_size * blocks
+    shape = (blocks, block_size)
     return TrajectorySet(
-        states=np.zeros((n, 1, 1)),
-        raw_likeliness=np.exp(rng.normal(scale=3.0, size=n)),
-        costs=rng.normal(size=n) * rng.uniform(0.0, 1e3, size=n),
+        states=np.zeros((*shape, 1, 1)),
+        raw_likeliness=np.exp(rng.normal(scale=3.0, size=shape)),
+        costs=rng.normal(size=shape) * rng.uniform(0.0, 1e3, size=shape),
     )
 
 
-def _block(paths, r, size):
-    rows = slice(r * size, (r + 1) * size)
-    return TrajectorySet(paths.states[rows], paths.raw_likeliness[rows], paths.costs[rows])
+def _block(paths, r):
+    return TrajectorySet(paths.states[r], paths.raw_likeliness[r], paths.costs[r])
 
 
 @pytest.mark.parametrize("blocks", [1, 7, 163])
 @pytest.mark.parametrize("block_size", [1, 2, 27, 100, 1000, 10000])
 def test_stacked_estimates_equal_each_blocks_own_estimate(block_size, blocks):
     paths = _stacked_set(block_size, blocks, np.random.default_rng(block_size * 1000 + blocks))
-    mean = estimate_mean(paths, blocks)
-    weighted = estimate_weighted(paths, blocks)
+    mean = estimate_mean(paths)
+    weighted = estimate_weighted(paths)
+    assert normalize_weights(paths).shape == (blocks, block_size)
     for est in (mean, weighted):
         assert est.value.shape == (blocks,)
         assert est.terms.shape[-1] == block_size
         # The variance is left for whoever reads it.
         assert "empirical_variance" not in vars(est)
     for r in range(blocks):
-        block = _block(paths, r, block_size)
+        block = _block(paths, r)
         own_mean = estimate_mean(block)
         own_weighted = estimate_weighted(block)
         assert type(own_mean.value) is float and type(own_weighted.value) is float
         assert mean.value[r] == own_mean.value
         assert weighted.value[r] == own_weighted.value
+        assert np.array_equal(normalize_weights(paths)[r], normalize_weights(block))
         for stacked, own, terms in (
             (mean, own_mean, block.costs),
             (weighted, own_weighted, normalize_weights(block) * block.costs),
@@ -329,7 +330,7 @@ def test_stacked_estimates_compare_by_identity():
     # Field-wise equality would compare the value arrays and raise numpy's
     # ambiguous-truth error.
     paths = _stacked_set(3, 4, np.random.default_rng(2))
-    first, second = estimate_mean(paths, 4), estimate_mean(paths, 4)
+    first, second = estimate_mean(paths), estimate_mean(paths)
     assert (first == second) is False
     assert (first == first) is True
 
@@ -338,21 +339,19 @@ def test_stacked_estimates_compare_by_identity():
 def test_stacked_weighted_rejects_an_underflowed_block():
     paths = _stacked_set(3, 4, np.random.default_rng(5))
     lik = paths.raw_likeliness.copy()
-    lik[6:9] = [1e-310, 0.0, 1e-310]
+    lik[2] = [1e-310, 0.0, 1e-310]
     bad = TrajectorySet(paths.states, lik, paths.costs)
     with pytest.raises(ValueError, match="normalized weights must sum to the set size 3, got nan"):
-        estimate_weighted(bad, 4)
+        estimate_weighted(bad)
+    with pytest.raises(ValueError, match="normalized weights must sum to the set size 3, got nan"):
+        normalize_weights(bad)
     # The plain mean needs no weights.
-    assert estimate_mean(bad, 4).value[2] == estimate_mean(_block(bad, 2, 3)).value
+    assert estimate_mean(bad).value[2] == estimate_mean(_block(bad, 2)).value
 
 
-def test_blocks_must_cut_the_set_evenly():
-    paths = _stacked_set(3, 4, np.random.default_rng(6))
-    for blocks in (5, 24):
-        with pytest.raises(ValueError, match="equal blocks"):
-            estimate_mean(paths, blocks)
-    with pytest.raises(ValueError, match="blocks must be >= 1"):
-        estimate_weighted(paths, 0)
-    with pytest.raises(TypeError, match="blocks must be an integer"):
-        estimate_mean(paths, 2.0)
-
+def test_stacked_set_of_empty_replications_is_an_error():
+    empty = TrajectorySet(np.zeros((3, 0, 2, 1)), np.zeros((3, 0)), np.zeros((3, 0)))
+    assert len(empty) == 0
+    for estimator in (estimate_mean, estimate_weighted):
+        with pytest.raises(ValueError, match="cannot estimate from an empty trajectory set"):
+            estimator(empty)

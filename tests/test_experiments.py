@@ -247,6 +247,24 @@ def test_cli_head_errors_name_the_key_and_exit_2(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, key, value, bound",
+    [
+        ("chebyshev_coverage", "reps", 1, 2),
+        ("variance_scaling", "reps", 1, 2),
+        ("covariance_decay", "reps", 9, 10),
+        ("covariance_decay", "branch_factor", 1, 2),
+        ("pruning_study", "branch_factor", 1, 2),
+    ],
+)
+def test_cli_validate_states_the_lower_bound_it_rejects(tmp_path, capsys, kind, key, value, bound):
+    config = _write_config(
+        tmp_path / "exp.ini", f"[experiment]\nkind = {kind}\noutput = out\n\n[{kind}]\n{key} = {value}\n"
+    )
+    assert main(["validate", str(config)]) == 2
+    assert f"{kind}.{key}: must be at least {bound}, got {value}" in capsys.readouterr().err
+
+
 def test_describe_kinds_covers_every_kind():
     names = [name for name, _ in describe_kinds()]
     assert names == [kind.value for kind in ExperimentKind]
@@ -498,7 +516,7 @@ def test_spec_built_in_code_gets_the_config_checks(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="variance_scaling.sigma: must be nonzero"):
         run_experiment(spec)
     for params, message in (
-        (dict(_bench_params(), n_values=[10, 20], reps=1), "variance_scaling.reps: must be positive"),
+        (dict(_bench_params(), n_values=[10, 20], reps=1), "variance_scaling.reps: must be at least 2, got 1"),
         (dict(_bench_params(), n_values=[10], reps=5), "variance_scaling.n_values: need at least two"),
         (dict(_bench_params(), n_values=[10, 20]), "variance_scaling.reps: missing required key"),
         (dict(_bench_params(), n_values=[10, 20], reps=5, m=1), "variance_scaling.m: unknown key"),

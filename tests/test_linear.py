@@ -21,7 +21,6 @@ from rsmhp import (
     lqg_exact_cost,
     lqg_stochastic_model,
     nbo_error,
-    power_sum,
     rollout,
     sample_independent,
     var_p,
@@ -34,37 +33,28 @@ def _benchmark():
     return LinearModel(0.5, 1.0, 1.0, 0.0, 1.0, horizon=2)
 
 
-def test_power_sum_last_step_is_identity():
-    out = power_sum(np.array([[0.3, 0.1], [0.0, 0.7]]), horizon=4, k=3)
-    np.testing.assert_array_equal(out, np.eye(2))
-
-
-def test_power_sum_scalar_hand_value():
-    out = power_sum(np.array([[0.5]]), horizon=2, k=0)
-    assert out[0, 0] == pytest.approx(1.5, rel=1e-15)
-
-
-def test_power_sum_identity_dynamics_counts_steps():
-    for k in range(5):
-        out = power_sum(np.eye(3), horizon=5, k=k)
-        np.testing.assert_allclose(out, (5 - k) * np.eye(3), rtol=1e-15)
-
-
-def test_power_sum_satisfies_backward_recurrence():
-    rng = np.random.default_rng(11)
-    a = rng.normal(scale=0.4, size=(3, 3))
-    horizon = 6
-    for k in range(horizon - 1):
-        lhs = power_sum(a, horizon, k)
-        rhs = np.eye(3) + a @ power_sum(a, horizon, k + 1)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
-
-
-def test_power_sum_rejects_out_of_range_step():
-    with pytest.raises(ValueError):
-        power_sum(np.eye(2), horizon=3, k=3)
-    with pytest.raises(ValueError):
-        power_sum(np.eye(2), horizon=3, k=-1)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    horizon=st.integers(min_value=1, max_value=50),
+    norm=st.floats(min_value=0.0, max_value=1.05),
+    model_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_var_p_equals_its_power_sum_form(dim, horizon, norm, model_seed):
+    # var_p = sum_k c' A_k Sigma A_k' c with A_k = sum_{q<H-k} A^q, each
+    # power sum built from scratch.
+    rng = np.random.default_rng(model_seed)
+    a = rng.normal(size=(dim, dim))
+    a *= norm / np.linalg.norm(a, 2)
+    c = rng.normal(size=dim)
+    root = rng.normal(size=(dim, dim))
+    sigma = root @ root.T
+    want = 0.0
+    for k in range(horizon):
+        a_k = sum(np.linalg.matrix_power(a, q) for q in range(horizon - k))
+        want += c @ a_k @ sigma @ a_k.T @ c
+    model = LinearModel(a, np.zeros(dim), c, 0.0, sigma, horizon)
+    assert var_p(model) == pytest.approx(want, rel=1e-10)
 
 
 def test_var_p_is_zero_for_zero_noise_covariance():
@@ -98,7 +88,8 @@ def test_singular_noise_covariance_is_rejected_naming_noise_cov():
 
 
 def test_var_p_scalar_hand_value():
-    assert var_p(_benchmark()) == pytest.approx(3.25, rel=1e-12)
+    # Gains 1 and 1 + 0.5 at unit variance: 1 + 2.25, exact in binary.
+    assert var_p(_benchmark()) == 3.25
 
 
 def test_var_p_matches_sampled_cost_variance_scalar():
@@ -399,10 +390,12 @@ def test_rollout_equals_its_row_of_a_stacked_two_state_batch(control_dim, horizo
     # The draws the sampler takes: one sample_batch call over every seed's stream.
     streams = _Rekeyed(seed_states(seeds, (_INDEPENDENT_DOMAIN,), 2))
     draws, weights = model.noise.sample_batch(streams, count * horizon)
-    draws = draws.reshape(len(seeds) * count, horizon, 2)
-    weights = weights.reshape(len(seeds) * count, horizon)
-    for i in range(len(batch)):
-        path = rollout(model, controls, list(zip(draws[i], weights[i])))
-        assert np.array_equal(path.states[0], batch.states[i])
-        assert path.costs[0] == batch.costs[i]
-        assert path.raw_likeliness[0] == batch.raw_likeliness[i]
+    draws = draws.reshape(len(seeds), count, horizon, 2)
+    weights = weights.reshape(len(seeds), count, horizon)
+    assert batch.costs.shape == (len(seeds), count)
+    for r in range(len(seeds)):
+        for i in range(count):
+            path = rollout(model, controls, list(zip(draws[r, i], weights[r, i])))
+            assert np.array_equal(path.states[0], batch.states[r, i])
+            assert path.costs[0] == batch.costs[r, i]
+            assert path.raw_likeliness[0] == batch.raw_likeliness[r, i]

@@ -388,6 +388,17 @@ def test_trajectory_set_checks_the_states_rank_first(states):
         TrajectorySet(np.zeros((2, 3, 1)), [1.0], [0.0, 0.0])
 
 
+def test_trajectory_set_rejects_a_flat_array_beside_stacked_states():
+    # Twelve costs are as many trajectories as (3, 4) states, but not one
+    # per trajectory on the replication axis.
+    with pytest.raises(DimensionError, match=r"must be \(3, 4\).*got \(3, 4\) and \(12,\)"):
+        TrajectorySet(np.zeros((3, 4, 3, 1)), np.ones((3, 4)), np.zeros(12))
+    with pytest.raises(DimensionError, match="branch_paths"):
+        TrajectorySet(np.zeros((3, 4, 3, 1)), np.ones((3, 4)), np.zeros((3, 4)), np.zeros((12, 2), dtype=np.intp))
+    ts = TrajectorySet(np.zeros((3, 4, 3, 1)), np.ones((3, 4)), np.zeros((3, 4)), np.zeros((3, 4, 2), dtype=np.intp))
+    assert len(ts) == 12
+
+
 @pytest.mark.parametrize(
     "branch_paths",
     ["tree", np.zeros((5, 7), dtype=np.intp), np.zeros((2, 1)), np.zeros(2, dtype=np.intp)],

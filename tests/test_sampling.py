@@ -453,6 +453,11 @@ def test_independent_batch_is_not_capped(monkeypatch):
     assert len(sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=50))) == 50
 
 
+def test_independent_rejects_a_prune_width():
+    with pytest.raises(ValueError, match="sample_independent requires prune_width=None"):
+        sample_independent(_lqg(2), np.zeros(2), SamplerConfig(branch_factor=10, prune_width=3))
+
+
 def test_logged_pruning_takes_one_replication():
     controls = [0.5, 0.2, 0.1]
     with pytest.raises(ValueError, match="single replication"):
@@ -463,8 +468,15 @@ def test_logged_pruning_takes_one_replication():
         _lqg(3), controls, SamplerConfig(branch_factor=3, prune_width=2, seeds=(8,))
     )
     plain = sample_tree_pruned(_lqg(3), controls, SamplerConfig(branch_factor=3, prune_width=2, master_seed=8))
-    assert set_arrays_equal(one_seed, plain)
+    assert one_seed.costs.shape == (1, len(plain))
+    assert set_arrays_equal(_replication(one_seed, 0), plain)
+    assert np.array_equal(one_seed.branch_paths[0], plain.branch_paths)
     assert [rec.level for rec in log] == [0, 1]
+
+
+def _replication(stacked, r):
+    """Replication ``r`` of a stacked set, as a set of its own."""
+    return TrajectorySet(stacked.states[r], stacked.raw_likeliness[r], stacked.costs[r])
 
 
 _STACKED = [
@@ -525,17 +537,15 @@ def test_stacked_block_equals_its_single_seed_call(
         return out
 
     whole = sample(seeds=tuple(seeds))
-    size = len(whole) // len(seeds)
-    assert len(whole) == size * len(seeds)
+    assert whole.costs.shape[0] == len(seeds)
     for r, seed in enumerate(seeds):
         alone = sample(master_seed=seed)
-        rows = slice(r * size, (r + 1) * size)
-        block = TrajectorySet(whole.states[rows], whole.raw_likeliness[rows], whole.costs[rows])
-        assert set_arrays_equal(block, alone)
+        assert set_arrays_equal(_replication(whole, r), alone)
         if alone.branch_paths is None:
             assert whole.branch_paths is None
         else:
-            assert np.array_equal(whole.branch_paths[rows], alone.branch_paths)
+            assert np.array_equal(whole.branch_paths[r], alone.branch_paths)
+    assert len(whole) == len(seeds) * len(alone)
 
 
 def _law(kind, dim, rng):
