@@ -244,9 +244,11 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
             weighted = estimate_weighted(paths).value
             return np.column_stack([np.abs(mean - exact), np.abs(weighted - exact)])
 
-        # Every replication keeps min(width, full) leaves.
+        # Every replication keeps min(width, full) leaves, but holds up to
+        # width * branch_factor candidates before each cut.
         leaves = min(width, full)
-        errors = _replicate(chunk, spec.master_seed, m_index, p["reps"], leaves, workers)
+        rows_each = min(width * p["branch_factor"], full)
+        errors = _replicate(chunk, spec.master_seed, m_index, p["reps"], rows_each, workers)
         rows.append(
             (
                 width, leaves,

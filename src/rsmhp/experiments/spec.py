@@ -268,11 +268,11 @@ _SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
         *(_same_field(_SCENARIO_DEFAULTS, name) for name in _SCENARIO_KEYS),
         FieldSpec("uav_x", "float", float(_SCENARIO_DEFAULTS.uav_position[0]), None, "vehicle start x"),
         FieldSpec("uav_y", "float", float(_SCENARIO_DEFAULTS.uav_position[1]), None, "vehicle start y"),
-        FieldSpec("target_mean", "float_list", _SCENARIO_DEFAULTS.target_mean.tolist(), None,
+        FieldSpec("target_mean", "float_list", list(_SCENARIO_DEFAULTS.target_mean), None,
                   "prior mean: x, y, vx, vy"),
-        FieldSpec("target_pos_var", "float", _SCENARIO_DEFAULTS.target_cov[0, 0].item(), _nonnegative,
+        FieldSpec("target_pos_var", "float", _SCENARIO_DEFAULTS.target_cov[0][0], _nonnegative,
                   "prior position variance per axis"),
-        FieldSpec("target_vel_var", "float", _SCENARIO_DEFAULTS.target_cov[2, 2].item(), _nonnegative,
+        FieldSpec("target_vel_var", "float", _SCENARIO_DEFAULTS.target_cov[2][2], _nonnegative,
                   "prior velocity variance per axis"),
     ],
     ExperimentKind.COVARIANCE_DECAY: _SCALAR_BENCHMARK + [
@@ -305,8 +305,8 @@ def _cross_check(kind: ExperimentKind, params: dict, section: str) -> None:
         if params["p_min"] > params["p_max"]:
             fail("p_min", f"must not exceed p_max ({params['p_max']})")
     elif kind is ExperimentKind.VARIANCE_SCALING:
-        if len(params["n_values"]) < 2:
-            fail("n_values", "need at least two counts to fit a slope")
+        if len(set(params["n_values"])) < 2:
+            fail("n_values", "need at least two distinct counts to fit a slope")
     elif kind in (ExperimentKind.PRUNING_STUDY, ExperimentKind.COVARIANCE_DECAY):
         if params["horizon"] < 2:
             fail("horizon", "must be at least 2 so the tree branches below its root")
@@ -325,11 +325,14 @@ def tracking_setup(params: dict, master_seed: int):
 
     Returns ``(scenario, [(arm_name, planner_config), ...])``: the nominal
     arm ``nbo`` first, then one ``nt<count>`` arm per entry of
-    ``nt_values``.  Every arm and the scenario share
-    ``master_seed``.  ``ScenarioConfig`` and ``PlannerConfig`` validate the
-    values and raise ``ValueError`` or ``TypeError`` naming the field.
+    ``nt_values``, which must not repeat an entry.  Every arm and the
+    scenario share ``master_seed``.  ``ScenarioConfig`` and
+    ``PlannerConfig`` validate the values and raise ``ValueError`` or
+    ``TypeError`` naming the field.
     """
     p = params
+    if len(set(p["nt_values"])) != len(p["nt_values"]):
+        raise ValueError(f"nt_values must not repeat an entry, got {list(p['nt_values'])}")
     scenario = ScenarioConfig(
         **{key: p[key] for key in _SCENARIO_KEYS},
         uav_position=(p["uav_x"], p["uav_y"]),

@@ -195,7 +195,7 @@ def _zero_terminal(xs: Array) -> Array:
     return np.zeros(xs.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticModel:
     """Finite-horizon problem definition over row-stacked states.
 
@@ -205,6 +205,7 @@ class StochasticModel:
     row.  They return the successor states (n, state_dim) and the costs
     (n,); any other shape is a ``DimensionError`` naming the callable and
     the step.  Row i of an output must depend on row i of the inputs only.
+    A model holds callables, so it compares and hashes by identity.
     """
 
     state_dim: int

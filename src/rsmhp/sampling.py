@@ -119,12 +119,13 @@ class SamplerConfig:
         return self.seeds or (self.master_seed,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneRecord:
     """One pruning event: the candidate pool at a depth and who survived.
 
     ``likeliness`` and ``branch_paths`` describe all candidates in child
-    order before the cut; ``kept`` indexes the survivors in rank order.
+    order before the cut; ``kept`` indexes the survivors in rank order.  A
+    record holds diagnostic arrays, so it compares and hashes by identity.
     """
 
     level: int

@@ -6,13 +6,14 @@ tracked object follows a near-constant-velocity model with white
 acceleration noise, the same on each axis.  An onboard position sensor
 reports the target with isotropic noise whose variance grows with the
 vehicle-to-target range, which is what couples vehicle motion to tracking
-quality; ``sensor_cov`` returns that one per-axis variance.
+quality; ``sensor_cov`` returns that one per-axis variance.  A
+``UavState`` holds Python floats, so states compare and hash by value.
 
 The step functions read every world parameter (time step, speed bounds,
 noise levels) from the episode's ``ScenarioConfig``, which validates them
-once and derives the process covariance's factor from them; none has a
-default of its own.  Gravity is the constant ``GRAVITY``, read as the
-class attribute ``ScenarioConfig.gravity``.
+once and derives the transition matrix and the process covariance's
+factor from them; none has a default of its own.  Gravity is the
+constant ``GRAVITY``, read as the class attribute ``ScenarioConfig.gravity``.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .._checks import check_finite
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -35,21 +38,24 @@ GRAVITY = 9.81
 
 @dataclass(frozen=True)
 class UavState:
-    """Planar vehicle state: position (m), heading (rad), speed (m/s)."""
+    """Planar vehicle state: position (m), heading (rad), speed (m/s), all finite.
 
-    position: np.ndarray
+    ``position`` is stored as an (x, y) pair of floats; any 2-vector, an array too, may be given.
+    """
+
+    position: tuple
     heading: float
     speed: float
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (2,):
-            raise ValueError(f"position must be a 2-vector, got shape {pos.shape}")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
+        position = np.asarray(self.position, dtype=float)
+        if position.shape != (2,):
+            raise ValueError(f"position must be a 2-vector, got shape {position.shape}")
+        object.__setattr__(self, "position", tuple(position.tolist()))
         object.__setattr__(self, "heading", float(self.heading))
         object.__setattr__(self, "speed", float(self.speed))
+        for name in ("position", "heading", "speed"):
+            check_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,11 @@ def uav_step_floats(x, y, heading, speed, accel, bank, scenario: ScenarioConfig)
 
 def uav_step(state: UavState, control: UavControl, scenario: ScenarioConfig) -> UavState:
     """Advance the vehicle one step (deterministic kinematics, ``uav_step_floats``)."""
-    x, y = state.position.tolist()
+    x, y = state.position
     x, y, heading, speed = uav_step_floats(
         x, y, state.heading, state.speed, control.forward_acceleration, control.bank_angle, scenario
     )
-    return UavState(position=np.array([x, y]), heading=heading, speed=speed)
+    return UavState(position=(x, y), heading=heading, speed=speed)
 
 
 def target_transition_matrix(dt: float) -> np.ndarray:
@@ -114,11 +120,11 @@ def target_process_cov(intensity: float, dt: float) -> np.ndarray:
 
 
 def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator):
-    """Advance the true target state with process noise scaled by ``scenario.process_root``.
+    """Advance the true target state: ``scenario.target_transition`` times it, plus noise scaled by ``process_root``.
 
     At ``process_intensity`` 0 the step is the noiseless prediction and draws nothing.
     """
-    mean = target_transition_matrix(scenario.dt) @ np.asarray(state, dtype=float)
+    mean = scenario.target_transition @ np.asarray(state, dtype=float)
     if scenario.process_intensity == 0.0:
         return mean
     return mean + scenario.process_root @ rng.standard_normal(4)

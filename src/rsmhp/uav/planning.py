@@ -24,9 +24,9 @@ P_vv) block that both axes share, and a position sensor of isotropic noise
 keeps it shared, so the recursion runs once over that block and the trace
 is twice its P_pp + P_vv.  The first predict reads only the prior, so it
 is the filter's own ``kalman_predict``, done once per objective.  The
-target model's constants (the process covariance's Cholesky factor and its
-per-axis block) are read from the ``ScenarioConfig``, which derives them
-once.
+target model's constants (the transition matrix, the process covariance's
+Cholesky factor and its per-axis block) are read from the
+``ScenarioConfig``, which derives them once.
 
 Two kernels run that recursion.  ``_trace_terms`` holds every future of
 every candidate in numpy arrays, the candidates' futures stacked on one
@@ -53,7 +53,7 @@ import numpy as np
 
 from .._checks import check_int, check_seed
 from .._seeds import generators
-from .dynamics import UavControl, target_transition_matrix, uav_step_floats
+from .dynamics import UavControl, uav_step_floats
 from .filtering import TargetBelief, kalman_predict
 from .scenario import ScenarioConfig
 
@@ -113,7 +113,7 @@ def _planned_path(uav, flat_controls, scenario) -> list:
     Python floats since the path does not depend on the sampled futures and
     sits inside the optimizer's inner loop.
     """
-    x, y = uav.position.tolist()
+    x, y = uav.position
     heading, speed = uav.heading, uav.speed
     path = []
     for accel, bank in zip(flat_controls[0::2], flat_controls[1::2]):
@@ -129,7 +129,7 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
     (n, H, 4); all zeros gives the noiseless prediction of the belief mean.
     """
     n, horizon, _ = process_raw.shape
-    f = target_transition_matrix(scenario.dt)
+    f = scenario.target_transition
     truths = np.broadcast_to(belief.mean, (n, 4))
     paths = np.empty((2, horizon, n))
     for k in range(horizon):

@@ -6,13 +6,13 @@ levels, initial conditions, and the master seed that derives every stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .._checks import check_finite, check_int, check_seed
-from .dynamics import GRAVITY, target_process_cov
+from .dynamics import GRAVITY, target_process_cov, target_transition_matrix
 from .filtering import covariance_block
 
 __all__ = ["ScenarioConfig"]
@@ -25,17 +25,20 @@ class ScenarioConfig:
     The sensor noise variance is sigma0^2 + eta * range^2 per axis, so eta
     controls how strongly vehicle position matters.  ``process_intensity``
     is the target's white-acceleration power density.  Every float must be
-    finite.  The target model is isotropic, so ``target_cov`` must have
-    equal x and y blocks and no cross-axis entries (``covariance_block``).
-    ``gravity`` is a constant of the class, not a field.
-    The target model's constants are derived once, not passed: the
+    finite.  ``uav_position``, ``target_mean`` and ``target_cov`` may be
+    given as arrays and are stored as tuples of floats: a pair, a 4-tuple
+    and 4 rows of 4.  The target model is isotropic, so ``target_cov`` must
+    have equal x and y blocks and no cross-axis entries
+    (``covariance_block``).  ``gravity`` is a constant of the class, not a
+    field.  The target model's constants are derived once, not passed: the
     read-only lower Cholesky factors ``target_root`` of ``target_cov +
     1e-12 I`` (the initial target draw) and ``process_root`` of the process
-    covariance (zeros at intensity 0), and ``process_block``, that
-    covariance's (q_pp, q_pv, q_vv), the same on each axis.  Configs without these
+    covariance (zeros at intensity 0), the read-only ``target_transition``
+    matrix of ``dt``, and ``process_block``, the process covariance's
+    (q_pp, q_pv, q_vv), the same on each axis.  Configs without these
     factors are rejected, and so are ``sigma0``, ``eta`` and
-    ``process_intensity`` all 0.  Configs compare and hash equal when every
-    compared field, arrays included, is equal by value.
+    ``process_intensity`` all 0.  The derived fields are not compared, so
+    configs compare and hash equal when their given values are equal.
     """
 
     dt: float = 1.0
@@ -50,10 +53,11 @@ class ScenarioConfig:
     uav_position: tuple = (0.0, 0.0)
     uav_heading: float = 0.0
     uav_speed: float = 30.0
-    target_mean: np.ndarray = field(default_factory=lambda: np.array([600.0, 400.0, 5.0, 0.0]))
-    target_cov: np.ndarray = field(default_factory=lambda: np.diag([400.0, 400.0, 16.0, 16.0]))
+    target_mean: tuple = (600.0, 400.0, 5.0, 0.0)
+    target_cov: tuple = ((400.0, 0.0, 0.0, 0.0), (0.0, 400.0, 0.0, 0.0), (0.0, 0.0, 16.0, 0.0), (0.0, 0.0, 0.0, 16.0))
     master_seed: int = 0
     target_root: np.ndarray = field(init=False, repr=False, compare=False)
+    target_transition: np.ndarray = field(init=False, repr=False, compare=False)
     process_root: np.ndarray = field(init=False, repr=False, compare=False)
     process_block: tuple = field(init=False, repr=False, compare=False)
     gravity: ClassVar[float] = GRAVITY
@@ -99,29 +103,14 @@ class ScenarioConfig:
             process_root = np.linalg.cholesky(process) if self.process_intensity > 0.0 else np.zeros((4, 4))
         except np.linalg.LinAlgError:
             raise ValueError(f"process_intensity {self.process_intensity!r} is too small to factor") from None
-        for array in (mean, cov, root, process_root):
+        transition = target_transition_matrix(self.dt)
+        for array in (root, transition, process_root):
             array.setflags(write=False)
         q = process.tolist()
-        object.__setattr__(self, "target_mean", mean)
-        object.__setattr__(self, "target_cov", cov)
+        object.__setattr__(self, "target_mean", tuple(mean.tolist()))
+        object.__setattr__(self, "target_cov", tuple(map(tuple, cov.tolist())))
         object.__setattr__(self, "target_root", root)
+        object.__setattr__(self, "target_transition", transition)
         object.__setattr__(self, "process_root", process_root)
         object.__setattr__(self, "process_block", (q[0][0], q[0][2], q[2][2]))
         object.__setattr__(self, "uav_position", tuple(position.tolist()))
-
-    def __eq__(self, other) -> bool:
-        # The generated __eq__ compares fields inside a tuple, where the
-        # elementwise == of the array fields has no truth value.
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def _compared(self) -> tuple:
-        # Validation fixes the arrays' shapes, so their flat entries are their value.
-        return tuple(
-            tuple(value.ravel().tolist()) if isinstance(value, np.ndarray) else value
-            for value in (getattr(self, f.name) for f in fields(self) if f.compare)
-        )

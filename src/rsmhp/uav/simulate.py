@@ -43,12 +43,8 @@ def run_episode(
     (planner_rng,) = generators(config.master_seed, (run_index,))
 
     belief = TargetBelief(scenario.target_mean, scenario.target_cov)
-    truth = scenario.target_mean + scenario.target_root @ init_rng.standard_normal(4)
-    uav = UavState(
-        position=np.asarray(scenario.uav_position, dtype=float),
-        heading=scenario.uav_heading,
-        speed=scenario.uav_speed,
-    )
+    truth = np.array(scenario.target_mean) + scenario.target_root @ init_rng.standard_normal(4)
+    uav = UavState(position=scenario.uav_position, heading=scenario.uav_heading, speed=scenario.uav_speed)
 
     errors = np.empty(scenario.n_steps)
     for step in range(scenario.n_steps):

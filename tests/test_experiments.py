@@ -214,8 +214,8 @@ def test_every_tracking_key_reaches_its_field(tmp_path):
                 "accel_max", "bank_max", "uav_heading", "uav_speed"):
         assert getattr(scenario, key) == values[key], key
     assert scenario.uav_position == (-10.0, 25.0)
-    assert scenario.target_mean.tolist() == [100.0, 200.0, -1.0, 2.0]
-    assert np.array_equal(scenario.target_cov, np.diag([250.0, 250.0, 9.0, 9.0]))
+    assert scenario.target_mean == (100.0, 200.0, -1.0, 2.0)
+    assert scenario.target_cov == tuple(map(tuple, np.diag([250.0, 250.0, 9.0, 9.0]).tolist()))
     assert scenario.master_seed == 77
     # The nominal arm always runs, first; nt_values sets the others.
     assert [(name, planner.n_trajectories) for name, planner in arms] == [("nbo", 1), ("nt4", 4), ("nt9", 9)]
@@ -263,6 +263,23 @@ def test_cli_validate_states_the_lower_bound_it_rejects(tmp_path, capsys, kind, 
     )
     assert main(["validate", str(config)]) == 2
     assert f"{kind}.{key}: must be at least {bound}, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, entry, key",
+    [
+        # A log-log slope fitted to one count repeated is meaningless.
+        ("variance_scaling", "n_values = 100, 100", "n_values"),
+        # Both nt5 arms ran, and one arm's results were thrown away.
+        ("uav_monte_carlo", "nt_values = 5, 5", "nt_values"),
+    ],
+)
+def test_cli_validate_rejects_a_repeated_count(tmp_path, capsys, kind, entry, key):
+    config = _write_config(
+        tmp_path / "exp.ini", f"[experiment]\nkind = {kind}\noutput = out\n\n[{kind}]\n{entry}\n"
+    )
+    assert main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {kind}.{key}: ")
 
 
 def test_describe_kinds_covers_every_kind():
@@ -427,6 +444,20 @@ def test_pruning_study_leaf_counts(tmp_path):
     assert [int(row[1]) for row in rows] == [1, 4, 9, 9]
     for row in rows:
         assert float(row[2]) >= 0.0 and float(row[3]) >= 0.0
+
+
+def test_pruning_study_chunks_by_the_candidates_before_each_cut(tmp_path):
+    # Each replication keeps 10 leaves but holds 10 * 200 candidates before
+    # the cut at depth 2; chunks sized by the kept leaves put all 600
+    # replications in one call of 1.2 million candidates, over the tree cap.
+    spec = _spec(
+        ExperimentKind.PRUNING_STUDY, tmp_path,
+        **_bench_params(horizon=3),
+        branch_factor=200, m_values=[10], reps=600,
+    )
+    run_experiment(spec)
+    _, rows = read_csv(Path(spec.output) / "results.csv")
+    assert [(int(row[0]), int(row[1])) for row in rows] == [(10, 10)]
 
 
 def test_uav_monte_carlo_writes_one_cdf_per_arm(tmp_path):

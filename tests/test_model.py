@@ -1,19 +1,25 @@
 """Model abstraction: noise laws, rollouts, trajectory costs."""
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
 from conftest import CyclicNoise
 
+import rsmhp
 from rsmhp import (
     DimensionError,
     DiscreteNoise,
+    Estimate,
     GaussianNoise,
     LinearModel,
     LqgParams,
+    PruneRecord,
     SamplerConfig,
     StochasticModel,
     TrajectorySet,
@@ -26,7 +32,15 @@ from rsmhp import (
     sample_independent,
     trajectory_cost,
 )
-from rsmhp.uav import ScenarioConfig
+from rsmhp.experiments.spec import ExperimentSpec, FieldSpec
+from rsmhp.uav import (
+    PlannerConfig,
+    PlannerObjective,
+    ScenarioConfig,
+    TargetBelief,
+    UavControl,
+    UavState,
+)
 
 _LQG = dict(a=0.5, r=10.0, target=1.0, sigma=1.0, x0=0.0, horizon=2)
 _LINEAR = dict(a_matrix=0.5, b_matrix=1.0, cost_state=1.0, cost_control=0.0, noise_cov=1.0, horizon=2)
@@ -302,6 +316,12 @@ def _lqg_model():
                      id="ScenarioConfig.uav_position"),
         pytest.param(lambda: ScenarioConfig(target_mean=[math.nan, 0.0, 0.0, 0.0]), "target_mean", ValueError,
                      id="ScenarioConfig.target_mean"),
+        # A non-finite vehicle state made the planner score NaN.
+        pytest.param(lambda: UavState((math.nan, 0.0), 0.0, 30.0), "position", ValueError, id="UavState.position"),
+        pytest.param(lambda: UavState(np.array([0.0, math.inf]), 0.0, 30.0), "position", ValueError,
+                     id="UavState.position_array"),
+        pytest.param(lambda: UavState((0.0, 0.0), math.nan, 30.0), "heading", ValueError, id="UavState.heading"),
+        pytest.param(lambda: UavState((0.0, 0.0), 0.0, math.inf), "speed", ValueError, id="UavState.speed"),
         pytest.param(lambda: sample_independent(_lqg_model(), [0.1, math.nan], SamplerConfig(branch_factor=4)),
                      "controls at step 1", ValueError, id="sample_independent.controls"),
         pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(math.nan, 1.0), (0.0, 1.0)]),
@@ -322,6 +342,66 @@ def test_bad_inputs_fail_naming_their_field(make, field, error):
     # Each of these once ran on to a NaN or infinite result.
     with pytest.raises(error, match=rf"^{field} must be "):
         make()
+
+
+def _add_noise(xs, u, ws):
+    return xs + ws
+
+
+def _no_stage_cost(xs, u):
+    return np.zeros(len(xs))
+
+
+# Each factory builds a new instance from new arrays; two calls give equal values.
+_VALUE_TYPES = {
+    ScenarioConfig: lambda: ScenarioConfig(
+        uav_position=np.array([1.0, 2.0]), target_mean=np.array([600.0, 400.0, 5.0, 1.0]),
+        target_cov=np.diag([400.0, 400.0, 25.0, 25.0]),
+    ),
+    UavState: lambda: UavState(np.array([1.0, 2.0]), 0.5, 30.0),
+    UavControl: lambda: UavControl(1.5, -0.2),
+    TargetBelief: lambda: TargetBelief(np.array([1.0, 2.0, 3.0, 4.0]), np.diag([4.0, 4.0, 1.0, 1.0])),
+    SamplerConfig: lambda: SamplerConfig(branch_factor=3, prune_width=2, seeds=np.array([5, 6])),
+    PlannerConfig: lambda: PlannerConfig(horizon=3, n_trajectories=5, objective=PlannerObjective.RSMHP),
+    LqgParams: lambda: LqgParams(**_LQG),
+    FieldSpec: lambda: FieldSpec("reps", "int", 10, None, "replications"),
+}
+_IDENTITY_TYPES = {
+    Estimate: lambda: Estimate(np.array([1.0]), np.array([[1.0]])),
+    PruneRecord: lambda: PruneRecord(1, np.array([0.5, 0.5]), np.array([[0], [1]]), np.array([1])),
+    StochasticModel: lambda: StochasticModel(
+        state_dim=1, control_dim=1, transition=_add_noise, stage_cost=_no_stage_cost,
+        noise=DiscreteNoise([[0.0]], [1.0]), horizon=2, initial_state=np.array([0.0]),
+    ),
+}
+
+
+def test_every_frozen_dataclass_is_a_value_or_an_identity_type():
+    found = set()
+    for module in pkgutil.walk_packages(rsmhp.__path__, "rsmhp."):
+        for obj in vars(importlib.import_module(module.name)).values():
+            params = getattr(obj, "__dataclass_params__", None)
+            if isinstance(obj, type) and params is not None and params.frozen:
+                found.add(obj)
+    # ExperimentSpec compares by value, but its params are a dict, so it has no hash.
+    assert found == set(_VALUE_TYPES) | set(_IDENTITY_TYPES) | {ExperimentSpec}
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_TYPES), ids=lambda cls: cls.__name__)
+def test_value_types_compare_and_hash_by_value(cls):
+    first, second = _VALUE_TYPES[cls](), _VALUE_TYPES[cls]()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second) and {first: "first"}[second] == "first"
+    compared = [f.name for f in dataclasses.fields(cls) if f.compare]
+    assert not [name for name in compared if isinstance(getattr(first, name), np.ndarray)]
+
+
+@pytest.mark.parametrize("cls", list(_IDENTITY_TYPES), ids=lambda cls: cls.__name__)
+def test_identity_types_compare_and_hash_by_identity(cls):
+    first, second = _IDENTITY_TYPES[cls](), _IDENTITY_TYPES[cls]()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and {first: "first"}.get(second) is None
 
 
 def test_discrete_noise_weights_are_masses():

@@ -137,6 +137,25 @@ def test_target_fixed_point_with_zero_velocity_and_noise():
     np.testing.assert_array_equal(out, state)
 
 
+@pytest.mark.parametrize("dt", [1.0, 0.1, 2.5])
+def test_scenario_derives_the_target_transition(dt):
+    sc = ScenarioConfig(dt=dt)
+    assert sc.target_transition.tobytes() == target_transition_matrix(dt).tobytes()
+    assert not sc.target_transition.flags.writeable
+    assert dataclasses.replace(sc, dt=2.0 * dt).target_transition[0, 2] == 2.0 * dt
+
+
+def test_scenario_stores_given_arrays_as_float_tuples():
+    sc = ScenarioConfig(
+        uav_position=np.array([3, 4]), target_mean=np.array([1, 2, 3, 4]), target_cov=np.diag([4, 4, 1, 1]),
+    )
+    assert sc.uav_position == (3.0, 4.0)
+    assert sc.target_mean == (1.0, 2.0, 3.0, 4.0)
+    assert sc.target_cov == ((4.0, 0.0, 0.0, 0.0), (0.0, 4.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    assert all(type(value) is float for value in sc.uav_position + sc.target_mean + sum(sc.target_cov, ()))
+    assert sc == ScenarioConfig(uav_position=(3.0, 4.0), target_mean=sc.target_mean, target_cov=sc.target_cov)
+
+
 def test_target_sample_mean_matches_noiseless_prediction():
     rng = np.random.default_rng(7)
     state = np.array([10.0, -5.0, 2.0, 1.5])
