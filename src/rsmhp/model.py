@@ -205,7 +205,8 @@ class StochasticModel:
     row.  They return the successor states (n, state_dim) and the costs
     (n,); any other shape is a ``DimensionError`` naming the callable and
     the step.  Row i of an output must depend on row i of the inputs only.
-    A model holds callables, so it compares and hashes by identity.
+    ``initial_state`` must be finite.  A model holds callables, so it
+    compares and hashes by identity.
     """
 
     state_dim: int
@@ -226,6 +227,7 @@ class StochasticModel:
             raise DimensionError(
                 f"initial_state must have shape ({self.state_dim},), got {x0.shape}"
             )
+        check_finite("initial_state", x0)
         x0.flags.writeable = False
         object.__setattr__(self, "initial_state", x0)
 

@@ -60,10 +60,15 @@ class UavState:
 
 @dataclass(frozen=True)
 class UavControl:
-    """Forward acceleration (m/s^2) and bank angle (rad)."""
+    """Forward acceleration (m/s^2) and bank angle (rad), both finite, stored as floats."""
 
     forward_acceleration: float
     bank_angle: float
+
+    def __post_init__(self) -> None:
+        for name in ("forward_acceleration", "bank_angle"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+            check_finite(name, getattr(self, name))
 
 
 def uav_step_floats(x, y, heading, speed, accel, bank, scenario: ScenarioConfig) -> tuple:

@@ -6,13 +6,13 @@ provided: a nominal one (future noise replaced by its mean, so one target
 future pinned to the noiseless prediction) and a sampled one (average over
 target futures, one child stream each).  A budgeted Nelder-Mead search with
 restarts minimizes the scorer over the flattened (acceleration, bank)
-sequence.  The search is a generator that yields its candidates and takes
-their scores through ``send``, so the caller, not the search, owns the
-budget and the scoring; it replays scipy's Nelder-Mead point for point
-without importing scipy.  Points the search fixes before scoring any of
-them come as one batch: the initial simplex, and each shrink's new
-vertices.  The scorer takes a list of candidates and returns one score
-per candidate, so ``plan_step`` scores a batch in one call.
+sequence.  The search, ``_search``, is a generator that owns the budget,
+the straight-flight guess, the restarts and the incumbent; it yields
+batches of candidates and takes their scores through ``send``, so
+``plan_step`` only feeds it, and several searches could share one scoring
+call per round.  Its simplex steps, ``_nelder_mead``, replay scipy's
+Nelder-Mead point for point without importing scipy; the points a step
+fixes before scoring any (the initial simplex, a shrink's) come as one batch.
 
 The covariance recursion of a future depends on the controls only through
 the range-dependent sensor noise, and on the future only through the
@@ -276,25 +276,23 @@ def objective_nbo(uav, belief: TargetBelief, controls, scenario: ScenarioConfig)
     return _trace_objective(uav, belief, scenario, nominal)([flat])[0]
 
 
-def _frozen_draws(config: PlannerConfig, horizon: int, rng: np.random.Generator):
+def _frozen_draws(config: PlannerConfig, rng: np.random.Generator):
     """Per-future frozen process standard normals (n, H, 4), one child stream per future.
 
     Future i draws what ``np.random.default_rng(seed_i)`` would, for the
     i-th child seed drawn off ``rng``; one ``generators`` pass builds the
     streams.  So the first future of an n_trajectories = 2 evaluation is
     draw-identical to an n_trajectories = 1 evaluation started from the same
-    generator state.  Each child stream yields an (H, 6) block whose last two
-    columns are not used: the objective simulates no measurements, and
-    drawing them keeps every future's process draws at the same place in
-    its stream.
+    generator state.  Each child stream fills its future's (H, 6) block of
+    one buffer, and only the process columns are returned, as one C-ordered
+    copy: the objective simulates no measurements, and drawing them keeps
+    every future's process draws at the same place in its stream.
     """
     seeds = rng.integers(np.iinfo(np.int64).max, size=config.n_trajectories)
-    block = np.empty((horizon, 6))
-    process_raw = np.empty((config.n_trajectories, horizon, 4))
-    for i, stream in enumerate(generators(seeds, ())):
+    draws = np.empty((config.n_trajectories, config.horizon, 6))
+    for stream, block in zip(generators(seeds, ()), draws):
         stream.standard_normal(out=block)
-        process_raw[i] = block[:, :4]
-    return process_raw
+    return np.ascontiguousarray(draws[:, :, :4])
 
 
 def objective_mhp(
@@ -307,7 +305,7 @@ def objective_mhp(
 ) -> float:
     """Sampled tracking objective: average trace total over ``config.n_trajectories`` drawn futures."""
     flat = _as_control_pairs(controls, config.horizon)
-    process_raw = _frozen_draws(config, config.horizon, rng)
+    process_raw = _frozen_draws(config, rng)
     return _trace_objective(uav, belief, scenario, process_raw)([flat])[0]
 
 
@@ -320,60 +318,61 @@ def plan_step(
 ):
     """Pick the next control by budgeted simplex descent over H (accel, bank) pairs.
 
-    The search runs in coordinates normalized to [-1, 1] per component and
-    projects every candidate into bounds before scoring, so the returned
-    control always respects the actuator limits.  Sampled futures are drawn
-    once and reused for every evaluation (common random numbers), which
-    keeps the objective deterministic during the search.  At most
-    ``eval_budget`` candidates are counted: first the straight-flight guess,
-    then Nelder-Mead searches, each started while the budget left covers a
-    full initial simplex plus one step.  A batch the search yields is cut
-    to the budget left and scored in one call.  The first simplex's vertex
-    0 is the straight-flight guess again: it counts, but its score is
-    reused.  After each search, the next one starts from the best point so
-    far, perturbed by the supplied generator.  Returns the first control of
-    the best sequence found, in scoring order (the initial straight-flight
-    guess if nothing strictly improves on it).
+    Sampled futures are drawn once and reused for every evaluation (common
+    random numbers), so the objective is deterministic during the search.
+    ``_search`` spends ``eval_budget`` in coordinates normalized to
+    [-1, 1]; each batch it yields is scaled to the actuator limits and
+    scored in one call.  Returns the first control of the point it returns.
     """
     horizon = config.horizon
-    dim = 2 * horizon
     scales = np.array([scenario.accel_max, scenario.bank_max] * horizon)
-
     if config.objective is PlannerObjective.RSMHP:
-        process_raw = _frozen_draws(config, horizon, rng)
+        process_raw = _frozen_draws(config, rng)
     else:
         process_raw = np.zeros((1, horizon, 4))
     score = _trace_objective(uav, belief, scenario, process_raw)
+    search = _search(2 * horizon, config.eval_budget, rng)
+    try:
+        batch = next(search)
+        while True:
+            batch = search.send(score((batch * scales).tolist()))
+    except StopIteration as done:
+        best = done.value * scales
+    return UavControl(forward_acceleration=float(best[0]), bank_angle=float(best[1]))
 
-    best_y = np.zeros(dim)
-    (best_value,) = score([[0.0] * dim])
-    evals = 1
-    guess_value = best_value  # until the first simplex reuses it as vertex 0's
-    start = best_y
-    while config.eval_budget - evals >= dim + 2:
+
+def _search(dim: int, budget: int, rng: np.random.Generator):
+    """Budgeted Nelder-Mead with restarts on [-1, 1]^dim, as a generator.
+
+    Yields (m, dim) batches of candidates, clipped into bounds, takes one
+    score per row through ``send``, and returns the best candidate in
+    scoring order.  The straight-flight guess (the origin) is vertex 0 of
+    the first simplex and the incumbent until a candidate scores strictly
+    lower.  At most ``budget`` candidates are charged, the guess twice (up
+    front and in the first simplex), which keeps the scored points those of
+    a search that scores the guess alone first.  A search starts while the
+    budget left covers a full simplex plus one step, so below ``dim + 3``
+    nothing is yielded, and ends with one ``rng`` draw that perturbs the
+    incumbent into the next start.  A batch is cut to the budget left.
+    """
+    best_y = start = np.zeros(dim)
+    best_value, charged = None, 1
+    while budget - charged >= dim + 2:
         search = _nelder_mead(_initial_simplex(start, 0.25), xatol=1e-3, fatol=1e-9)
         values = None
-        while evals < config.eval_budget:
+        while charged < budget:
             try:
                 points = search.send(values)
             except StopIteration:
                 break
-            batch = np.minimum(np.maximum(points, -1.0), 1.0).reshape(-1, dim)[: config.eval_budget - evals]
-            if guess_value is None:
-                values = score((batch * scales).tolist())
-            else:
-                values = [guess_value] + score((batch[1:] * scales).tolist())
-                guess_value = None
-            evals += len(batch)
+            batch = np.minimum(np.maximum(points, -1.0), 1.0)[: budget - charged]
+            values = yield batch
+            charged += len(batch)
             for i, value in enumerate(values):
-                if value < best_value:
+                if best_value is None or value < best_value:
                     best_value, best_y = value, batch[i]
-            if points.ndim == 1:
-                (values,) = values
         start = np.clip(best_y + rng.uniform(-0.2, 0.2, size=dim), -1.0, 1.0)
-
-    best = best_y * scales
-    return UavControl(forward_acceleration=float(best[0]), bank_angle=float(best[1]))
+    return best_y
 
 
 def _initial_simplex(center: np.ndarray, step: float) -> np.ndarray:
@@ -388,12 +387,12 @@ def _initial_simplex(center: np.ndarray, step: float) -> np.ndarray:
 def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
     """Nelder-Mead from an initial simplex, as a generator of points to score.
 
-    Yields the initial simplex as one (n + 1, n) array and each shrink's n
-    new vertices as one (n, n) array, and takes their values back through
-    ``send`` as a sequence in row order; yields each reflection, expansion
-    and contraction point as an (n,) array and takes its one value.  Every
-    yielded array is new, and the caller may keep it but must not modify
-    it.  Returns once the simplex has converged: every vertex within
+    Yields every batch of points as a 2-D array and takes their values back
+    through ``send`` as a sequence in row order: the initial simplex as one
+    (n + 1, n) batch, each shrink's n new vertices as one (n, n) batch, and
+    each reflection, expansion and contraction point as a (1, n) batch.
+    Every yielded array is new, and the caller may keep it but must not
+    modify it.  Returns once the simplex has converged: every vertex within
     ``xatol`` of the best in each coordinate and every value within
     ``fatol``.  The caller owns the evaluation budget and simply stops
     sending.  The steps, their arithmetic and the ``np.argsort`` orderings
@@ -419,10 +418,10 @@ def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
     while not (fsim[-1] - fsim[0] <= fatol and np.abs(sim[1:] - sim[0]).max() <= xatol):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = yield xr
+        (fxr,) = yield xr[None]
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = yield xe
+            (fxe,) = yield xe[None]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -432,11 +431,11 @@ def _nelder_mead(simplex: np.ndarray, xatol: float, fatol: float):
         else:
             if fxr < fsim[-1]:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]  # outside contraction
-                fxc = yield xc
+                (fxc,) = yield xc[None]
                 accept = fxc <= fxr
             else:
                 xc = (1 - psi) * xbar + psi * sim[-1]  # inside contraction
-                fxc = yield xc
+                (fxc,) = yield xc[None]
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc

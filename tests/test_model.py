@@ -25,6 +25,7 @@ from rsmhp import (
     TrajectorySet,
     as_controls,
     chebyshev_bound,
+    linear_stochastic_model,
     lqg_cost_variance,
     lqg_exact_cost,
     lqg_stochastic_model,
@@ -322,6 +323,13 @@ def _lqg_model():
                      id="UavState.position_array"),
         pytest.param(lambda: UavState((0.0, 0.0), math.nan, 30.0), "heading", ValueError, id="UavState.heading"),
         pytest.param(lambda: UavState((0.0, 0.0), 0.0, math.inf), "speed", ValueError, id="UavState.speed"),
+        # A non-finite control failed one step later, naming the vehicle's position.
+        pytest.param(lambda: UavControl(math.nan, 0.0), "forward_acceleration", ValueError,
+                     id="UavControl.forward_acceleration"),
+        pytest.param(lambda: UavControl(0.0, -math.inf), "bank_angle", ValueError, id="UavControl.bank_angle"),
+        # A non-finite initial state gave NaN costs from every sampler.
+        pytest.param(lambda: linear_stochastic_model(LinearModel(**_LINEAR), [math.nan]), "initial_state", ValueError,
+                     id="StochasticModel.initial_state"),
         pytest.param(lambda: sample_independent(_lqg_model(), [0.1, math.nan], SamplerConfig(branch_factor=4)),
                      "controls at step 1", ValueError, id="sample_independent.controls"),
         pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(math.nan, 1.0), (0.0, 1.0)]),

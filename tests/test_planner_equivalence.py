@@ -180,7 +180,7 @@ def test_sampled_terms_match_full_filter_rollout(sc, n):
     for case, (uav, belief) in enumerate(_cases(sc)):
         pairs = _random_pairs(sc, rng)
         seed = 100 * n + case
-        draws = planning._frozen_draws(cfg, HORIZON, np.random.default_rng(seed))
+        draws = planning._frozen_draws(cfg, np.random.default_rng(seed))
         terms = planning._trace_terms(uav, belief, sc, draws)([pairs.ravel().tolist()])[0]
         process_raw, meas_raw = _ref_draws(n, HORIZON, np.random.default_rng(seed))
         expected = _ref_totals(uav, belief, pairs, sc, process_raw, meas_raw)

@@ -5,6 +5,7 @@ import dataclasses
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -471,7 +472,7 @@ def test_objective_mhp_single_future_matches_first_term_of_pair():
     belief = _belief()
     cfg1 = PlannerConfig(horizon=6, n_trajectories=1, objective=PlannerObjective.RSMHP)
     cfg2 = PlannerConfig(horizon=6, n_trajectories=2, objective=PlannerObjective.RSMHP)
-    process_raw = _frozen_draws(cfg2, 6, np.random.default_rng(9))
+    process_raw = _frozen_draws(cfg2, np.random.default_rng(9))
     terms = planning._trace_terms(_uav(), belief, sc, process_raw)([[0.0] * 12])[0]
     single = objective_mhp(_uav(), belief, _straight(6), sc, cfg1, np.random.default_rng(9))
     assert single == terms[0]
@@ -494,7 +495,7 @@ def test_objective_mhp_deterministic_given_seed():
 @settings(max_examples=60, deadline=None)
 def test_frozen_draws_equal_one_default_rng_per_future(seed, n_futures, horizon):
     config = PlannerConfig(horizon=horizon, n_trajectories=n_futures)
-    got = _frozen_draws(config, horizon, np.random.default_rng(seed))
+    got = _frozen_draws(config, np.random.default_rng(seed))
     child_seeds = np.random.default_rng(seed).integers(np.iinfo(np.int64).max, size=n_futures)
     for future, child in zip(got, child_seeds, strict=True):
         fresh = np.random.default_rng(int(child)).standard_normal((horizon, 6))[:, :4]
@@ -553,6 +554,14 @@ def test_objective_mhp_concentrates_across_scenario_configurations():
     assert wins >= int(np.ceil(0.9 * len(configs)))
 
 
+def test_uav_control_stores_floats_and_rejects_what_is_not_a_number():
+    control = UavControl(np.float32(1.5), 2)
+    assert type(control.forward_acceleration) is float and type(control.bank_angle) is float
+    assert control == UavControl(1.5, 2.0)
+    with pytest.raises(ValueError):
+        UavControl("a", 0)
+
+
 def test_objectives_reject_an_empty_control_sequence():
     sc = ScenarioConfig()
     with pytest.raises(ValueError, match="empty"):
@@ -564,13 +573,14 @@ def test_objectives_reject_an_empty_control_sequence():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_objectives_reject_non_finite_controls_naming_the_entry(bad):
+    # A UavControl cannot hold these; any object with the two fields can.
     sc = ScenarioConfig()
     controls = _straight(4)
-    controls[2] = UavControl(0.0, bad)
+    controls[2] = SimpleNamespace(forward_acceleration=0.0, bank_angle=bad)
     with pytest.raises(ValueError, match="control 2 has non-finite bank_angle"):
         objective_nbo(_uav(), _belief(), controls, sc)
     controls = _straight(4)
-    controls[1] = UavControl(bad, 0.0)
+    controls[1] = SimpleNamespace(forward_acceleration=bad, bank_angle=0.0)
     cfg = PlannerConfig(horizon=4, n_trajectories=3, objective=PlannerObjective.RSMHP)
     with pytest.raises(ValueError, match="control 1 has non-finite forward_acceleration"):
         objective_mhp(_uav(), _belief(), controls, sc, cfg, np.random.default_rng(0))
