@@ -1,17 +1,28 @@
 """Argument checks shared by the configuration classes."""
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Reject a non-integer (``bool`` included) or a value under ``minimum``, naming the field."""
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; a non-integer (``bool`` included) or one under ``minimum`` raises, naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a ``float``; a bool, a string, any other non-real or a non-finite value raises, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def check_finite(name: str, values) -> None:

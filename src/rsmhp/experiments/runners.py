@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from dataclasses import asdict
 from pathlib import Path
 from statistics import NormalDist
 
@@ -120,22 +121,18 @@ def _replicate(fn, master_seed: int, index: int, reps: int, rows_each: int, work
     return np.concatenate(_map(fn, _chunks(seeds, rows_each), workers))
 
 
-def _scalar_benchmark(params: dict):
+def _scalar_benchmark(params):
     """The shared scalar linear test model and its exact expected cost.
 
     The stage and terminal costs are linear in the state and the noise has
     zero mean, so the exact expectation equals the nominal-path value.
     """
     model = LinearModel(
-        a_matrix=params["a"],
-        b_matrix=0.0,
-        cost_state=params["cost"],
-        cost_control=0.0,
-        noise_cov=params["sigma"],
-        horizon=params["horizon"],
+        a_matrix=params.a, b_matrix=0.0, cost_state=params.cost, cost_control=0.0,
+        noise_cov=params.sigma, horizon=params.horizon,
     )
-    stochastic = linear_stochastic_model(model, params["x0"])
-    controls = [0.0] * params["horizon"]
+    stochastic = linear_stochastic_model(model, params.x0)
+    controls = [0.0] * params.horizon
     exact = estimate_nbo(stochastic, controls).value
     return model, stochastic, controls, exact
 
@@ -143,15 +140,12 @@ def _scalar_benchmark(params: dict):
 def run_lqg_convergence(spec: ExperimentSpec, workers: int = 1):
     """Mean-estimator and nominal errors across a grid of path counts."""
     p = spec.params
-    lqg = LqgParams(
-        a=p["a"], r=p["r"], target=p["target"],
-        sigma=p["sigma"], x0=p["x0"], horizon=p["horizon"],
-    )
+    lqg = LqgParams(a=p.a, r=p.r, target=p.target, sigma=p.sigma, x0=p.x0, horizon=p.horizon)
     model = lqg_stochastic_model(lqg)
-    controls = p["controls"]
+    controls = p.controls
     exact = lqg_exact_cost(lqg, controls)
     nominal = estimate_nbo(model, controls).value
-    grid = list(range(p["p_min"], p["p_max"] + 1, p["p_step"]))
+    grid = list(range(p.p_min, p.p_max + 1, p.p_step))
 
     def one(item):
         count, seed = item
@@ -178,19 +172,19 @@ def run_chebyshev_coverage(spec: ExperimentSpec, workers: int = 1):
     p = spec.params
     model, stochastic, controls, exact = _scalar_benchmark(p)
     spread = var_p(model)
-    if p["epsilon_unit"] == "deviation":
-        epsilons = [eps * float(np.sqrt(spread)) for eps in p["epsilons"]]
+    if p.epsilon_unit == "deviation":
+        epsilons = [eps * float(np.sqrt(spread)) for eps in p.epsilons]
     else:
-        epsilons = list(p["epsilons"])
+        epsilons = list(p.epsilons)
 
     rows = []
-    for n_index, count in enumerate(p["n_values"]):
+    for n_index, count in enumerate(p.n_values):
         def chunk(seeds, _count=count):
             config = SamplerConfig(branch_factor=_count, seeds=seeds)
             paths = sample_independent(stochastic, controls, config)
             return np.abs(estimate_mean(paths).value - exact)
 
-        errors = _replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers)
+        errors = _replicate(chunk, spec.master_seed, n_index, p.reps, count, workers)
         for epsilon in epsilons:
             exceed = float(np.mean(errors >= epsilon))
             bound = chebyshev_bound(model, count, epsilon)
@@ -212,14 +206,14 @@ def run_variance_scaling(spec: ExperimentSpec, workers: int = 1):
     _, stochastic, controls, _ = _scalar_benchmark(p)
 
     rows = []
-    for n_index, count in enumerate(p["n_values"]):
+    for n_index, count in enumerate(p.n_values):
         def chunk(seeds, _count=count):
             config = SamplerConfig(branch_factor=_count, seeds=seeds)
             paths = sample_independent(stochastic, controls, config)
             return estimate_mean(paths).value
 
-        values = _replicate(chunk, spec.master_seed, n_index, p["reps"], count, workers)
-        rows.append((count, p["reps"], float(np.var(values, ddof=1))))
+        values = _replicate(chunk, spec.master_seed, n_index, p.reps, count, workers)
+        rows.append((count, p.reps, float(np.var(values, ddof=1))))
 
     header = ["n", "reps", "variance"]
     counts = np.array([row[0] for row in rows], dtype=float)
@@ -234,11 +228,11 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
     p = spec.params
     _, stochastic, controls, exact = _scalar_benchmark(p)
 
-    full = p["branch_factor"] ** (p["horizon"] - 1)
+    full = p.branch_factor ** (p.horizon - 1)
     rows = []
-    for m_index, width in enumerate(p["m_values"]):
+    for m_index, width in enumerate(p.m_values):
         def chunk(seeds, _width=width):
-            config = SamplerConfig(branch_factor=p["branch_factor"], prune_width=_width, seeds=seeds)
+            config = SamplerConfig(branch_factor=p.branch_factor, prune_width=_width, seeds=seeds)
             paths = sample_tree_pruned(stochastic, controls, config)
             mean = estimate_mean(paths).value
             weighted = estimate_weighted(paths).value
@@ -247,8 +241,8 @@ def run_pruning_study(spec: ExperimentSpec, workers: int = 1):
         # Every replication keeps min(width, full) leaves, but holds up to
         # width * branch_factor candidates before each cut.
         leaves = min(width, full)
-        rows_each = min(width * p["branch_factor"], full)
-        errors = _replicate(chunk, spec.master_seed, m_index, p["reps"], rows_each, workers)
+        rows_each = min(width * p.branch_factor, full)
+        errors = _replicate(chunk, spec.master_seed, m_index, p.reps, rows_each, workers)
         rows.append(
             (
                 width, leaves,
@@ -281,15 +275,15 @@ def run_uav_monte_carlo(spec: ExperimentSpec, workers: int = 1):
         arm, run = item
         return float(run_episode(scenario, arms[arm][1], run).mean())
 
-    episodes = [(arm, run) for arm in range(len(arms)) for run in range(p["n_runs"])]
-    means = np.array(_map(one, episodes, workers)).reshape(len(arms), p["n_runs"])
+    episodes = [(arm, run) for arm in range(len(arms)) for run in range(p.n_runs)]
+    means = np.array(_map(one, episodes, workers)).reshape(len(arms), p.n_runs)
     tables = {}
     summary = {"arms": {}}
     for (name, _), errors in zip(arms, means):
         order = np.argsort(errors, kind="stable")
         ordered = errors[order]
         rows = [
-            (int(run), float(err), float((rank + 1) / p["n_runs"]))
+            (int(run), float(err), float((rank + 1) / p.n_runs))
             for rank, (run, err) in enumerate(zip(order, ordered))
         ]
         tables[f"cdf_{name}.csv"] = (["run_index", "mean_error", "cdf"], rows)
@@ -310,9 +304,9 @@ def run_covariance_decay(spec: ExperimentSpec, workers: int = 1):
     """
     p = spec.params
     _, stochastic, controls, _ = _scalar_benchmark(p)
-    branch = p["branch_factor"]
-    reps = p["reps"]
-    n_leaves = branch ** (p["horizon"] - 1)
+    branch = p.branch_factor
+    reps = p.reps
+    n_leaves = branch ** (p.horizon - 1)
 
     def chunk(seeds):
         config = SamplerConfig(branch_factor=branch, seeds=seeds)
@@ -369,7 +363,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
     metadata = {
         "kind": spec.kind.value,
         "master_seed": spec.master_seed,
-        "parameters": spec.params,
+        "parameters": asdict(spec.params),
         "library_version": __version__,
         "wall_time_seconds": time.perf_counter() - start,
         "files": files,

@@ -1,42 +1,40 @@
-"""Experiment configuration: kinds, schemas, and INI loading.
+"""Experiment configuration: kinds, their parameter types, and INI loading.
 
 A config file has an ``[experiment]`` section naming the kind, the master
 seed, and the output directory, plus an optional section named after the
-kind holding its parameters.  Every parameter has a documented default, so
-the kind section may be omitted entirely.  Validation happens before any
-computation and every error message names the offending section and key.
+kind holding its parameters.  Each kind's parameters are one frozen value
+type (``LqgConvergenceParams``, ...) whose fields are the section's keys
+with their defaults, so the section may be omitted; the INI parser reads
+each key's name and type from the fields.  A params object checks itself
+when it is built, from a file or in code, and every error message names
+the offending section and key.
 
 A tracking key named like a ``ScenarioConfig`` or ``PlannerConfig`` field
 is that field, with its type and default, and the dataclass checks it:
-``tracking_setup`` is the one mapping from the section to the scenario and
-the planner arms.  ``check_spec`` runs it after every other check, for
-``load_spec`` and ``run_experiment`` alike, so ``validate`` rejects exactly
-what ``run`` would, and a spec built in code fails as its file would.
+``tracking_setup`` is the one mapping from the parameters to the scenario
+and the planner arms, and ``UavMonteCarloParams`` runs it when it is
+built, so ``validate`` rejects exactly what ``run`` would.
 """
 from __future__ import annotations
 
 import configparser
 import enum
-import math
-import numbers
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
+from .._checks import check_int, check_real, check_seed
 from ..uav.planning import PlannerConfig, PlannerObjective
 from ..uav.scenario import ScenarioConfig
 
 __all__ = [
-    "ConfigError",
-    "ExperimentKind",
-    "ExperimentSpec",
-    "check_spec",
-    "load_spec",
-    "describe_kinds",
-    "tracking_setup",
+    "ConfigError", "ExperimentKind", "ExperimentSpec",
+    "LqgConvergenceParams", "ChebyshevCoverageParams", "VarianceScalingParams",
+    "PruningStudyParams", "UavMonteCarloParams", "CovarianceDecayParams",
+    "check_spec", "load_spec", "describe_kinds", "tracking_setup",
 ]
 
 
@@ -53,24 +51,10 @@ class ExperimentKind(enum.Enum):
     COVARIANCE_DECAY = "covariance_decay"
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    kind: ExperimentKind
-    master_seed: int
-    output: str
-    params: dict = field(default_factory=dict)
-
-    def with_overrides(self, master_seed=None, output=None) -> "ExperimentSpec":
-        """A copy with a new seed or output; the seed passes the config's own type check and check."""
-        spec = self
-        if master_seed is not None:
-            spec = replace(spec, master_seed=_checked(_MASTER_SEED, master_seed, "experiment"))
-        if output is not None:
-            spec = replace(spec, output=str(output))
-        return spec
-
-
-# ------------------------------------------------------------- field parsing
+# The annotations of list-valued keys.  A field's annotation is the name of
+# its type in ``_TYPES`` and in the error messages.
+int_list = tuple[int, ...]
+float_list = tuple[float, ...]
 
 
 def _parse_int(raw: str) -> int:
@@ -94,233 +78,249 @@ def _parse_list(parse_item: Callable) -> Callable:
     return parse
 
 
-_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "int_list": _parse_list(_parse_int),
-    "float_list": _parse_list(_parse_float),
-    "str": str.strip,
-}
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """One config key: its parser, its default (``None`` for a required key) and its check."""
-
-    name: str
-    type_name: str
-    default: object
-    check: Callable | None = None
-    help: str = ""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_float(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_list_of(is_item: Callable) -> Callable:
-    return lambda value: isinstance(value, (list, tuple)) and len(value) > 0 and all(map(is_item, value))
-
-
-# What each parser returns, for values that did not come through one: a
-# spec built in code passes these before its keys' checks.
-_IS_TYPE = {
-    "int": _is_int,
-    "float": _is_float,
-    "int_list": _is_list_of(_is_int),
-    "float_list": _is_list_of(_is_float),
-    "str": lambda value: isinstance(value, str),
-}
-
-
-def _checked(spec: FieldSpec, value, section: str):
-    if not _IS_TYPE[spec.type_name](value):
-        raise ConfigError(f"{section}.{spec.name}: expected {spec.type_name}, got {value!r}")
-    if spec.check is not None:
-        message = spec.check(value)
-        if message is not None:
-            raise ConfigError(f"{section}.{spec.name}: {message}, got {value!r}")
-    return value
-
-
-def _positive(value):
-    return None if value > 0 else "must be positive"
-
-
-def _at_least(bound: int) -> Callable:
-    return lambda value: None if value >= bound else f"must be at least {bound}"
-
-
-def _nonnegative(value):
-    return None if value >= 0 else "must be nonnegative"
-
-
-def _open_unit(value):
-    return None if 0.0 < value < 1.0 else "must lie strictly between 0 and 1"
-
-
-def _all_positive(values):
-    return None if all(v > 0 for v in values) else "every entry must be positive"
-
-
-def _choice(*allowed):
-    def check(value):
-        if value in allowed:
-            return None
-        return f"must be one of {', '.join(allowed)}"
+def _tuple_of(check_item: Callable) -> Callable:
+    def check(name: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise TypeError(f"{name} must be a non-empty list or tuple, got {value!r}")
+        return tuple(check_item(name, item) for item in value)
 
     return check
 
 
-_MASTER_SEED = FieldSpec(
-    "master_seed", "int", 0,
-    lambda v: None if 0 <= v < 2**64 else "must fit in an unsigned 64-bit integer",
-    "root of every random stream",
-)
-_HEAD = [
-    FieldSpec("kind", "str", None, _choice(*(kind.value for kind in ExperimentKind)), "experiment kind"),
-    _MASTER_SEED,
-    FieldSpec("output", "str", None, lambda v: None if v else "must not be empty", "output directory"),
-]
-
-_SCALAR_BENCHMARK = [
-    FieldSpec("a", "float", 0.5, None, "state transition coefficient"),
-    FieldSpec("cost", "float", 1.0, None, "per-step state cost coefficient"),
-    FieldSpec("sigma", "float", 1.0, _nonnegative, "process noise variance"),
-    FieldSpec("x0", "float", 0.0, None, "initial state"),
-    FieldSpec("horizon", "int", 2, _positive, "number of stages"),
-]
-
-_SCENARIO_DEFAULTS = ScenarioConfig()
-
-# Tracking keys that are the same-named fields of PlannerConfig and of
-# ScenarioConfig, which document and check them; tracking_setup passes them on.
-_PLANNER_KEYS = ("horizon", "eval_budget")
-_SCENARIO_KEYS = (
-    "n_steps", "dt", "process_intensity", "sigma0", "eta", "v_min", "v_max",
-    "accel_max", "bank_max", "uav_heading", "uav_speed",
-)
+def _check_str(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
 
 
-def _same_field(defaults, name: str) -> FieldSpec:
-    """The key ``name`` typed and defaulted as the same-named field of ``defaults``."""
-    default = getattr(defaults, name)
-    return FieldSpec(name, type(default).__name__, default)
-
-
-_SCHEMAS: dict[ExperimentKind, list[FieldSpec]] = {
-    ExperimentKind.LQG_CONVERGENCE: [
-        FieldSpec("a", "float", 0.5, _open_unit, "pole of the closed-loop map"),
-        FieldSpec("r", "float", 10.0, _positive, "control cost weight"),
-        FieldSpec("target", "float", 1.0, None, "tracking setpoint"),
-        FieldSpec("sigma", "float", 1.0, _nonnegative, "process noise std dev"),
-        FieldSpec("x0", "float", 0.0, None, "initial state"),
-        FieldSpec("horizon", "int", 2, _positive, "number of stages"),
-        FieldSpec(
-            "controls", "float_list", [0.55, 0.17], None,
-            "fixed control sequence, one value per stage",
-        ),
-        FieldSpec("p_min", "int", 100, _positive, "smallest trajectory count"),
-        FieldSpec("p_max", "int", 10000, _positive, "largest trajectory count"),
-        FieldSpec("p_step", "int", 100, _positive, "trajectory count increment"),
-    ],
-    ExperimentKind.CHEBYSHEV_COVERAGE: _SCALAR_BENCHMARK + [
-        FieldSpec(
-            "n_values", "int_list", [100, 1000], _all_positive,
-            "trajectory counts to test",
-        ),
-        FieldSpec(
-            "epsilons", "float_list", [0.25, 0.5, 1.0], _all_positive,
-            "error thresholds",
-        ),
-        FieldSpec(
-            "epsilon_unit", "str", "deviation", _choice("deviation", "absolute"),
-            "thresholds as multiples of the cost std dev, or absolute",
-        ),
-        FieldSpec("reps", "int", 1000, _at_least(2), "replications"),
-    ],
-    ExperimentKind.VARIANCE_SCALING: _SCALAR_BENCHMARK + [
-        FieldSpec(
-            "n_values", "int_list", [100, 1000, 10000], _all_positive,
-            "trajectory counts to test",
-        ),
-        FieldSpec("reps", "int", 200, _at_least(2), "replications"),
-    ],
-    ExperimentKind.PRUNING_STUDY: _SCALAR_BENCHMARK + [
-        FieldSpec("branch_factor", "int", 3, _at_least(2), "children per node"),
-        FieldSpec(
-            "m_values", "int_list", [1, 2, 4, 8, 16, 27], _all_positive,
-            "retained widths to test",
-        ),
-        FieldSpec("reps", "int", 200, _positive, "replications"),
-    ],
-    ExperimentKind.UAV_MONTE_CARLO: [
-        FieldSpec("n_runs", "int", 30, _positive, "episodes per planner"),
-        FieldSpec(
-            "nt_values", "int_list", [50, 100, 250], _all_positive,
-            "sampled-future counts to compare",
-        ),
-        *(_same_field(PlannerConfig(), name) for name in _PLANNER_KEYS),
-        *(_same_field(_SCENARIO_DEFAULTS, name) for name in _SCENARIO_KEYS),
-        FieldSpec("uav_x", "float", float(_SCENARIO_DEFAULTS.uav_position[0]), None, "vehicle start x"),
-        FieldSpec("uav_y", "float", float(_SCENARIO_DEFAULTS.uav_position[1]), None, "vehicle start y"),
-        FieldSpec("target_mean", "float_list", list(_SCENARIO_DEFAULTS.target_mean), None,
-                  "prior mean: x, y, vx, vy"),
-        FieldSpec("target_pos_var", "float", _SCENARIO_DEFAULTS.target_cov[0][0], _nonnegative,
-                  "prior position variance per axis"),
-        FieldSpec("target_vel_var", "float", _SCENARIO_DEFAULTS.target_cov[2][2], _nonnegative,
-                  "prior velocity variance per axis"),
-    ],
-    ExperimentKind.COVARIANCE_DECAY: _SCALAR_BENCHMARK + [
-        FieldSpec("branch_factor", "int", 3, _at_least(2), "children per node"),
-        FieldSpec("reps", "int", 10000, _at_least(10), "replications"),
-    ],
-}
-
-_KIND_HELP = {
-    ExperimentKind.LQG_CONVERGENCE: "estimator error versus trajectory count on the scalar benchmark",
-    ExperimentKind.CHEBYSHEV_COVERAGE: "empirical tail probabilities of the mean estimator against the concentration bound",
-    ExperimentKind.VARIANCE_SCALING: "inter-replication variance of the mean estimator versus sample count",
-    ExperimentKind.PRUNING_STUDY: "approximation error of pruned-tree estimators versus retained width",
-    ExperimentKind.UAV_MONTE_CARLO: "closed-loop tracking error distributions for nominal and sampled planners",
-    ExperimentKind.COVARIANCE_DECAY: "cross-branch cost covariance z-tests on the sampled tree",
+# Each field type's INI parser, and its check of a value from a file or from
+# code, which returns the value as stored: an ``int`` is an integer other
+# than a bool, a ``float`` a finite real other than a bool, and a list type
+# a non-empty list or tuple of such entries, stored as a tuple.
+_TYPES = {
+    "int": (_parse_int, check_int),
+    "float": (_parse_float, check_real),
+    "int_list": (_parse_list(_parse_int), _tuple_of(check_int)),
+    "float_list": (_parse_list(_parse_float), _tuple_of(check_real)),
+    "str": (str.strip, _check_str),
 }
 
 
-def _cross_check(kind: ExperimentKind, params: dict, section: str) -> None:
-    def fail(key: str, message: str):
-        raise ConfigError(f"{section}.{key}: {message}")
+class _Params:
+    """A kind's parameters: a frozen value whose fields are its section's keys.
 
-    if kind is ExperimentKind.LQG_CONVERGENCE:
-        if len(params["controls"]) != params["horizon"]:
-            fail(
-                "controls",
-                f"expected {params['horizon']} entries (one per stage), "
-                f"got {len(params['controls'])}",
-            )
-        if params["p_min"] > params["p_max"]:
-            fail("p_min", f"must not exceed p_max ({params['p_max']})")
-    elif kind is ExperimentKind.VARIANCE_SCALING:
-        if len(set(params["n_values"])) < 2:
-            fail("n_values", "need at least two distinct counts to fit a slope")
-    elif kind in (ExperimentKind.PRUNING_STUDY, ExperimentKind.COVARIANCE_DECAY):
-        if params["horizon"] < 2:
-            fail("horizon", "must be at least 2 so the tree branches below its root")
-    # A zero sigma or cost gives every path the same cost, so there is no
-    # spread to scale the thresholds by and no variance to fit a slope to.
-    if kind is ExperimentKind.VARIANCE_SCALING or (
-        kind is ExperimentKind.CHEBYSHEV_COVERAGE and params["epsilon_unit"] == "deviation"
-    ):
+    Building one checks and stores each field by its type (``_TYPES``), then
+    runs ``_check``; the first failure raises ``ConfigError("<section>.<key>:
+    ...")``.  ``params[key]`` reads the field ``key``, and raises ``KeyError``
+    for any other name.
+    """
+
+    kind: ClassVar[ExperimentKind]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, _TYPES[f.type][1](f.name, value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{self.kind.value}.{f.name}: expected {f.type}, got {value!r}") from None
+        self._check()
+
+    def _check(self) -> None:
+        """Each key's own check, in field order, then the checks across keys."""
+
+    def __getitem__(self, key: str):
+        if key not in self.__dataclass_fields__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def _require(self, key: str, ok: bool, message: str) -> None:
+        if not ok:
+            raise ConfigError(f"{self.kind.value}.{key}: {message}")
+
+    def _check_key(self, key: str, ok: bool, message: str) -> None:
+        """``_require`` with the key's value appended, a tuple shown as the list a file gives."""
+        if not ok:
+            value = self[key]
+            self._require(key, ok, f"{message}, got {list(value) if isinstance(value, tuple) else value!r}")
+
+
+@dataclass(frozen=True)
+class LqgConvergenceParams(_Params):
+    """Estimator error versus trajectory count on the scalar benchmark."""
+
+    kind = ExperimentKind.LQG_CONVERGENCE
+    a: float = 0.5  # pole of the closed-loop map
+    r: float = 10.0  # control cost weight
+    target: float = 1.0  # tracking setpoint
+    sigma: float = 1.0  # process noise std dev
+    x0: float = 0.0
+    horizon: int = 2
+    controls: float_list = (0.55, 0.17)  # one fixed control per stage
+    p_min: int = 100  # trajectory counts p_min, p_min + p_step, ..., up to p_max
+    p_max: int = 10000
+    p_step: int = 100
+
+    def _check(self) -> None:
+        self._check_key("a", 0.0 < self.a < 1.0, "must lie strictly between 0 and 1")
+        self._check_key("r", self.r > 0, "must be positive")
+        self._check_key("sigma", self.sigma >= 0, "must be nonnegative")
+        for key in ("horizon", "p_min", "p_max", "p_step"):
+            self._check_key(key, self[key] > 0, "must be positive")
+        self._require(
+            "controls", len(self.controls) == self.horizon,
+            f"expected {self.horizon} entries (one per stage), got {len(self.controls)}",
+        )
+        self._require("p_min", self.p_min <= self.p_max, f"must not exceed p_max ({self.p_max})")
+
+
+@dataclass(frozen=True)
+class _ScalarBenchmarkParams(_Params):
+    """The keys of the scalar linear benchmark, which four kinds share."""
+
+    a: float = 0.5  # state transition coefficient
+    cost: float = 1.0  # per-step state cost coefficient
+    sigma: float = 1.0  # process noise variance
+    x0: float = 0.0
+    horizon: int = 2
+
+    def _check(self) -> None:
+        self._check_key("sigma", self.sigma >= 0, "must be nonnegative")
+        self._check_key("horizon", self.horizon > 0, "must be positive")
+
+    def _require_spread(self) -> None:
+        # A zero sigma or cost gives every path the same cost, so there is no
+        # spread to scale the thresholds by and no variance to fit a slope to.
         for key in ("sigma", "cost"):
-            if params[key] == 0:
-                fail(key, "must be nonzero, or the path cost has zero variance")
+            self._require(key, self[key] != 0, "must be nonzero, or the path cost has zero variance")
 
 
-def tracking_setup(params: dict, master_seed: int):
+@dataclass(frozen=True)
+class ChebyshevCoverageParams(_ScalarBenchmarkParams):
+    """Empirical tail probabilities of the mean estimator against the concentration bound."""
+
+    kind = ExperimentKind.CHEBYSHEV_COVERAGE
+    n_values: int_list = (100, 1000)
+    epsilons: float_list = (0.25, 0.5, 1.0)
+    epsilon_unit: str = "deviation"  # epsilons in cost std devs, or absolute
+    reps: int = 1000
+
+    def _check(self) -> None:
+        super()._check()
+        for key in ("n_values", "epsilons"):
+            self._check_key(key, all(value > 0 for value in self[key]), "every entry must be positive")
+        units = ("deviation", "absolute")
+        self._check_key("epsilon_unit", self.epsilon_unit in units, f"must be one of {', '.join(units)}")
+        self._check_key("reps", self.reps >= 2, "must be at least 2")
+        if self.epsilon_unit == "deviation":
+            self._require_spread()
+
+
+@dataclass(frozen=True)
+class VarianceScalingParams(_ScalarBenchmarkParams):
+    """Inter-replication variance of the mean estimator versus sample count."""
+
+    kind = ExperimentKind.VARIANCE_SCALING
+    n_values: int_list = (100, 1000, 10000)
+    reps: int = 200
+
+    def _check(self) -> None:
+        super()._check()
+        self._check_key("n_values", all(value > 0 for value in self.n_values), "every entry must be positive")
+        self._check_key("reps", self.reps >= 2, "must be at least 2")
+        self._require("n_values", len(set(self.n_values)) >= 2, "need at least two distinct counts to fit a slope")
+        self._require_spread()
+
+
+@dataclass(frozen=True)
+class PruningStudyParams(_ScalarBenchmarkParams):
+    """Approximation error of pruned-tree estimators versus retained width."""
+
+    kind = ExperimentKind.PRUNING_STUDY
+    branch_factor: int = 3
+    m_values: int_list = (1, 2, 4, 8, 16, 27)  # retained widths
+    reps: int = 200
+
+    def _check(self) -> None:
+        super()._check()
+        self._check_key("branch_factor", self.branch_factor >= 2, "must be at least 2")
+        self._check_key("m_values", all(value > 0 for value in self.m_values), "every entry must be positive")
+        self._check_key("reps", self.reps > 0, "must be positive")
+        self._require("horizon", self.horizon >= 2, "must be at least 2 so the tree branches below its root")
+
+
+_SCENARIO = ScenarioConfig()
+_PLANNER = PlannerConfig()
+
+
+@dataclass(frozen=True)
+class UavMonteCarloParams(_Params):
+    """Closed-loop tracking error distributions for nominal and sampled planners."""
+
+    kind = ExperimentKind.UAV_MONTE_CARLO
+    n_runs: int = 30  # episodes per arm: the nominal arm, and one per sampled-future count
+    nt_values: int_list = (50, 100, 250)
+    horizon: int = _PLANNER.horizon
+    eval_budget: int = _PLANNER.eval_budget
+    n_steps: int = _SCENARIO.n_steps
+    dt: float = _SCENARIO.dt
+    process_intensity: float = _SCENARIO.process_intensity
+    sigma0: float = _SCENARIO.sigma0
+    eta: float = _SCENARIO.eta
+    v_min: float = _SCENARIO.v_min
+    v_max: float = _SCENARIO.v_max
+    accel_max: float = _SCENARIO.accel_max
+    bank_max: float = _SCENARIO.bank_max
+    uav_heading: float = _SCENARIO.uav_heading
+    uav_speed: float = _SCENARIO.uav_speed
+    uav_x: float = _SCENARIO.uav_position[0]
+    uav_y: float = _SCENARIO.uav_position[1]
+    target_mean: float_list = _SCENARIO.target_mean  # prior mean: x, y, vx, vy
+    target_pos_var: float = _SCENARIO.target_cov[0][0]  # prior variances per axis
+    target_vel_var: float = _SCENARIO.target_cov[2][2]
+
+    def _check(self) -> None:
+        self._check_key("n_runs", self.n_runs > 0, "must be positive")
+        self._check_key("nt_values", all(value > 0 for value in self.nt_values), "every entry must be positive")
+        for key in ("target_pos_var", "target_vel_var"):
+            self._check_key(key, self[key] >= 0, "must be nonnegative")
+        try:
+            tracking_setup(self, 0)
+        except (ValueError, TypeError) as exc:
+            # The scenario and planner errors name their field, which is the
+            # key for every field a config can set.
+            key = next((word for word in re.findall(r"\w+", str(exc)) if word in self.__dataclass_fields__), None)
+            section = self.kind.value
+            raise ConfigError(f"{section}.{key}: {exc}" if key else f"{section}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class CovarianceDecayParams(_ScalarBenchmarkParams):
+    """Cross-branch cost covariance z-tests on the sampled tree."""
+
+    kind = ExperimentKind.COVARIANCE_DECAY
+    branch_factor: int = 3
+    reps: int = 10000
+
+    def _check(self) -> None:
+        super()._check()
+        self._check_key("branch_factor", self.branch_factor >= 2, "must be at least 2")
+        self._check_key("reps", self.reps >= 10, "must be at least 10")
+        self._require("horizon", self.horizon >= 2, "must be at least 2 so the tree branches below its root")
+
+
+_PARAMS = {cls.kind: cls for cls in (
+    LqgConvergenceParams, ChebyshevCoverageParams, VarianceScalingParams,
+    PruningStudyParams, UavMonteCarloParams, CovarianceDecayParams,
+)}
+
+
+def _same_named(cls, params) -> dict:
+    """The fields of ``params`` named like fields of the dataclass ``cls``, by name."""
+    return {f.name: getattr(params, f.name) for f in fields(params) if f.name in cls.__dataclass_fields__}
+
+
+def tracking_setup(params: UavMonteCarloParams, master_seed: int):
     """The tracking study's scenario and its planner arms from ``uav_monte_carlo`` params.
 
     Returns ``(scenario, [(arm_name, planner_config), ...])``: the nominal
@@ -331,79 +331,78 @@ def tracking_setup(params: dict, master_seed: int):
     ``TypeError`` naming the field.
     """
     p = params
-    if len(set(p["nt_values"])) != len(p["nt_values"]):
-        raise ValueError(f"nt_values must not repeat an entry, got {list(p['nt_values'])}")
+    if len(set(p.nt_values)) != len(p.nt_values):
+        raise ValueError(f"nt_values must not repeat an entry, got {list(p.nt_values)}")
     scenario = ScenarioConfig(
-        **{key: p[key] for key in _SCENARIO_KEYS},
-        uav_position=(p["uav_x"], p["uav_y"]),
-        target_mean=np.array(p["target_mean"]),
-        target_cov=np.diag([p["target_pos_var"]] * 2 + [p["target_vel_var"]] * 2),
+        **_same_named(ScenarioConfig, p),
+        uav_position=(p.uav_x, p.uav_y),
+        target_cov=np.diag([p.target_pos_var] * 2 + [p.target_vel_var] * 2),
         master_seed=master_seed,
     )
     arms = [("nbo", 1, PlannerObjective.NBO)] + [
-        (f"nt{count}", count, PlannerObjective.RSMHP) for count in p["nt_values"]
+        (f"nt{count}", count, PlannerObjective.RSMHP) for count in p.nt_values
     ]
     return scenario, [
         (name, PlannerConfig(
-            **{key: p[key] for key in _PLANNER_KEYS},
+            **_same_named(PlannerConfig, p),
             n_trajectories=count, objective=objective, master_seed=master_seed,
         ))
         for name, count, objective in arms
     ]
 
 
-def _parse_section(fields: list[FieldSpec], raw: dict, section: str) -> dict:
-    """A section's raw strings parsed by type, defaults filled in; ``_check_section`` judges the rest."""
-    values = dict(raw)
-    for spec in fields:
-        if spec.name in raw:
-            try:
-                values[spec.name] = _PARSERS[spec.type_name](raw[spec.name])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{section}.{spec.name}: expected {spec.type_name}, got {raw[spec.name]!r} ({exc})"
-                ) from None
-        elif spec.default is not None:
-            values[spec.name] = spec.default
-    return values
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One study: its kind, master seed, output directory and params object; a hashable value."""
+
+    kind: ExperimentKind
+    master_seed: int
+    output: str
+    params: _Params
+
+    def with_overrides(self, master_seed=None, output=None) -> "ExperimentSpec":
+        """A copy with a new seed or output, which passes ``check_spec``."""
+        spec = self if master_seed is None else replace(self, master_seed=master_seed)
+        return check_spec(spec if output is None else replace(spec, output=str(output)))
 
 
-def _check_section(fields: list[FieldSpec], values: dict, section: str) -> None:
-    """Every key of ``fields`` is in ``values``, no other key is, and each passes its check."""
-    names = sorted(spec.name for spec in fields)
-    unknown = sorted(set(values) - set(names))
-    if unknown:
-        raise ConfigError(f"{section}.{unknown[0]}: unknown key (valid keys: {', '.join(names)})")
-    for spec in fields:
-        if spec.name not in values:
-            raise ConfigError(f"{section}.{spec.name}: missing required key ({spec.help})")
-        _checked(spec, values[spec.name], section)
+def _check_head(master_seed, output) -> None:
+    try:
+        check_seed("master_seed", master_seed)
+    except (TypeError, ValueError) as exc:
+        problem = "expected int" if isinstance(exc, TypeError) else "must fit in an unsigned 64-bit integer"
+        raise ConfigError(f"experiment.master_seed: {problem}, got {master_seed!r}") from None
+    if not isinstance(output, str) or not output:
+        problem = "expected str" if not isinstance(output, str) else "must not be empty"
+        raise ConfigError(f"experiment.output: {problem}, got {output!r}")
 
 
 def check_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Every check ``load_spec`` makes, on a spec from a file or built in code; returns ``spec``.
 
-    The head and the kind's parameters pass their fields' type checks and
-    checks, then the kind's cross-key checks and, for the tracking study,
-    ``tracking_setup``.  An ``int`` is an integer other than a bool, a
-    ``float`` a finite real other than a bool, and a list type a non-empty
-    list or tuple of such entries.
-    The first failure raises ``ConfigError`` naming its section and key.
+    The params checked themselves when built; here the seed and the output
+    are checked, and the params must be of the kind's type.
     """
-    head = {"kind": spec.kind.value, "master_seed": spec.master_seed, "output": spec.output}
-    _check_section(_HEAD, head, "experiment")
-    kind, params, section = spec.kind, spec.params, spec.kind.value
-    _check_section(_SCHEMAS[kind], params, section)
-    _cross_check(kind, params, section)
-    if kind is ExperimentKind.UAV_MONTE_CARLO:
-        try:
-            tracking_setup(params, spec.master_seed)
-        except (ValueError, TypeError) as exc:
-            # The scenario and planner errors name their field, which is the
-            # config key for every field a config can set.
-            key = next((word for word in re.findall(r"\w+", str(exc)) if word in params), None)
-            raise ConfigError(f"{section}.{key}: {exc}" if key else f"{section}: {exc}") from None
+    _check_head(spec.master_seed, spec.output)
+    expected = _PARAMS[spec.kind]
+    if not isinstance(spec.params, expected):
+        raise ConfigError(f"{spec.kind.value}: expected {expected.__name__}, got {type(spec.params).__name__}")
     return spec
+
+
+def _parse_section(section: str, types: dict, raw: dict) -> dict:
+    """The keys of ``raw`` parsed by their type names in ``types``; a key not in ``types`` raises."""
+    values = {}
+    for name, type_name in types.items():
+        if name in raw:
+            try:
+                values[name] = _TYPES[type_name][0](raw[name])
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{name}: expected {type_name}, got {raw[name]!r} ({exc})") from None
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"{section}.{unknown[0]}: unknown key (valid keys: {', '.join(sorted(types))})")
+    return values
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -420,19 +419,24 @@ def load_spec(path) -> ExperimentSpec:
 
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
-    head = _parse_section(_HEAD, dict(parser["experiment"]), "experiment")
-    _check_section(_HEAD, head, "experiment")
-    kind = ExperimentKind(head["kind"])
+    head = _parse_section("experiment", dict(kind="str", master_seed="int", output="str"), dict(parser["experiment"]))
+    for key, what in (("kind", "experiment kind"), ("output", "output directory")):
+        if key not in head:
+            raise ConfigError(f"experiment.{key}: missing required key ({what})")
+    kinds = [kind.value for kind in ExperimentKind]
+    if head["kind"] not in kinds:
+        raise ConfigError(f"experiment.kind: must be one of {', '.join(kinds)}, got {head['kind']!r}")
+    kind, master_seed, output = ExperimentKind(head["kind"]), head.get("master_seed", 0), head["output"]
+    _check_head(master_seed, output)
     extra_sections = sorted(set(parser.sections()) - {"experiment", kind.value})
     if extra_sections:
-        raise ConfigError(
-            f"unknown section [{extra_sections[0]}] (expected only [experiment] and [{kind.value}])"
-        )
+        raise ConfigError(f"unknown section [{extra_sections[0]}] (expected only [experiment] and [{kind.value}])")
     raw = dict(parser[kind.value]) if parser.has_section(kind.value) else {}
-    params = _parse_section(_SCHEMAS[kind], raw, kind.value)
-    return check_spec(ExperimentSpec(kind, head["master_seed"], head["output"], params))
+    cls = _PARAMS[kind]
+    params = cls(**_parse_section(kind.value, {f.name: f.type for f in fields(cls)}, raw))
+    return ExperimentSpec(kind, master_seed, output, params)
 
 
 def describe_kinds() -> list[tuple[str, str]]:
-    """(name, one-line description) for every experiment kind."""
-    return [(kind.value, _KIND_HELP[kind]) for kind in ExperimentKind]
+    """(name, one-line description) for every experiment kind: the first line of its params type's docstring."""
+    return [(kind.value, _PARAMS[kind].__doc__.splitlines()[0]) for kind in ExperimentKind]

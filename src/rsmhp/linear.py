@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_finite, check_int
+from ._checks import check_finite, check_int, check_real
 from .model import (
     Array,
     DimensionError,
@@ -126,7 +126,8 @@ class LqgParams:
 
     Dynamics x_{k+1} = (1-a) x_k + a u_k + w_k with w_k ~ N(0, sigma^2),
     cost r (x_H - target)^2 + sum_k u_k^2.  sigma = 0 is allowed and makes
-    the problem deterministic.  Every value must be finite.
+    the problem deterministic.  Every value but ``horizon`` must be a finite
+    real number other than a bool and is stored as a float.
     """
 
     a: float
@@ -138,7 +139,7 @@ class LqgParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "r", "target", "sigma", "x0"):
-            check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"a must lie in (0, 1), got {self.a}")
         if self.r <= 0.0:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._checks import check_finite
+from .._checks import check_real
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -38,7 +38,7 @@ GRAVITY = 9.81
 
 @dataclass(frozen=True)
 class UavState:
-    """Planar vehicle state: position (m), heading (rad), speed (m/s), all finite.
+    """Planar vehicle state: position (m), heading (rad), speed (m/s), all finite reals other than bools.
 
     ``position`` is stored as an (x, y) pair of floats; any 2-vector, an array too, may be given.
     """
@@ -48,27 +48,24 @@ class UavState:
     speed: float
 
     def __post_init__(self) -> None:
-        position = np.asarray(self.position, dtype=float)
-        if position.shape != (2,):
-            raise ValueError(f"position must be a 2-vector, got shape {position.shape}")
-        object.__setattr__(self, "position", tuple(position.tolist()))
-        object.__setattr__(self, "heading", float(self.heading))
-        object.__setattr__(self, "speed", float(self.speed))
-        for name in ("position", "heading", "speed"):
-            check_finite(name, getattr(self, name))
+        shape = np.shape(self.position)
+        if shape != (2,):
+            raise ValueError(f"position must be a 2-vector, got shape {shape}")
+        object.__setattr__(self, "position", tuple(check_real("position", value) for value in self.position))
+        for name in ("heading", "speed"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class UavControl:
-    """Forward acceleration (m/s^2) and bank angle (rad), both finite, stored as floats."""
+    """Forward acceleration (m/s^2) and bank angle (rad): finite reals other than bools, stored as floats."""
 
     forward_acceleration: float
     bank_angle: float
 
     def __post_init__(self) -> None:
         for name in ("forward_acceleration", "bank_angle"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
 
 def uav_step_floats(x, y, heading, speed, accel, bank, scenario: ScenarioConfig) -> tuple:

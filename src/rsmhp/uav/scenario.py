@@ -11,7 +11,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .._checks import check_finite, check_int, check_seed
+from .._checks import check_finite, check_int, check_real, check_seed
 from .dynamics import GRAVITY, target_process_cov, target_transition_matrix
 from .filtering import covariance_block
 
@@ -25,7 +25,8 @@ class ScenarioConfig:
     The sensor noise variance is sigma0^2 + eta * range^2 per axis, so eta
     controls how strongly vehicle position matters.  ``process_intensity``
     is the target's white-acceleration power density.  Every float must be
-    finite.  ``uav_position``, ``target_mean`` and ``target_cov`` may be
+    finite; a scalar one must be a real other than a bool and is stored as
+    a float.  ``uav_position``, ``target_mean`` and ``target_cov`` may be
     given as arrays and are stored as tuples of floats: a pair, a 4-tuple
     and 4 rows of 4.  The target model is isotropic, so ``target_cov`` must
     have equal x and y blocks and no cross-axis entries
@@ -64,7 +65,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("dt", "v_min", "v_max", "accel_max", "bank_max", "process_intensity", "sigma0", "eta",
-                     "uav_position", "uav_heading", "uav_speed", "target_mean"):
+                     "uav_heading", "uav_speed"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        for name in ("uav_position", "target_mean"):
             check_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")

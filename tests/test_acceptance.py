@@ -43,7 +43,7 @@ from rsmhp import (
 from rsmhp.experiments import ExperimentSpec, load_spec, run_experiment
 from rsmhp.experiments.io import read_csv
 from rsmhp.experiments.runners import run_lqg_convergence, run_variance_scaling
-from rsmhp.experiments.spec import _SCHEMAS, ExperimentKind
+from rsmhp.experiments.spec import ExperimentKind, LqgConvergenceParams, VarianceScalingParams, _PARAMS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,10 +55,6 @@ def _report(ok: bool, text: str) -> str:
     line = f"{'PASS' if ok else 'FAIL'}: {text}"
     print(line)
     return line
-
-
-def _default_params(kind: ExperimentKind) -> dict:
-    return {field.name: field.default for field in _SCHEMAS[kind]}
 
 
 def test_01_nominal_gap_identity():
@@ -94,7 +90,7 @@ def test_02_sampled_mean_convergence_across_seeds():
         kind=ExperimentKind.LQG_CONVERGENCE,
         master_seed=0,
         output="unused",
-        params=_default_params(ExperimentKind.LQG_CONVERGENCE),
+        params=LqgConvergenceParams(),
     )
     tables, summary = run_lqg_convergence(spec)
     _, rows = tables["results.csv"]
@@ -199,7 +195,7 @@ def test_04_variance_scales_inversely_with_path_count():
         kind=ExperimentKind.VARIANCE_SCALING,
         master_seed=0,
         output="unused",
-        params=_default_params(ExperimentKind.VARIANCE_SCALING),
+        params=VarianceScalingParams(),
     )
     _, summary = run_variance_scaling(spec)
     elapsed = time.perf_counter() - start
@@ -366,8 +362,7 @@ def test_10_byte_identical_outputs_across_workers_and_reruns(tmp_path):
     checked = []
     ok = True
     for kind in ExperimentKind:
-        params = _default_params(kind)
-        params.update(_TINY_OVERRIDES[kind])
+        params = _PARAMS[kind](**_TINY_OVERRIDES[kind])
         outputs = {}
         for label, workers in (("w1", 1), ("w1_again", 1), ("w3", 3)):
             out = tmp_path / kind.value / label

@@ -1,6 +1,7 @@
 """Experiment harness: config validation, runners, CLI, artifact formats."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,17 @@ from rsmhp.experiments import (
 from rsmhp.experiments import runners
 from rsmhp.experiments.cli import main
 from rsmhp.experiments.io import format_cell, read_csv, write_csv, write_json
-from rsmhp.experiments.spec import _SCHEMAS, tracking_setup
+from rsmhp.experiments.spec import (
+    ChebyshevCoverageParams,
+    CovarianceDecayParams,
+    PruningStudyParams,
+    UavMonteCarloParams,
+    VarianceScalingParams,
+    _PARAMS,
+    check_spec,
+    tracking_setup,
+)
+from rsmhp.uav import PlannerConfig, ScenarioConfig
 
 
 def _write_config(path: Path, text: str) -> Path:
@@ -51,7 +62,7 @@ def test_load_spec_minimal_config(tmp_path):
     assert spec.kind is ExperimentKind.VARIANCE_SCALING
     assert spec.master_seed == 0
     assert spec.output == "results"
-    assert spec.params["n_values"] == [100, 1000, 10000]
+    assert spec.params["n_values"] == (100, 1000, 10000)
     assert spec.params["reps"] == 200
 
 
@@ -65,7 +76,7 @@ def test_load_spec_reads_all_fields(tmp_path):
     spec = load_spec(config)
     assert spec.master_seed == 99
     assert spec.params["a"] == 0.3
-    assert spec.params["controls"] == [0.1, 0.2, 0.3]
+    assert spec.params["controls"] == (0.1, 0.2, 0.3)
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -157,14 +168,65 @@ def test_master_seed_range_checked(tmp_path):
 
 def test_with_overrides():
     spec = ExperimentSpec(
-        kind=ExperimentKind.PRUNING_STUDY, master_seed=1, output="a", params={}
+        kind=ExperimentKind.PRUNING_STUDY, master_seed=1, output="a", params=PruningStudyParams()
     )
     assert spec.with_overrides().master_seed == 1
     assert spec.with_overrides(master_seed=7).master_seed == 7
     assert spec.with_overrides(output="b").output == "b"
-    assert spec.with_overrides(master_seed=7, output="b").params == {}
+    assert spec.with_overrides(master_seed=7, output="b").params == PruningStudyParams()
     with pytest.raises(ConfigError, match="experiment.master_seed: must fit"):
         spec.with_overrides(master_seed=2**64)
+
+
+@pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda kind: kind.value)
+def test_a_file_without_a_kind_section_is_the_default_params_object(tmp_path, monkeypatch, kind):
+    config = _write_config(
+        tmp_path / "exp.ini", f"[experiment]\nkind = {kind.value}\nmaster_seed = 3\noutput = {tmp_path / 'out'}\n"
+    )
+    params = _PARAMS[kind]()
+    spec = load_spec(config)
+    assert spec == ExperimentSpec(kind, 3, str(tmp_path / "out"), params)
+    assert hash(spec) == hash(ExperimentSpec(kind, 3, str(tmp_path / "out"), params))
+    # metadata.json echoes the params as asdict gives them, tuples as lists,
+    # and they build the same params object back.
+    monkeypatch.setitem(runners._RUNNERS, kind, lambda spec, workers: ({"results.csv": (["n"], [(1,)])}, {}))
+    run_experiment(spec)
+    parameters = json.loads((tmp_path / "out" / "metadata.json").read_text())["parameters"]
+    assert parameters == json.loads(json.dumps(dataclasses.asdict(params)))
+    assert _PARAMS[kind](**parameters) == params
+
+
+def test_params_are_read_by_key_or_by_attribute():
+    params = VarianceScalingParams(n_values=[10, 20], reps=7)
+    assert params["reps"] == params.reps == 7
+    assert params["n_values"] == params.n_values == (10, 20)
+    for name in ("kind", "repz", "_check"):
+        with pytest.raises(KeyError):
+            params[name]
+
+
+def test_check_spec_rejects_params_of_another_kind():
+    for params in (CovarianceDecayParams(horizon=3), dataclasses.asdict(PruningStudyParams())):
+        spec = ExperimentSpec(ExperimentKind.PRUNING_STUDY, 0, "out", params)
+        with pytest.raises(ConfigError, match="^pruning_study: expected PruningStudyParams, got "):
+            check_spec(spec)
+
+
+def test_tracking_keys_take_their_fields_type_and_default():
+    # Every key named like a ScenarioConfig or PlannerConfig field is that
+    # field, so tracking_setup passes it on under its own name.
+    named = {}
+    for cls in (ScenarioConfig, PlannerConfig):
+        named.update({field.name: (cls, field) for field in dataclasses.fields(cls)})
+    shared = [field for field in dataclasses.fields(UavMonteCarloParams) if field.name in named]
+    assert sorted(field.name for field in shared) == sorted([
+        "horizon", "eval_budget", "n_steps", "dt", "process_intensity", "sigma0", "eta", "v_min", "v_max",
+        "accel_max", "bank_max", "uav_heading", "uav_speed", "target_mean",
+    ])
+    for field in shared:
+        cls, same = named[field.name]
+        assert field.default == getattr(cls(), field.name), field.name
+        assert field.type == same.type or (field.type, same.type) == ("float_list", "tuple"), field.name
 
 
 @pytest.mark.parametrize(
@@ -199,7 +261,7 @@ def test_every_tracking_key_reaches_its_field(tmp_path):
         uav_x=-10.0, uav_y=25.0, uav_heading=0.7, uav_speed=20.0,
         target_mean="100.0, 200.0, -1.0, 2.0", target_pos_var=250.0, target_vel_var=9.0,
     )
-    fields = _SCHEMAS[ExperimentKind.UAV_MONTE_CARLO]
+    fields = dataclasses.fields(UavMonteCarloParams)
     assert sorted(values) == sorted(field.name for field in fields)
     config = _write_config(
         tmp_path / "exp.ini",
@@ -282,6 +344,23 @@ def test_cli_validate_rejects_a_repeated_count(tmp_path, capsys, kind, entry, ke
     assert capsys.readouterr().err.startswith(f"config error: {kind}.{key}: ")
 
 
+@pytest.mark.parametrize(
+    "kind, entry, message",
+    [
+        ("variance_scaling", "n_values = 100, -1", "n_values: every entry must be positive, got [100, -1]"),
+        ("pruning_study", "m_values = 0, 3", "m_values: every entry must be positive, got [0, 3]"),
+        ("uav_monte_carlo", "nt_values = 5, 5", "nt_values: nt_values must not repeat an entry, got [5, 5]"),
+    ],
+)
+def test_cli_validate_shows_a_list_key_as_the_file_gives_it(tmp_path, capsys, kind, entry, message):
+    # The params store list keys as tuples; the messages show the list.
+    config = _write_config(
+        tmp_path / "exp.ini", f"[experiment]\nkind = {kind}\noutput = out\n\n[{kind}]\n{entry}\n"
+    )
+    assert main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {kind}.{message}\n"
+
+
 def test_describe_kinds_covers_every_kind():
     names = [name for name, _ in describe_kinds()]
     assert names == [kind.value for kind in ExperimentKind]
@@ -335,7 +414,7 @@ def _spec(kind, tmp_path, seed=5, **params):
         kind=kind,
         master_seed=seed,
         output=str(tmp_path / "out"),
-        params=params,
+        params=_PARAMS[kind](**params),
     )
 
 
@@ -482,12 +561,7 @@ def test_uav_monte_carlo_writes_one_cdf_per_arm(tmp_path):
 
 
 def _uav_params():
-    params = {
-        field.name: field.default
-        for field in _SCHEMAS[ExperimentKind.UAV_MONTE_CARLO]
-    }
-    params.update(n_runs=3, n_steps=4, horizon=2, eval_budget=15, nt_values=[3, 5])
-    return params
+    return dict(n_runs=3, n_steps=4, horizon=2, eval_budget=15, nt_values=[3, 5])
 
 
 def test_covariance_decay_far_pairs_pass_z_test(tmp_path):
@@ -543,17 +617,20 @@ def test_spec_built_in_code_gets_the_config_checks(tmp_path, monkeypatch):
         raise AssertionError("the runner must not start")
 
     monkeypatch.setitem(runners._RUNNERS, ExperimentKind.VARIANCE_SCALING, never_run)
-    spec = _spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **_bench_params(sigma=0.0), n_values=[10, 20], reps=5)
     with pytest.raises(ConfigError, match="variance_scaling.sigma: must be nonzero"):
-        run_experiment(spec)
+        run_experiment(
+            _spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **_bench_params(sigma=0.0), n_values=[10, 20], reps=5)
+        )
     for params, message in (
         (dict(_bench_params(), n_values=[10, 20], reps=1), "variance_scaling.reps: must be at least 2, got 1"),
         (dict(_bench_params(), n_values=[10], reps=5), "variance_scaling.n_values: need at least two"),
-        (dict(_bench_params(), n_values=[10, 20]), "variance_scaling.reps: missing required key"),
-        (dict(_bench_params(), n_values=[10, 20], reps=5, m=1), "variance_scaling.m: unknown key"),
     ):
         with pytest.raises(ConfigError, match=message):
             run_experiment(_spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **params))
+    # A params object has every key, each defaulted; a key it lacks is
+    # Python's own error, as a file's is "unknown key".
+    with pytest.raises(TypeError, match="unexpected keyword argument 'm'"):
+        run_experiment(_spec(ExperimentKind.VARIANCE_SCALING, tmp_path, **_bench_params(), m=1))
     with pytest.raises(ConfigError, match="experiment.master_seed: must fit"):
         run_experiment(_spec(ExperimentKind.VARIANCE_SCALING, tmp_path, seed=-1, **_bench_params()))
     uav = dict(_uav_params(), bank_max=2.0)
@@ -587,12 +664,11 @@ def test_spec_built_in_code_gets_the_type_checks(tmp_path, monkeypatch, kind, se
         raise AssertionError("the runner must not start")
 
     monkeypatch.setitem(runners._RUNNERS, kind, never_run)
-    defaults = {field.name: field.default for field in _SCHEMAS[kind]}
     with pytest.raises(ConfigError, match=f"^{message}"):
-        run_experiment(_spec(kind, tmp_path, seed=seed, **dict(defaults, **params)))
+        run_experiment(_spec(kind, tmp_path, seed=seed, **params))
     if seed:
         with pytest.raises(ConfigError, match=f"^{message}"):
-            _spec(kind, tmp_path, **defaults).with_overrides(master_seed=seed)
+            _spec(kind, tmp_path).with_overrides(master_seed=seed)
     assert not (tmp_path / "out").exists()
 
 
@@ -603,7 +679,7 @@ def test_rerun_is_byte_identical(tmp_path):
             kind=ExperimentKind.COVARIANCE_DECAY,
             master_seed=11,
             output=str(tmp_path / label),
-            params=dict(_bench_params(horizon=3), branch_factor=2, reps=100),
+            params=CovarianceDecayParams(**_bench_params(horizon=3), branch_factor=2, reps=100),
         )
         run_experiment(spec)
         results.append((Path(spec.output) / "results.csv").read_bytes())
@@ -617,8 +693,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
             kind=ExperimentKind.CHEBYSHEV_COVERAGE,
             master_seed=2,
             output=str(tmp_path / f"w{workers}"),
-            params=dict(
-                _bench_params(), n_values=[50], epsilons=[0.5],
+            params=ChebyshevCoverageParams(
+                **_bench_params(), n_values=[50], epsilons=[0.5],
                 epsilon_unit="deviation", reps=40,
             ),
         )
@@ -628,15 +704,15 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 _REPLICATED_STUDIES = [
-    (ExperimentKind.CHEBYSHEV_COVERAGE, dict(
-        _bench_params(), n_values=[20, 50], epsilons=[0.25, 0.5],
+    (ExperimentKind.CHEBYSHEV_COVERAGE, ChebyshevCoverageParams(
+        **_bench_params(), n_values=[20, 50], epsilons=[0.25, 0.5],
         epsilon_unit="deviation", reps=37,
     )),
-    (ExperimentKind.VARIANCE_SCALING, dict(_bench_params(), n_values=[20, 50], reps=23)),
-    (ExperimentKind.PRUNING_STUDY, dict(
-        _bench_params(horizon=3), branch_factor=3, m_values=[1, 2, 9], reps=19,
+    (ExperimentKind.VARIANCE_SCALING, VarianceScalingParams(**_bench_params(), n_values=[20, 50], reps=23)),
+    (ExperimentKind.PRUNING_STUDY, PruningStudyParams(
+        **_bench_params(horizon=3), branch_factor=3, m_values=[1, 2, 9], reps=19,
     )),
-    (ExperimentKind.COVARIANCE_DECAY, dict(_bench_params(horizon=3), branch_factor=2, reps=101)),
+    (ExperimentKind.COVARIANCE_DECAY, CovarianceDecayParams(**_bench_params(horizon=3), branch_factor=2, reps=101)),
 ]
 
 
@@ -661,10 +737,10 @@ def test_chunking_never_changes_a_byte(kind, params, tmp_path, monkeypatch):
             run_experiment(ExperimentSpec(kind, 5, str(out), params), workers=workers)
             blobs[budget, workers] = (out / "results.csv").read_bytes()
             for chunk_sizes in sizes:
-                assert sum(chunk_sizes) == params["reps"]
+                assert sum(chunk_sizes) == params.reps
                 assert max(chunk_sizes) - min(chunk_sizes) <= 1
             if budget == 1:
-                assert all(len(chunk_sizes) == params["reps"] for chunk_sizes in sizes)
+                assert all(len(chunk_sizes) == params.reps for chunk_sizes in sizes)
             if budget == 60:
                 assert any(len(set(chunk_sizes)) == 2 for chunk_sizes in sizes)
             if budget == 2**30:
@@ -713,7 +789,7 @@ def test_experiment_writes_only_inside_output_dir(tmp_path, monkeypatch):
         kind=ExperimentKind.PRUNING_STUDY,
         master_seed=3,
         output=str(tmp_path / "only_here"),
-        params=dict(_bench_params(horizon=3), branch_factor=2, m_values=[2], reps=5),
+        params=PruningStudyParams(**_bench_params(horizon=3), branch_factor=2, m_values=[2], reps=5),
     )
     run_experiment(spec)
     new_entries = set(tmp_path.iterdir()) - before

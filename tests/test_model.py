@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,18 @@ from rsmhp import (
     sample_independent,
     trajectory_cost,
 )
-from rsmhp.experiments.spec import ExperimentSpec, FieldSpec
+from rsmhp.experiments import load_spec
+from rsmhp.experiments.spec import (
+    ChebyshevCoverageParams,
+    CovarianceDecayParams,
+    ExperimentKind,
+    ExperimentSpec,
+    LqgConvergenceParams,
+    PruningStudyParams,
+    UavMonteCarloParams,
+    VarianceScalingParams,
+    _ScalarBenchmarkParams,
+)
 from rsmhp.uav import (
     PlannerConfig,
     PlannerObjective,
@@ -327,6 +339,18 @@ def _lqg_model():
         pytest.param(lambda: UavControl(math.nan, 0.0), "forward_acceleration", ValueError,
                      id="UavControl.forward_acceleration"),
         pytest.param(lambda: UavControl(0.0, -math.inf), "bank_angle", ValueError, id="UavControl.bank_angle"),
+        # Numeric strings and bools were converted by float(), and a string
+        # that is not a number failed with numpy's or float's own message.
+        pytest.param(lambda: UavControl("1.5", 0.0), "forward_acceleration", TypeError,
+                     id="UavControl.forward_acceleration_str"),
+        pytest.param(lambda: UavControl(0.0, True), "bank_angle", TypeError, id="UavControl.bank_angle_bool"),
+        pytest.param(lambda: UavState((0, "1"), 0, 30), "position", TypeError, id="UavState.position_str"),
+        pytest.param(lambda: UavState((0, 0), True, 30), "heading", TypeError, id="UavState.heading_bool"),
+        pytest.param(lambda: ScenarioConfig(dt=True), "dt", TypeError, id="ScenarioConfig.dt_bool"),
+        pytest.param(lambda: ScenarioConfig(eta=True), "eta", TypeError, id="ScenarioConfig.eta_bool"),
+        pytest.param(lambda: ScenarioConfig(dt="1"), "dt", TypeError, id="ScenarioConfig.dt_str"),
+        pytest.param(lambda: LqgParams(**{**_LQG, "r": True}), "r", TypeError, id="LqgParams.r_bool"),
+        pytest.param(lambda: LqgParams(**{**_LQG, "a": "0.5"}), "a", TypeError, id="LqgParams.a_str"),
         # A non-finite initial state gave NaN costs from every sampler.
         pytest.param(lambda: linear_stochastic_model(LinearModel(**_LINEAR), [math.nan]), "initial_state", ValueError,
                      id="StochasticModel.initial_state"),
@@ -372,7 +396,17 @@ _VALUE_TYPES = {
     SamplerConfig: lambda: SamplerConfig(branch_factor=3, prune_width=2, seeds=np.array([5, 6])),
     PlannerConfig: lambda: PlannerConfig(horizon=3, n_trajectories=5, objective=PlannerObjective.RSMHP),
     LqgParams: lambda: LqgParams(**_LQG),
-    FieldSpec: lambda: FieldSpec("reps", "int", 10, None, "replications"),
+    # List-valued keys given as lists are stored as tuples.
+    _ScalarBenchmarkParams: lambda: _ScalarBenchmarkParams(horizon=3),
+    LqgConvergenceParams: lambda: LqgConvergenceParams(controls=[0.1, 0.2, 0.3], horizon=3),
+    ChebyshevCoverageParams: lambda: ChebyshevCoverageParams(n_values=[10, 20], epsilons=[0.5]),
+    VarianceScalingParams: lambda: VarianceScalingParams(n_values=[10, 20]),
+    PruningStudyParams: lambda: PruningStudyParams(horizon=3, m_values=[1, 2]),
+    CovarianceDecayParams: lambda: CovarianceDecayParams(horizon=3, reps=20),
+    UavMonteCarloParams: lambda: UavMonteCarloParams(nt_values=[5, 20], target_mean=[1.0, 2.0, 3.0, 4.0]),
+    ExperimentSpec: lambda: ExperimentSpec(
+        ExperimentKind.PRUNING_STUDY, 5, "out", PruningStudyParams(horizon=3, m_values=[1, 2]),
+    ),
 }
 _IDENTITY_TYPES = {
     Estimate: lambda: Estimate(np.array([1.0]), np.array([[1.0]])),
@@ -391,8 +425,16 @@ def test_every_frozen_dataclass_is_a_value_or_an_identity_type():
             params = getattr(obj, "__dataclass_params__", None)
             if isinstance(obj, type) and params is not None and params.frozen:
                 found.add(obj)
-    # ExperimentSpec compares by value, but its params are a dict, so it has no hash.
-    assert found == set(_VALUE_TYPES) | set(_IDENTITY_TYPES) | {ExperimentSpec}
+    assert found == set(_VALUE_TYPES) | set(_IDENTITY_TYPES)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_every_shipped_spec_is_a_hashable_value(path):
+    first, second = load_spec(path), load_spec(path)
+    assert first is not second and first == second
+    assert hash(first) == hash(second) and {first: "first"}[second] == "first"
+    assert hash(first.with_overrides(master_seed=first.master_seed + 1)) != hash(first)
 
 
 @pytest.mark.parametrize("cls", list(_VALUE_TYPES), ids=lambda cls: cls.__name__)

@@ -558,8 +558,9 @@ def test_uav_control_stores_floats_and_rejects_what_is_not_a_number():
     control = UavControl(np.float32(1.5), 2)
     assert type(control.forward_acceleration) is float and type(control.bank_angle) is float
     assert control == UavControl(1.5, 2.0)
-    with pytest.raises(ValueError):
-        UavControl("a", 0)
+    for bad in ("a", "1.5", True):
+        with pytest.raises(TypeError, match="^forward_acceleration must be a real number"):
+            UavControl(bad, 0)
 
 
 def test_objectives_reject_an_empty_control_sequence():
