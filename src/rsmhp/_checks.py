@@ -25,6 +25,14 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def check_vector(name: str, values, size: int) -> tuple[float, ...]:
+    """``values`` as a tuple of ``size`` floats: a wrong shape raises ``ValueError``, a bad entry as ``check_real`` does."""
+    shape = np.shape(values)
+    if shape != (size,):
+        raise ValueError(f"{name} must be a {size}-vector, got shape {shape}")
+    return tuple(check_real(name, value) for value in values)
+
+
 def check_finite(name: str, values) -> None:
     """Reject a value or array holding NaN or an infinity, naming the field."""
     if not np.all(np.isfinite(values)):

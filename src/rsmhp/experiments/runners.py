@@ -39,7 +39,7 @@ from ..linear import (
 from ..sampling import SamplerConfig, sample_independent, sample_tree, sample_tree_pruned
 from ..uav import run_episode
 from .io import json_text, write_csv, write_json
-from .spec import ExperimentKind, ExperimentSpec, check_spec, tracking_setup
+from .spec import ExperimentKind, ExperimentSpec, tracking_setup
 
 __all__ = [
     "run_experiment",
@@ -347,7 +347,7 @@ _RUNNERS = {
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
-    """Check ``spec`` as ``load_spec`` does, run it, and write its CSV tables plus metadata JSON.
+    """Run ``spec``, which checked itself when built, and write its CSV tables plus metadata JSON.
 
     Returns the metadata dict.  Output lands only inside ``spec.output``;
     rerunning an identical spec overwrites the same files with identical
@@ -355,7 +355,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
     raises before the first file is written.
     """
     check_int("workers", workers, 1)
-    check_spec(spec)
     runner = _RUNNERS[spec.kind]
     start = time.perf_counter()
     tables, summary = runner(spec, workers)

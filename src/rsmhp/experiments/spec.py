@@ -5,9 +5,9 @@ seed, and the output directory, plus an optional section named after the
 kind holding its parameters.  Each kind's parameters are one frozen value
 type (``LqgConvergenceParams``, ...) whose fields are the section's keys
 with their defaults, so the section may be omitted; the INI parser reads
-each key's name and type from the fields.  A params object checks itself
-when it is built, from a file or in code, and every error message names
-the offending section and key.
+each key's name and type from the fields.  A params object, and the spec
+holding it, checks itself when it is built, from a file or in code, and
+every error message names the offending section and key.
 
 A tracking key named like a ``ScenarioConfig`` or ``PlannerConfig`` field
 is that field, with its type and default, and the dataclass checks it:
@@ -34,7 +34,7 @@ __all__ = [
     "ConfigError", "ExperimentKind", "ExperimentSpec",
     "LqgConvergenceParams", "ChebyshevCoverageParams", "VarianceScalingParams",
     "PruningStudyParams", "UavMonteCarloParams", "CovarianceDecayParams",
-    "check_spec", "load_spec", "describe_kinds", "tracking_setup",
+    "load_spec", "describe_kinds", "tracking_setup",
 ]
 
 
@@ -351,21 +351,6 @@ def tracking_setup(params: UavMonteCarloParams, master_seed: int):
     ]
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One study: its kind, master seed, output directory and params object; a hashable value."""
-
-    kind: ExperimentKind
-    master_seed: int
-    output: str
-    params: _Params
-
-    def with_overrides(self, master_seed=None, output=None) -> "ExperimentSpec":
-        """A copy with a new seed or output, which passes ``check_spec``."""
-        spec = self if master_seed is None else replace(self, master_seed=master_seed)
-        return check_spec(spec if output is None else replace(spec, output=str(output)))
-
-
 def _check_head(master_seed, output) -> None:
     try:
         check_seed("master_seed", master_seed)
@@ -377,17 +362,34 @@ def _check_head(master_seed, output) -> None:
         raise ConfigError(f"experiment.output: {problem}, got {output!r}")
 
 
-def check_spec(spec: ExperimentSpec) -> ExperimentSpec:
-    """Every check ``load_spec`` makes, on a spec from a file or built in code; returns ``spec``.
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One study: its kind, master seed, output directory and params object; a hashable value.
 
-    The params checked themselves when built; here the seed and the output
-    are checked, and the params must be of the kind's type.
+    Built from a file or in code, it checks its seed, output and kind, and
+    that its params are of the kind's type; a fault raises ``ConfigError``.
     """
-    _check_head(spec.master_seed, spec.output)
-    expected = _PARAMS[spec.kind]
-    if not isinstance(spec.params, expected):
-        raise ConfigError(f"{spec.kind.value}: expected {expected.__name__}, got {type(spec.params).__name__}")
-    return spec
+
+    kind: ExperimentKind
+    master_seed: int
+    output: str
+    params: _Params
+
+    def __post_init__(self) -> None:
+        _check_head(self.master_seed, self.output)
+        if not isinstance(self.kind, ExperimentKind):
+            raise ConfigError(f"experiment.kind: expected ExperimentKind, got {self.kind!r}")
+        expected = _PARAMS[self.kind]
+        if not isinstance(self.params, expected):
+            raise ConfigError(f"{self.kind.value}: expected {expected.__name__}, got {type(self.params).__name__}")
+
+    def with_overrides(self, master_seed=None, output=None) -> "ExperimentSpec":
+        """A copy with a new seed or output, checked as any spec is."""
+        return replace(
+            self,
+            master_seed=self.master_seed if master_seed is None else master_seed,
+            output=self.output if output is None else str(output),
+        )
 
 
 def _parse_section(section: str, types: dict, raw: dict) -> dict:

@@ -115,6 +115,7 @@ def chebyshev_bound(model: LinearModel, n_samples: int, epsilon: float) -> float
     1, so the bound is clamped there.
     """
     check_int("n_samples", n_samples, 1)
+    epsilon = check_real("epsilon", epsilon)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return min(var_p(model) / (n_samples * epsilon * epsilon), 1.0)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._checks import check_real
+from .._checks import check_real, check_vector
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -48,10 +48,7 @@ class UavState:
     speed: float
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.position)
-        if shape != (2,):
-            raise ValueError(f"position must be a 2-vector, got shape {shape}")
-        object.__setattr__(self, "position", tuple(check_real("position", value) for value in self.position))
+        object.__setattr__(self, "position", check_vector("position", self.position, 2))
         for name in ("heading", "speed"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .._checks import check_finite
+from .._checks import check_vector
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -42,17 +42,17 @@ def _check_block(block, label: str) -> None:
 def covariance_block(cov, label: str) -> tuple:
     """The (P_pp, P_pv, P_vv) both axes of a (px, py, vx, vy) covariance share, P_pv the mean of its mirrors.
 
-    Raises ValueError naming ``label`` unless ``cov`` is finite, 4x4,
+    Raises ValueError naming ``label`` unless ``cov`` is 4x4,
     ``np.allclose`` to its transpose (atol 1e-9), without cross-axis
-    entries, with equal x and y blocks, and PSD.
+    entries, with equal x and y blocks, and PSD; each row is a
+    ``check_vector``, so an entry that is not a finite real raises there.
     """
-    check_finite(label, cov)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
-        raise ValueError(f"{label} must be 4x4, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-9):
+    shape = np.shape(cov)
+    if shape != (4, 4):
+        raise ValueError(f"{label} must be 4x4, got shape {shape}")
+    c = [check_vector(label, row, 4) for row in cov]
+    if not np.allclose(c, np.transpose(c), atol=1e-9):
         raise ValueError(f"{label} must be symmetric within 1e-9")
-    c = cov.tolist()
     for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):  # x entries against y entries
         if c[i][j] != 0.0 or c[j][i] != 0.0:
             raise ValueError(
@@ -78,11 +78,7 @@ class TargetBelief:
     block: tuple
 
     def __init__(self, mean, covariance) -> None:
-        mean = np.asarray(mean, dtype=float)
-        if mean.shape != (4,):
-            raise ValueError(f"mean must be a 4-vector, got shape {mean.shape}")
-        check_finite("mean", mean)
-        px, py, vx, vy = mean.tolist()
+        px, py, vx, vy = check_vector("mean", mean, 4)
         object.__setattr__(self, "means", ((px, vx), (py, vy)))
         object.__setattr__(self, "block", covariance_block(covariance, "belief covariance"))
 
@@ -126,14 +122,11 @@ def kalman_predict(belief: TargetBelief, scenario: ScenarioConfig) -> TargetBeli
 def kalman_update(belief: TargetBelief, measurement, variance: float) -> TargetBelief:
     """Measurement update with a position observation of per-axis noise ``variance`` (Joseph form).
 
-    Raises ValueError unless ``variance`` is finite and nonnegative, and
-    LinAlgError when the innovation variance P_pp + variance is not
-    positive and finite.
+    ``measurement`` is a ``check_vector`` 2-vector.  Raises ValueError
+    unless ``variance`` is finite and nonnegative, and LinAlgError when the
+    innovation variance P_pp + variance is not positive and finite.
     """
-    z = np.asarray(measurement, dtype=float)
-    if z.shape != (2,):
-        raise ValueError(f"need a 2-vector measurement, got shape {z.shape}")
-    check_finite("measurement", z)
+    z = check_vector("measurement", measurement, 2)
     r = float(variance)
     if not 0.0 <= r < math.inf:
         raise ValueError(f"variance must be finite and nonnegative, got {r!r}")
@@ -153,7 +146,7 @@ def kalman_update(belief: TargetBelief, measurement, variance: float) -> TargetB
         cvv - cvp * kv + kvr * kv,
     )
     means = []
-    for (p, v), z_axis in zip(belief.means, z.tolist()):
+    for (p, v), z_axis in zip(belief.means, z):
         innovation = z_axis - p
         means.append((p + kp * innovation, v + kv * innovation))
     return TargetBelief._of(tuple(means), block)

@@ -225,7 +225,10 @@ def _one_future_totals(uav, belief, scenario, process_raw):
             pp, pv, vv = pp + dt * pv + q_pp, pv + q_pv, vv + q_vv
         return acc_pp + acc_vv
 
+    numpy_totals = None
+
     def totals(candidates) -> list:
+        nonlocal numpy_totals
         out = []
         for flat in candidates:
             noise_vars = []
@@ -236,8 +239,9 @@ def _one_future_totals(uav, belief, scenario, process_raw):
                 total = axis_total(*first, noise_vars)
             except ZeroDivisionError:
                 # A zero innovation variance, where numpy divides to inf or
-                # NaN instead of raising: score it with numpy's kernel.
-                out.append(float(_trace_terms(uav, belief, scenario, process_raw)([flat])[0, 0]))
+                # NaN instead of raising: score it with numpy's kernel, built once.
+                numpy_totals = numpy_totals or _trace_terms(uav, belief, scenario, process_raw)
+                out.append(float(numpy_totals([flat])[0, 0]))
                 continue
             out.append(total + total)
         return out

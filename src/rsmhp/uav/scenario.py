@@ -11,7 +11,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .._checks import check_finite, check_int, check_real, check_seed
+from .._checks import check_int, check_real, check_seed, check_vector
 from .dynamics import GRAVITY, target_process_cov, target_transition_matrix
 from .filtering import covariance_block
 
@@ -25,18 +25,19 @@ class ScenarioConfig:
     The sensor noise variance is sigma0^2 + eta * range^2 per axis, so eta
     controls how strongly vehicle position matters.  ``process_intensity``
     is the target's white-acceleration power density.  Every float must be
-    finite; a scalar one must be a real other than a bool and is stored as
-    a float.  ``uav_position``, ``target_mean`` and ``target_cov`` may be
-    given as arrays and are stored as tuples of floats: a pair, a 4-tuple
-    and 4 rows of 4.  The target model is isotropic, so ``target_cov`` must
-    have equal x and y blocks and no cross-axis entries
-    (``covariance_block``).  ``gravity`` is a constant of the class, not a
-    field.  The target model's constants are derived once, not passed: the
-    read-only lower Cholesky factors ``target_root`` of ``target_cov +
-    1e-12 I`` (the initial target draw) and ``process_root`` of the process
-    covariance (zeros at intensity 0), the read-only ``target_transition``
-    matrix of ``dt``, and ``process_block``, the process covariance's
-    (q_pp, q_pv, q_vv), the same on each axis.  Configs without these
+    a finite real other than a bool and is stored as a float.
+    ``uav_position``, ``target_mean`` and ``target_cov`` may be given as
+    arrays and are stored as tuples of floats: a pair, a 4-tuple and 4 rows
+    of 4, each entry checked under its field's name.  The target model is
+    isotropic, so ``target_cov`` must have equal x and y blocks and no
+    cross-axis entries (``covariance_block``).  ``gravity`` is a constant
+    of the class, not a field.  The target model's constants are derived
+    once, not passed: the read-only lower Cholesky factors ``target_root``
+    of ``target_cov + 1e-12 I`` (the initial target draw) and
+    ``process_root`` of the process covariance (zeros at intensity 0), the
+    read-only ``target_transition`` matrix of ``dt``, and
+    ``process_block``, the process covariance's (q_pp, q_pv, q_vv), the
+    same on each axis.  Configs without these
     factors are rejected, and so are ``sigma0``, ``eta`` and
     ``process_intensity`` all 0.  The derived fields are not compared, so
     configs compare and hash equal when their given values are equal.
@@ -67,8 +68,6 @@ class ScenarioConfig:
         for name in ("dt", "v_min", "v_max", "accel_max", "bank_max", "process_intensity", "sigma0", "eta",
                      "uav_heading", "uav_speed"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        for name in ("uav_position", "target_mean"):
-            check_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_int("n_steps", self.n_steps, 1)
@@ -91,14 +90,12 @@ class ScenarioConfig:
             # A noiseless sensor on a noiseless target: the filter's position
             # variance collapses to 0, and with it the innovation variance.
             raise ValueError("sigma0, eta and process_intensity are all 0: no episode can filter without noise")
-        position, mean = np.array(self.uav_position, dtype=float), np.array(self.target_mean, dtype=float)
-        for name, vector, size in (("uav_position", position, 2), ("target_mean", mean, 4)):
-            if vector.shape != (size,):
-                raise ValueError(f"{name} must be a {size}-vector, got shape {vector.shape}")
+        for name, size in (("uav_position", 2), ("target_mean", 4)):
+            object.__setattr__(self, name, check_vector(name, getattr(self, name), size))
         covariance_block(self.target_cov, "target_cov")
-        cov = np.array(self.target_cov, dtype=float)
+        object.__setattr__(self, "target_cov", tuple(tuple(map(float, row)) for row in self.target_cov))
         try:
-            root = np.linalg.cholesky(cov + 1e-12 * np.eye(4))
+            root = np.linalg.cholesky(np.array(self.target_cov) + 1e-12 * np.eye(4))
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"target_cov must have a Cholesky factor after adding 1e-12 I: {exc}") from None
         process = target_process_cov(self.process_intensity, self.dt)
@@ -110,10 +107,7 @@ class ScenarioConfig:
         for array in (root, transition, process_root):
             array.setflags(write=False)
         q = process.tolist()
-        object.__setattr__(self, "target_mean", tuple(mean.tolist()))
-        object.__setattr__(self, "target_cov", tuple(map(tuple, cov.tolist())))
         object.__setattr__(self, "target_root", root)
         object.__setattr__(self, "target_transition", transition)
         object.__setattr__(self, "process_root", process_root)
         object.__setattr__(self, "process_block", (q[0][0], q[0][2], q[2][2]))
-        object.__setattr__(self, "uav_position", tuple(position.tolist()))

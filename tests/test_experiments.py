@@ -33,7 +33,6 @@ from rsmhp.experiments.spec import (
     UavMonteCarloParams,
     VarianceScalingParams,
     _PARAMS,
-    check_spec,
     tracking_setup,
 )
 from rsmhp.uav import PlannerConfig, ScenarioConfig
@@ -205,11 +204,31 @@ def test_params_are_read_by_key_or_by_attribute():
             params[name]
 
 
-def test_check_spec_rejects_params_of_another_kind():
+def test_a_spec_rejects_params_of_another_kind_when_built():
     for params in (CovarianceDecayParams(horizon=3), dataclasses.asdict(PruningStudyParams())):
-        spec = ExperimentSpec(ExperimentKind.PRUNING_STUDY, 0, "out", params)
         with pytest.raises(ConfigError, match="^pruning_study: expected PruningStudyParams, got "):
-            check_spec(spec)
+            ExperimentSpec(ExperimentKind.PRUNING_STUDY, 0, "out", params)
+    # A kind given as its name failed with a bare KeyError('pruning_study').
+    with pytest.raises(ConfigError, match="^experiment.kind: expected ExperimentKind, got 'pruning_study'"):
+        ExperimentSpec("pruning_study", 0, "out", PruningStudyParams())
+
+
+def test_what_the_benchmark_reads_of_the_experiments_layer(tmp_path):
+    # The benchmark loads each shipped config, overrides its seed and
+    # output, and reads the params by key.
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+    assert paths
+    for path in paths:
+        spec = load_spec(path).with_overrides(master_seed=7, output=tmp_path / path.stem)
+        assert isinstance(spec.output, str)
+        built = ExperimentSpec(spec.kind, 7, str(tmp_path / path.stem), spec.params)
+        assert spec == built and hash(spec) == hash(built)
+        for field in dataclasses.fields(spec.params):
+            assert spec.params[field.name] == getattr(spec.params, field.name)
+        for name in ("kind", "no_such_key"):
+            with pytest.raises(KeyError):
+                spec.params[name]
+    assert set(runners._RUNNERS) == set(ExperimentKind)
 
 
 def test_tracking_keys_take_their_fields_type_and_default():

@@ -53,6 +53,7 @@ from rsmhp.uav import (
     TargetBelief,
     UavControl,
     UavState,
+    kalman_update,
 )
 
 _LQG = dict(a=0.5, r=10.0, target=1.0, sigma=1.0, x0=0.0, horizon=2)
@@ -368,6 +369,25 @@ def _lqg_model():
                      id="lqg_cost_variance.controls"),
         pytest.param(lambda: chebyshev_bound(LinearModel(**_LINEAR), True, 0.5), "n_samples", TypeError,
                      id="chebyshev_bound.n_samples"),
+        # A bool epsilon ran as 1.0, and a string one failed on Python's '>'.
+        pytest.param(lambda: chebyshev_bound(LinearModel(**_LINEAR), 10, True), "epsilon", TypeError,
+                     id="chebyshev_bound.epsilon_bool"),
+        pytest.param(lambda: chebyshev_bound(LinearModel(**_LINEAR), 10, "0.5"), "epsilon", TypeError,
+                     id="chebyshev_bound.epsilon_str"),
+        # Vector entries went through numpy's float conversion: a bool ran
+        # as 0.0 or 1.0, a numeric string as its number, and another string
+        # failed with numpy's own message.
+        pytest.param(lambda: ScenarioConfig(uav_position=(True, 0)), "uav_position", TypeError,
+                     id="ScenarioConfig.uav_position_bool"),
+        pytest.param(lambda: ScenarioConfig(target_mean=("600", 400, 5, 0)), "target_mean", TypeError,
+                     id="ScenarioConfig.target_mean_numeric_str"),
+        pytest.param(lambda: ScenarioConfig(target_mean=("x", 400, 5, 0)), "target_mean", TypeError,
+                     id="ScenarioConfig.target_mean_str"),
+        pytest.param(lambda: ScenarioConfig(target_cov=np.eye(4, dtype=bool)), "target_cov", TypeError,
+                     id="ScenarioConfig.target_cov_bool"),
+        pytest.param(lambda: TargetBelief(["1", 0, 0, 0], np.eye(4)), "mean", TypeError, id="TargetBelief.mean_str"),
+        pytest.param(lambda: kalman_update(TargetBelief(np.zeros(4), np.eye(4)), np.array([True, False]), 1.0),
+                     "measurement", TypeError, id="kalman_update.measurement_bool"),
     ],
 )
 def test_bad_inputs_fail_naming_their_field(make, field, error):
