@@ -26,8 +26,11 @@ def check_real(name: str, value) -> float:
 
 
 def check_vector(name: str, values, size: int) -> tuple[float, ...]:
-    """``values`` as a tuple of ``size`` floats: a wrong shape raises ``ValueError``, a bad entry as ``check_real`` does."""
-    shape = np.shape(values)
+    """``values`` as a tuple of ``size`` floats: a wrong or ragged shape raises ``ValueError``, a bad entry as ``check_real`` does."""
+    try:
+        shape = np.shape(values)
+    except ValueError:
+        raise ValueError(f"{name} must be a {size}-vector, got a ragged sequence") from None
     if shape != (size,):
         raise ValueError(f"{name} must be a {size}-vector, got shape {shape}")
     return tuple(check_real(name, value) for value in values)

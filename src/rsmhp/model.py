@@ -205,6 +205,8 @@ class StochasticModel:
     row.  They return the successor states (n, state_dim) and the costs
     (n,); any other shape is a ``DimensionError`` naming the callable and
     the step.  Row i of an output must depend on row i of the inputs only.
+    The callables may run on a worker thread (``sample_independent`` steps
+    its blocks on one), but only one call at a time, in step order.
     ``initial_state`` must be finite.  A model holds callables, so it
     compares and hashes by identity.
     """

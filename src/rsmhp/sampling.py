@@ -24,20 +24,27 @@ and config.  At each depth one ``sample_batch`` call takes every
 replication's stream and transforms all their draws at once.
 
 The independent scheme draws, weighs and steps its paths in blocks of at
-most ``_BLOCK_ROWS`` paths, writing each block into output arrays allocated
-once, so a call holds its outputs plus one block's draws, weights and
-stepping temporaries, however many paths it asks for.  Replications of at
-most a block's rows are grouped whole into blocks; a larger one is drawn
-from its one stream in consecutive sub-blocks.  The blocks change no bit:
-a stream's values come out in sequence however its draws are split (the
-``NoiseLaw`` split-call contract), and the noise transform and the model
-callables are row-invariant, so a row's values do not depend on the rows
-stepped beside it.
+most ``_BLOCK_ROWS`` paths and at most ``_BLOCK_DRAWS`` draws (paths x H x
+noise dim), writing each block into output arrays allocated once, so a
+call holds its outputs plus two blocks' draws and weights and one block's
+stepping temporaries, however many paths it asks for and however long its
+horizon.  Replications of at most a block's rows are grouped whole into
+blocks; a larger one is drawn from its one stream in consecutive
+sub-blocks.  A call of several blocks, given more than one usable CPU,
+steps block i on one worker thread while the calling thread draws block
+i+1; the caller takes every stream and makes every draw, in order.  The
+blocks and the thread change no bit: a stream's values come out in
+sequence however its draws are split (the ``NoiseLaw`` split-call
+contract), the noise transform and the model callables are row-invariant,
+so a row's values do not depend on the rows stepped beside it, and each
+block writes its own rows.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -73,10 +80,12 @@ _INDEPENDENT_DOMAIN = 1
 # it is not capped.
 _TREE_CAP = 10**6
 
-# Paths per block of sample_independent.  A block's draws and weights take
-# 2^14 * H * (noise_dim + 1) doubles (0.5 MiB at H = 2, noise_dim = 1), and
-# the per-block Python overhead is small next to its arithmetic.
+# Paths, and draws (paths x H x noise_dim), per block of sample_independent.
+# A block's draws and weights take at most 2^19 * (1 + 1 / noise_dim)
+# doubles (8 MiB at noise_dim = 1), and the per-block Python overhead is
+# small next to its arithmetic.
 _BLOCK_ROWS = 2**14
+_BLOCK_DRAWS = 2**19
 
 
 class TreeSizeError(ValueError):
@@ -285,21 +294,79 @@ def sample_tree_pruned_logged(
     return out, log
 
 
-def _independent_blocks(philox_keys: np.ndarray, count: int) -> Iterator[tuple[Streams, int]]:
-    """The (streams, paths per stream) of each block, in output row order.
+def _independent_blocks(philox_keys: np.ndarray, count: int, rows: int) -> Iterator[tuple[Streams, int]]:
+    """The (streams, paths per stream) of each block of at most ``rows`` paths, in output row order.
 
-    Replications of ``count <= _BLOCK_ROWS`` paths are grouped whole; a
-    larger one takes its one live stream in consecutive sub-blocks, all of
-    them before the next replication's stream is taken.
+    Replications of ``count <= rows`` paths are grouped whole; a larger one
+    takes its one live stream in consecutive sub-blocks, all of them before
+    the next replication's stream is taken.
     """
-    per_block = _BLOCK_ROWS // count
+    per_block = rows // count
     if per_block:
         for start in range(0, len(philox_keys), per_block):
             yield _Rekeyed(philox_keys[start:start + per_block]), count
     else:
         for stream in _Rekeyed(philox_keys):
-            for start in range(0, count, _BLOCK_ROWS):
-                yield [stream], min(_BLOCK_ROWS, count - start)
+            for start in range(0, count, rows):
+                yield [stream], min(rows, count - start)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _step_behind(blocks: Iterator[tuple], step: Callable[..., None]) -> None:
+    """``step(*block)`` for each of ``blocks`` in order, on one worker thread.
+
+    The calling thread makes block i+1 (``next(blocks)``) while the worker
+    steps block i, and hands it over once the worker is done, so one block
+    steps while at most one more is made.  The worker's exception re-raises
+    here, after the block being made; the worker has exited when this
+    returns or raises.
+    """
+    slot: list[tuple] = []
+    failure: list[BaseException] = []
+    handed = threading.Lock()  # held until the slot holds a block, or is left empty to stop
+    done = threading.Lock()  # held until the worker has stepped the block it took
+    handed.acquire()
+    done.acquire()
+
+    def work() -> None:
+        while True:
+            handed.acquire()
+            if not slot:
+                return
+            args = slot.pop()
+            try:
+                step(*args)
+            except BaseException as exc:
+                failure.append(exc)
+            del args  # free this block before the caller draws the one after the next
+            done.release()
+
+    worker = threading.Thread(target=work, name="rsmhp-step-behind")
+    worker.start()
+    busy = False
+    try:
+        for args in blocks:
+            if busy:
+                done.acquire()
+                busy = False
+            if failure:
+                break
+            slot.append(args)
+            busy = True
+            handed.release()
+    finally:
+        if busy:
+            done.acquire()
+        handed.release()
+        worker.join()
+    if failure:
+        raise failure[0]
 
 
 def sample_independent(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
@@ -308,9 +375,11 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     Each replication's draws come from one derived stream in C order
     (path-major), so the first paths of a larger batch coincide with a
     smaller one, and each path equals the ``rollout`` of its own draws.  The
-    paths are drawn and stepped in blocks of at most ``_BLOCK_ROWS`` rows,
-    each written in place into the returned set's arrays; the blocks do not
-    change the values.
+    paths are drawn and stepped in blocks of at most ``_BLOCK_ROWS`` paths
+    and ``_BLOCK_DRAWS`` draws, each written in place into the returned
+    set's arrays.  With several blocks and more than one usable CPU, one
+    worker thread steps each block while this thread draws the next; with
+    one CPU every block steps here.  Neither changes the values.
     """
     if config.prune_width is not None:
         raise ValueError("sample_independent requires prune_width=None; use sample_tree_pruned")
@@ -320,20 +389,29 @@ def sample_independent(model: StochasticModel, controls, config: SamplerConfig) 
     seeds = config.replication_seeds
     total = len(seeds) * count
     law = model.noise
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_DRAWS // (horizon * law.dim)))
     history = np.empty((total, horizon + 1, model.state_dim))
     likeliness = np.empty(total)
     costs = np.empty(total)
-    start = 0
     philox_keys = seed_states(seeds, (_INDEPENDENT_DOMAIN,), 2)
-    for streams, per_stream in _independent_blocks(philox_keys, count):
-        rows = slice(start, start + len(streams) * per_stream)
-        flat_draws, flat_w = law.sample_batch(streams, per_stream * horizon)
-        _simulate_paths(
-            model,
-            u,
-            flat_draws.reshape(-1, horizon, law.dim),
-            flat_w.reshape(-1, horizon),
-            out=(history[rows], likeliness[rows], costs[rows]),
-        )
-        start = rows.stop
+
+    def drawn() -> Iterator[tuple]:
+        start = 0
+        for streams, per_stream in _independent_blocks(philox_keys, count, rows):
+            block = slice(start, start + len(streams) * per_stream)
+            draws, weights = law.sample_batch(streams, per_stream * horizon)
+            yield (
+                model,
+                u,
+                draws.reshape(-1, horizon, law.dim),
+                weights.reshape(-1, horizon),
+                (history[block], likeliness[block], costs[block]),
+            )
+            start = block.stop
+
+    if total > rows and _usable_cpus() > 1:
+        _step_behind(drawn(), _simulate_paths)
+    else:
+        for args in drawn():
+            _simulate_paths(*args)
     return _as_set(config, history, likeliness, costs)

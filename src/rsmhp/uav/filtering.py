@@ -15,6 +15,7 @@ the same bits on every CPU.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -42,12 +43,15 @@ def _check_block(block, label: str) -> None:
 def covariance_block(cov, label: str) -> tuple:
     """The (P_pp, P_pv, P_vv) both axes of a (px, py, vx, vy) covariance share, P_pv the mean of its mirrors.
 
-    Raises ValueError naming ``label`` unless ``cov`` is 4x4,
+    Raises ValueError naming ``label`` unless ``cov`` is 4x4 (not ragged),
     ``np.allclose`` to its transpose (atol 1e-9), without cross-axis
     entries, with equal x and y blocks, and PSD; each row is a
     ``check_vector``, so an entry that is not a finite real raises there.
     """
-    shape = np.shape(cov)
+    try:
+        shape = np.shape(cov)
+    except ValueError:
+        raise ValueError(f"{label} must be 4x4, got a ragged sequence") from None
     if shape != (4, 4):
         raise ValueError(f"{label} must be 4x4, got shape {shape}")
     c = [check_vector(label, row, 4) for row in cov]
@@ -122,11 +126,14 @@ def kalman_predict(belief: TargetBelief, scenario: ScenarioConfig) -> TargetBeli
 def kalman_update(belief: TargetBelief, measurement, variance: float) -> TargetBelief:
     """Measurement update with a position observation of per-axis noise ``variance`` (Joseph form).
 
-    ``measurement`` is a ``check_vector`` 2-vector.  Raises ValueError
-    unless ``variance`` is finite and nonnegative, and LinAlgError when the
-    innovation variance P_pp + variance is not positive and finite.
+    ``measurement`` is a ``check_vector`` 2-vector.  Raises TypeError unless
+    ``variance`` is a real number (a bool or a string is not), ValueError
+    unless it is finite and nonnegative, and LinAlgError when the innovation
+    variance P_pp + variance is not positive and finite.
     """
     z = check_vector("measurement", measurement, 2)
+    if isinstance(variance, bool) or not isinstance(variance, numbers.Real):
+        raise TypeError(f"variance must be a real number, got {variance!r}")
     r = float(variance)
     if not 0.0 <= r < math.inf:
         raise ValueError(f"variance must be finite and nonnegative, got {r!r}")

@@ -388,6 +388,16 @@ def _lqg_model():
         pytest.param(lambda: TargetBelief(["1", 0, 0, 0], np.eye(4)), "mean", TypeError, id="TargetBelief.mean_str"),
         pytest.param(lambda: kalman_update(TargetBelief(np.zeros(4), np.eye(4)), np.array([True, False]), 1.0),
                      "measurement", TypeError, id="kalman_update.measurement_bool"),
+        # variance went through float(): True and "1" both updated with 1.0.
+        pytest.param(lambda: kalman_update(TargetBelief(np.zeros(4), np.eye(4)), np.zeros(2), True),
+                     "variance", TypeError, id="kalman_update.variance_bool"),
+        pytest.param(lambda: kalman_update(TargetBelief(np.zeros(4), np.eye(4)), np.zeros(2), "1"),
+                     "variance", TypeError, id="kalman_update.variance_str"),
+        # A ragged sequence failed in np.shape with numpy's message, naming no field.
+        pytest.param(lambda: TargetBelief(np.zeros(4), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1]]),
+                     "belief covariance", ValueError, id="TargetBelief.covariance_ragged"),
+        pytest.param(lambda: UavState(((0.0, 1.0), 0.0), 0.0, 30.0), "position", ValueError,
+                     id="UavState.position_ragged"),
     ],
 )
 def test_bad_inputs_fail_naming_their_field(make, field, error):

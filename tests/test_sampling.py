@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CyclicNoise, accumulator_model, likeliness_rank, set_arrays_equal
@@ -272,6 +273,27 @@ def test_independent_peak_memory_is_outputs_plus_a_few_blocks():
         tracemalloc.stop()
     outputs = out.states.nbytes + out.raw_likeliness.nbytes + out.costs.nbytes
     assert peak < outputs + 4 * 2**20, (peak, outputs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_long_horizon_peak_memory_is_bounded_by_the_block_caps(monkeypatch, cpus):
+    # A block holds at most _BLOCK_DRAWS draws and as many weights, however
+    # long the horizon, and at most two blocks are alive at once (one
+    # stepping, one being drawn); the stepping temporaries are a few columns.
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+    horizon = 200
+    model = linear_stochastic_model(LinearModel([[0.9]], [[1.0]], [0.0], [1.0], [[1.0]], horizon=horizon), [0.3])
+    controls = np.linspace(-1.0, 1.0, horizon)
+    sample_independent(model, controls, SamplerConfig(branch_factor=16))
+    tracemalloc.start()
+    try:
+        out = sample_independent(model, controls, SamplerConfig(branch_factor=10**4, master_seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = out.states.nbytes + out.raw_likeliness.nbytes + out.costs.nbytes
+    blocks = 2 * 2 * sampling._BLOCK_DRAWS * 8
+    assert peak < outputs + blocks + 2**20, (peak, outputs, blocks)
 
 
 def test_loop_and_batch_paths_agree():
@@ -581,10 +603,8 @@ def test_stacked_streams_draw_like_one_stream_calls(kind, dim, count, seeds, law
     # sample_independent's blocks, in row order: whole streams grouped, or
     # one stream's values taken in consecutive calls, which must return
     # what one call does.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampling, "_BLOCK_ROWS", block_rows)
-        keys = _streams(seeds, _TREE_DOMAIN, 3).philox_keys
-        pieces = [law.sample_batch(streams, rows) for streams, rows in _independent_blocks(keys, count)]
+    keys = _streams(seeds, _TREE_DOMAIN, 3).philox_keys
+    pieces = [law.sample_batch(streams, rows) for streams, rows in _independent_blocks(keys, count, block_rows)]
     assert np.array_equal(np.concatenate([d for d, _ in pieces]), draws)
     assert np.array_equal(np.concatenate([w for _, w in pieces]), weights)
 
@@ -609,3 +629,108 @@ def test_rekeyed_streams_draw_like_fresh_generators(seeds, key, odd):
     for seed, values in zip(seeds, got, strict=True):
         for ours, fresh in zip(values, draws(_fresh_stream(seed, *key))):
             assert np.array_equal(ours, fresh)
+
+
+def _spy(calls, fn):
+    """``fn``, appending its positional arguments to ``calls`` on each call."""
+
+    def spied(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return spied
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("kind", ["gaussian", "discrete", "degenerate"])
+@given(
+    dim=st.integers(min_value=1, max_value=3),
+    horizon=st.integers(min_value=1, max_value=5),
+    count=st.integers(min_value=1, max_value=12),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    block_rows=st.integers(min_value=1, max_value=8),
+    block_draws=st.integers(min_value=1, max_value=60),
+    model_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# Several whole streams stacked per block, and one stream cut into sub-blocks.
+@example(dim=1, horizon=2, count=3, seeds=[1, 2, 3, 4], block_rows=7, block_draws=60, model_seed=0)
+@example(dim=2, horizon=3, count=12, seeds=[5, 6], block_rows=8, block_draws=20, model_seed=1)
+@settings(max_examples=25, deadline=None)
+def test_blocks_and_the_stepping_thread_change_no_bit(
+    cpus, kind, dim, horizon, count, seeds, block_rows, block_draws, model_seed
+):
+    rng = np.random.default_rng(model_seed)
+    lin = LinearModel(
+        rng.normal(scale=0.5, size=(dim, dim)),
+        rng.normal(size=(dim, 2)),
+        rng.normal(size=dim),
+        rng.normal(size=2),
+        np.eye(dim),
+        horizon=horizon,
+    )
+    model = dataclasses.replace(linear_stochastic_model(lin, rng.normal(size=dim)), noise=_law(kind, dim, rng))
+    controls = rng.normal(size=(horizon, 2))
+    config = SamplerConfig(branch_factor=count, seeds=tuple(seeds))
+    whole = sample_independent(model, controls, config)
+
+    steps, threads = [], []
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK_ROWS", block_rows)
+        patch.setattr(sampling, "_BLOCK_DRAWS", block_draws)
+        patch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        patch.setattr(sampling, "_simulate_paths", _spy(steps, sampling._simulate_paths))
+        patch.setattr(sampling, "_step_behind", _spy(threads, sampling._step_behind))
+        blocked = sample_independent(model, controls, config)
+    assert set_arrays_equal(blocked, whole)
+
+    # Each block is within both caps (a single path may exceed the draw cap
+    # alone), the blocks cover every row once, and only a call of several
+    # blocks on more than one CPU steps them on the worker thread.
+    sizes = [len(args[2]) for args in steps]
+    assert sum(sizes) == len(seeds) * count
+    assert all(size <= block_rows and (size == 1 or size * horizon * dim <= block_draws) for size in sizes)
+    assert len(threads) == int(cpus > 1 and len(sizes) > 1)
+    assert threading.active_count() == before
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_step_or_draw_re_raises_and_leaves_no_thread(monkeypatch, cpus):
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+    boom = _Boom("step 2")
+    base = _lqg(3)
+
+    def transition(xs, u, ws):
+        # Step 2's control is the only 7.0, so every block raises there.
+        if u[0] == 7.0:
+            raise boom
+        return base.transition(xs, u, ws)
+
+    before = threading.active_count()
+    with pytest.raises(_Boom) as raised:
+        sample_independent(
+            dataclasses.replace(base, transition=transition), [0.5, 0.2, 7.0], SamplerConfig(branch_factor=10)
+        )
+    assert raised.value is boom
+    assert threading.active_count() == before
+
+    class LaterBlockFails(GaussianNoise):
+        calls = 0
+
+        def sample_batch(self, streams, count):
+            LaterBlockFails.calls += 1
+            if LaterBlockFails.calls == 3:
+                raise boom
+            return super().sample_batch(streams, count)
+
+    noisy = dataclasses.replace(base, noise=LaterBlockFails([0.0], [[1.0]]))
+    with pytest.raises(_Boom) as raised:
+        sample_independent(noisy, [0.5, 0.2, 0.1], SamplerConfig(branch_factor=10))
+    assert raised.value is boom
+    assert LaterBlockFails.calls == 3
+    assert threading.active_count() == before
