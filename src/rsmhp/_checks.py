@@ -36,10 +36,21 @@ def check_vector(name: str, values, size: int) -> tuple[float, ...]:
     return tuple(check_real(name, value) for value in values)
 
 
-def check_finite(name: str, values) -> None:
-    """Reject a value or array holding NaN or an infinity, naming the field."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
+def check_reals(name: str, values, finite: bool = True) -> np.ndarray:
+    """``values`` as a float array; a bool, a string or any other non-real entry raises ``TypeError``, naming the field.
+
+    A non-finite entry raises ``ValueError`` unless ``finite`` is False.  An
+    ndarray of integer or float dtype is converted whole, without a check
+    per entry.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for value in np.asarray(values, dtype=object).flat:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be real numbers, got {value!r}")
+    array = np.asarray(values, dtype=float)
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array.tolist()}")
+    return array
 
 
 def check_seed(name: str, value) -> None:

@@ -280,7 +280,8 @@ class UavMonteCarloParams(_Params):
     target_vel_var: float = _SCENARIO.target_cov[2][2]
 
     def _check(self) -> None:
-        self._check_key("n_runs", self.n_runs > 0, "must be positive")
+        # Episode r of each arm runs with run_index r, one spawn-key word.
+        self._check_key("n_runs", 0 < self.n_runs <= 2**32, "must be positive and at most 2**32")
         self._check_key("nt_values", all(value > 0 for value in self.nt_values), "every entry must be positive")
         for key in ("target_pos_var", "target_vel_var"):
             self._check_key(key, self[key] >= 0, "must be nonnegative")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_finite, check_int, check_real
+from ._checks import check_int, check_real, check_reals
 from .model import (
     Array,
     DimensionError,
@@ -46,15 +46,15 @@ class LinearModel:
     semidefinite; symmetric within 1e-12); ``linear_stochastic_model``,
     unlike ``var_p``, needs it positive definite or exactly zero.
     ``cost_state`` and ``cost_control`` are the row vectors c and d.  Every
-    entry must be finite.
+    entry must be a finite real number.
     """
 
     def __init__(self, a_matrix, b_matrix, cost_state, cost_control, noise_cov, horizon: int) -> None:
-        a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
+        a_matrix = np.atleast_2d(check_reals("a_matrix", a_matrix))
         n = a_matrix.shape[0]
         if a_matrix.shape != (n, n):
             raise DimensionError(f"A must be square, got {a_matrix.shape}")
-        b_matrix = np.asarray(b_matrix, dtype=float)
+        b_matrix = check_reals("b_matrix", b_matrix)
         if b_matrix.ndim == 0:
             b_matrix = b_matrix.reshape(1, 1)
         elif b_matrix.ndim == 1:
@@ -62,18 +62,15 @@ class LinearModel:
         if b_matrix.shape[0] != n:
             raise DimensionError(f"B must have {n} rows, got {b_matrix.shape}")
         m = b_matrix.shape[1]
-        cost_state = np.atleast_1d(np.asarray(cost_state, dtype=float)).ravel()
+        cost_state = np.atleast_1d(check_reals("cost_state", cost_state)).ravel()
         if cost_state.shape != (n,):
             raise DimensionError(f"cost_state must have {n} entries, got {cost_state.shape}")
-        cost_control = np.atleast_1d(np.asarray(cost_control, dtype=float)).ravel()
+        cost_control = np.atleast_1d(check_reals("cost_control", cost_control)).ravel()
         if cost_control.shape != (m,):
             raise DimensionError(f"cost_control must have {m} entries, got {cost_control.shape}")
-        noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
+        noise_cov = np.atleast_2d(check_reals("noise_cov", noise_cov))
         if noise_cov.shape != (n, n):
             raise DimensionError(f"noise_cov must be ({n}, {n}), got {noise_cov.shape}")
-        for name, value in (("a_matrix", a_matrix), ("b_matrix", b_matrix), ("cost_state", cost_state),
-                            ("cost_control", cost_control), ("noise_cov", noise_cov)):
-            check_finite(name, value)
         if not np.allclose(noise_cov, noise_cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("noise_cov must be symmetric")
         eigs = np.linalg.eigvalsh(noise_cov)
@@ -173,13 +170,12 @@ def nbo_error(params: LqgParams) -> float:
 
 
 def _lqg_controls(params: LqgParams, controls) -> Array:
-    """The control sequence as a checked (H,) vector of finite values."""
-    u = np.atleast_1d(np.asarray(controls, dtype=float)).ravel()
+    """The control sequence as a checked (H,) vector of finite reals."""
+    u = np.atleast_1d(check_reals("controls", controls)).ravel()
     if u.shape != (params.horizon,):
         raise DimensionError(
             f"controls must have {params.horizon} entries, got {u.shape}"
         )
-    check_finite("controls", u)
     return u
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from ._checks import check_finite, check_int
+from ._checks import check_int, check_real, check_reals
 
 Array = NDArray[np.float64]
 
@@ -110,15 +110,13 @@ class GaussianNoise(NoiseLaw):
     """
 
     def __init__(self, mean, cov) -> None:
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        mean = np.atleast_1d(check_reals("mean", mean))
+        cov = np.atleast_2d(check_reals("cov", cov))
         if mean.ndim != 1:
             raise DimensionError(f"mean must be a vector, got shape {mean.shape}")
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise DimensionError(f"cov must be ({d}, {d}), got {cov.shape}")
-        check_finite("mean", mean)
-        check_finite("cov", cov)
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("cov must be symmetric")
         try:
@@ -163,12 +161,10 @@ class DiscreteNoise(NoiseLaw):
     """
 
     def __init__(self, values, probs) -> None:
-        values = np.asarray(values, dtype=float)
+        values = check_reals("values", values)
         if values.ndim == 1:
             values = values[:, None]
-        probs = np.asarray(probs, dtype=float)
-        check_finite("values", values)
-        check_finite("probs", probs)
+        probs = check_reals("probs", probs)
         if probs.ndim != 1 or probs.shape[0] != values.shape[0]:
             raise DimensionError("probs must be one weight per support point")
         if np.any(probs < 0.0):
@@ -224,12 +220,11 @@ class StochasticModel:
         check_int("horizon", self.horizon, 1)
         check_int("state_dim", self.state_dim, 1)
         check_int("control_dim", self.control_dim, 1)
-        x0 = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
+        x0 = np.atleast_1d(check_reals("initial_state", self.initial_state))
         if x0.shape != (self.state_dim,):
             raise DimensionError(
                 f"initial_state must have shape ({self.state_dim},), got {x0.shape}"
             )
-        check_finite("initial_state", x0)
         x0.flags.writeable = False
         object.__setattr__(self, "initial_state", x0)
 
@@ -293,10 +288,11 @@ def as_controls(model: StochasticModel, controls) -> Array:
     """Validate a control sequence against the model; returns (H, control_dim).
 
     A 1-d sequence is accepted when the control dimension is 1 (one scalar
-    per step) or when the horizon is 1 (a single control vector).  A
-    non-finite control is rejected, naming its step.
+    per step) or when the horizon is 1 (a single control vector).  A bool,
+    string or other non-real entry is a ``TypeError``, and a non-finite
+    control is rejected, naming its step.
     """
-    arr = np.asarray(controls, dtype=float)
+    arr = check_reals("controls", controls, finite=False)
     if arr.ndim == 1:
         if model.control_dim == 1:
             arr = arr[:, None]
@@ -309,7 +305,7 @@ def as_controls(model: StochasticModel, controls) -> Array:
         )
     if not np.isfinite(arr).all():
         for step, control in enumerate(arr):
-            check_finite(f"controls at step {step}", control)
+            check_reals(f"controls at step {step}", control)
     return arr
 
 
@@ -369,11 +365,12 @@ def _simulate_paths(
 def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
     """Simulate one trajectory from explicit per-step (draw, weight) pairs.
 
-    ``noise_draws`` must supply exactly one pair per step, each draw finite
-    and each weight finite and positive, as a noise law's are.  The path runs
-    as a batch of one, returned as a one-row ``TrajectorySet``, so it
-    matches the same draws' row of a sampled batch bit for bit.  The
-    function is pure: repeated calls return identical values.
+    ``noise_draws`` must supply exactly one pair per step, each draw of
+    finite reals and each weight a finite positive real, as a noise law's
+    are.  The path runs as a batch of one, returned as a one-row
+    ``TrajectorySet``, so it matches the same draws' row of a sampled batch
+    bit for bit.  The function is pure: repeated calls return identical
+    values.
     """
     u = as_controls(model, controls)
     if len(noise_draws) != model.horizon:
@@ -384,14 +381,14 @@ def rollout(model: StochasticModel, controls, noise_draws) -> TrajectorySet:
     draws = np.empty((1, model.horizon, dim))
     weights = np.empty((1, model.horizon))
     for k, (draw, weight) in enumerate(noise_draws):
-        vec = np.atleast_1d(np.asarray(draw, dtype=float))
+        vec = np.atleast_1d(check_reals(f"noise draw at step {k}", draw))
         if vec.shape != (dim,):
             raise DimensionError(
                 f"noise draw at step {k} must have shape ({dim},), got {vec.shape}"
             )
-        check_finite(f"noise draw at step {k}", vec)
-        if not 0.0 < weight < math.inf:
-            raise ValueError(f"noise weight at step {k} must be finite and > 0, got {weight!r}")
+        weight = check_real(f"noise weight at step {k}", weight)
+        if weight <= 0.0:
+            raise ValueError(f"noise weight at step {k} must be > 0, got {weight!r}")
         draws[0, k] = vec
         weights[0, k] = weight
     out = (np.empty((1, model.horizon + 1, model.state_dim)), np.empty(1), np.empty(1))

@@ -31,18 +31,17 @@ stepping temporaries, however many paths it asks for and however long its
 horizon.  Replications of at most a block's rows are grouped whole into
 blocks; a larger one is drawn from its one stream in consecutive
 sub-blocks.  A call of several blocks, given more than one usable CPU,
-steps block i on one worker thread while the calling thread draws block
-i+1; the caller takes every stream and makes every draw, in order.  The
-blocks and the thread change no bit: a stream's values come out in
-sequence however its draws are split (the ``NoiseLaw`` split-call
-contract), the noise transform and the model callables are row-invariant,
-so a row's values do not depend on the rows stepped beside it, and each
-block writes its own rows.
+steps block i on a one-worker thread pool, which drops it before block
+i+2 is drawn, while the calling thread draws block i+1; the caller takes
+every stream and makes every draw, in order.  The blocks and the thread
+change no bit: a stream's values come out in sequence however its draws
+are split (the ``NoiseLaw`` split-call contract), the noise transform and
+the model callables are row-invariant, so a row's values do not depend on
+the rows stepped beside it, and each block writes its own rows.
 """
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -321,52 +320,23 @@ def _usable_cpus() -> int:
 def _step_behind(blocks: Iterator[tuple], step: Callable[..., None]) -> None:
     """``step(*block)`` for each of ``blocks`` in order, on one worker thread.
 
-    The calling thread makes block i+1 (``next(blocks)``) while the worker
-    steps block i, and hands it over once the worker is done, so one block
-    steps while at most one more is made.  The worker's exception re-raises
-    here, after the block being made; the worker has exited when this
-    returns or raises.
+    The caller makes block i+1 while the worker steps block i, then submits
+    it once that step is done.  The worker drops each block before it
+    completes the block's future, so block i is gone before block i+2 is
+    made.  A step's exception re-raises here, after the block being made;
+    the pool's shutdown joins the worker on return or raise.
     """
-    slot: list[tuple] = []
-    failure: list[BaseException] = []
-    handed = threading.Lock()  # held until the slot holds a block, or is left empty to stop
-    done = threading.Lock()  # held until the worker has stepped the block it took
-    handed.acquire()
-    done.acquire()
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: loading it costs ~10 ms
 
-    def work() -> None:
-        while True:
-            handed.acquire()
-            if not slot:
-                return
-            args = slot.pop()
-            try:
-                step(*args)
-            except BaseException as exc:
-                failure.append(exc)
-            del args  # free this block before the caller draws the one after the next
-            done.release()
+    def run(box: list[tuple]) -> None:
+        step(*box.pop())
 
-    worker = threading.Thread(target=work, name="rsmhp-step-behind")
-    worker.start()
-    busy = False
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rsmhp-step-behind") as worker:
+        stepping = worker.submit(run, [next(blocks)])
         for args in blocks:
-            if busy:
-                done.acquire()
-                busy = False
-            if failure:
-                break
-            slot.append(args)
-            busy = True
-            handed.release()
-    finally:
-        if busy:
-            done.acquire()
-        handed.release()
-        worker.join()
-    if failure:
-        raise failure[0]
+            stepping.result()
+            stepping = worker.submit(run, [args])
+        stepping.result()
 
 
 def sample_independent(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:

@@ -39,6 +39,8 @@ def run_episode(
     order; ``run_index`` is one spawn-key word, an integer in [0, 2^32).
     """
     check_int("run_index", run_index, 0)
+    if run_index >= 2**32:
+        raise ValueError(f"run_index must be below 2**32, got {run_index}")
     init_rng, process_rng, meas_rng = generators(scenario.master_seed, [(run_index, i) for i in range(3)])
     (planner_rng,) = generators(config.master_seed, (run_index,))
 

@@ -843,7 +843,8 @@ def test_cli_validate_bad_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("bank_max", 2.0), ("v_min", 60.0), ("uav_speed", 5.0), ("eta", -1.0), ("horizon", 0)],
+    # n_runs over 2**32 gave a run_index that is not one spawn-key word.
+    [("bank_max", 2.0), ("v_min", 60.0), ("uav_speed", 5.0), ("eta", -1.0), ("horizon", 0), ("n_runs", 2**32 + 1)],
 )
 def test_cli_validate_rejects_what_the_tracking_run_would(tmp_path, capsys, key, value):
     config = _write_config(

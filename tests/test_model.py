@@ -393,6 +393,34 @@ def _lqg_model():
                      "variance", TypeError, id="kalman_update.variance_bool"),
         pytest.param(lambda: kalman_update(TargetBelief(np.zeros(4), np.eye(4)), np.zeros(2), "1"),
                      "variance", TypeError, id="kalman_update.variance_str"),
+        # The scalar stack's arrays went through numpy's float conversion: a
+        # bool ran as 0.0 or 1.0 and a numeric string as its number.
+        pytest.param(lambda: sample_independent(_lqg_model(), ["0.55", "0.17"], SamplerConfig(branch_factor=4)),
+                     "controls", TypeError, id="sample_independent.controls_str"),
+        pytest.param(lambda: sample_independent(_lqg_model(), [True, False], SamplerConfig(branch_factor=4)),
+                     "controls", TypeError, id="sample_independent.controls_bool"),
+        pytest.param(lambda: sample_independent(_lqg_model(), np.array([True, False]), SamplerConfig(branch_factor=4)),
+                     "controls", TypeError, id="sample_independent.controls_bool_array"),
+        pytest.param(lambda: GaussianNoise(["0"], [[1.0]]), "mean", TypeError, id="GaussianNoise.mean_str"),
+        pytest.param(lambda: GaussianNoise([0.0], [["1"]]), "cov", TypeError, id="GaussianNoise.cov_str"),
+        pytest.param(lambda: DiscreteNoise(["1", "2"], [0.5, 0.5]), "values", TypeError, id="DiscreteNoise.values_str"),
+        pytest.param(lambda: DiscreteNoise([1.0, 2.0], [True, False]), "probs", TypeError,
+                     id="DiscreteNoise.probs_bool"),
+        pytest.param(lambda: LinearModel(**{**_LINEAR, "a_matrix": [[True]]}), "a_matrix", TypeError,
+                     id="LinearModel.a_matrix_bool"),
+        pytest.param(lambda: LinearModel(**{**_LINEAR, "noise_cov": "1"}), "noise_cov", TypeError,
+                     id="LinearModel.noise_cov_str"),
+        pytest.param(lambda: linear_stochastic_model(LinearModel(**_LINEAR), ["0.5"]), "initial_state", TypeError,
+                     id="StochasticModel.initial_state_str"),
+        pytest.param(lambda: lqg_exact_cost(LqgParams(**_LQG), ["0.55", "0.17"]), "controls", TypeError,
+                     id="lqg_exact_cost.controls_str"),
+        pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [("0", 1.0), (0.0, 1.0)]), "noise draw at step 0",
+                     TypeError, id="rollout.draw_str"),
+        # rollout took the weight True as 1.0, and failed on "1" in Python's '<'.
+        pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(0.0, True), (0.0, 1.0)]), "noise weight at step 0",
+                     TypeError, id="rollout.weight_bool"),
+        pytest.param(lambda: rollout(_lqg_model(), [0.1, 0.2], [(0.0, 1.0), (0.0, "1")]), "noise weight at step 1",
+                     TypeError, id="rollout.weight_str"),
         # A ragged sequence failed in np.shape with numpy's message, naming no field.
         pytest.param(lambda: TargetBelief(np.zeros(4), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1]]),
                      "belief covariance", ValueError, id="TargetBelief.covariance_ragged"),

@@ -2,8 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +301,58 @@ def test_long_horizon_peak_memory_is_bounded_by_the_block_caps(monkeypatch, cpus
     outputs = out.states.nbytes + out.raw_likeliness.nbytes + out.costs.nbytes
     blocks = 2 * 2 * sampling._BLOCK_DRAWS * 8
     assert peak < outputs + blocks + 2**20, (peak, outputs, blocks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_block_is_freed_before_the_block_two_after_it_is_drawn(monkeypatch, cpus):
+    # At most two blocks are alive: one stepping and one being drawn.  As the
+    # law is asked for each block, it records whether the draws and weights
+    # of the block two before are still referenced (weakly held, so the
+    # record keeps nothing alive).  A draw that is a view records its base,
+    # the array that owns the memory.  A slow done-callback keeps the worker
+    # busy after each step's future has woken the caller, as a loaded machine
+    # might, so a block the worker frees only after completing would be seen.
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+    submit = ThreadPoolExecutor.submit
+
+    def lingering_submit(self, fn, *args):
+        future = submit(self, fn, *args)
+        future.add_done_callback(lambda _: time.sleep(0.02))
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", lingering_submit)
+    made, alive = [], []
+
+    def owner(array):
+        return array if array.base is None else array.base
+
+    class Watched(GaussianNoise):
+        def sample_batch(self, streams, count):
+            if len(made) >= 2:
+                alive.append([ref() is not None for ref in made[-2]])
+            draws, weights = super().sample_batch(streams, count)
+            made.append((weakref.ref(owner(draws)), weakref.ref(owner(weights))))
+            return draws, weights
+
+    model = dataclasses.replace(_lqg(3), noise=Watched([0.0], [[1.0]]))
+    sample_independent(model, [0.5, 0.2, 0.1], SamplerConfig(branch_factor=40))
+    assert len(made) == 10
+    assert alive == [[False, False]] * 8
+
+
+def test_importing_the_package_and_its_cli_loads_no_thread_pool():
+    # concurrent.futures takes about 10 ms to load, which every run's start
+    # would pay; sample_independent loads it on its first threaded call.
+    script = "import sys\nimport rsmhp, rsmhp.experiments.cli\nprint('concurrent.futures' in sys.modules)\n"
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_loop_and_batch_paths_agree():

@@ -704,6 +704,12 @@ def test_run_episode_rejects_a_run_index_that_is_not_one_key_word(run_index, err
         run_episode(_small_scenario(n_steps=1), _small_planner(), run_index=run_index)
 
 
+def test_run_episode_names_a_run_index_past_one_key_word():
+    # It failed in the seed derivation, as "spawn key ints must be below 2**32".
+    with pytest.raises(ValueError, match=r"^run_index must be below 2\*\*32, got 4294967296$"):
+        run_episode(_small_scenario(n_steps=1), _small_planner(), run_index=2**32)
+
+
 def test_monte_carlo_runs_differ_across_run_indices():
     sc = _small_scenario(n_steps=6)
     out = [run_episode(sc, _small_planner(), run_index=i).mean() for i in range(3)]
