@@ -41,15 +41,17 @@ def check_reals(name: str, values, finite: bool = True) -> np.ndarray:
 
     A non-finite entry raises ``ValueError`` unless ``finite`` is False.  An
     ndarray of integer or float dtype is converted whole, without a check
-    per entry.
+    per entry.  The result is a read-only copy, so an object that keeps it
+    neither follows nor freezes the caller's array.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         for value in np.asarray(values, dtype=object).flat:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be real numbers, got {value!r}")
-    array = np.asarray(values, dtype=float)
+    array = np.array(values, dtype=float)
     if finite and not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got {array.tolist()}")
+    array.flags.writeable = False
     return array
 
 

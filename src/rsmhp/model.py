@@ -225,7 +225,6 @@ class StochasticModel:
             raise DimensionError(
                 f"initial_state must have shape ({self.state_dim},), got {x0.shape}"
             )
-        x0.flags.writeable = False
         object.__setattr__(self, "initial_state", x0)
 
 

@@ -7,6 +7,13 @@ weight 1, so every trajectory carries a full H+1 state path.  The
 independent scheme draws all H steps fresh per path.  A trajectory keeps
 one weight, its raw likeliness: the running product of its step weights.
 
+A tree stores each depth once: its survivors' states and, where it was
+cut, ``kept``, their rows in its pool in rank order; pool row p is digit
+p - N * (p // N) of survivor row p // N.  One walk back from the leaves
+fills every path's history and branch digits.  Cuts break likeliness ties
+by one digit rank per row, its parent's rank times N plus its digit,
+re-ranked densely after each cut to stay below the pool width.
+
 One call can also grow many independent replications side by side: with
 ``SamplerConfig.seeds`` set, each seed is one replication, the returned set
 carries them on a leading axis (``costs`` is (R, n)), and replication r
@@ -153,11 +160,21 @@ def _as_set(config: SamplerConfig, *arrays: np.ndarray) -> TrajectorySet:
     return TrajectorySet(*arrays)
 
 
+def _walk_back(tree: list, rows: np.ndarray, n_branch: int, depths: int, history=None) -> np.ndarray:
+    """The branch digits of ``rows`` of the last depth, zero-padded; fills ``history`` if given."""
+    digits = np.zeros((depths, rows.size), dtype=np.intp)
+    for level in range(len(tree) - 1, -1, -1):
+        states, kept = tree[level]
+        if history is not None:
+            history[level + 1] = np.take(states, rows, axis=0)
+        pool = rows if kept is None else np.take(kept, rows)
+        rows = pool // n_branch
+        np.subtract(pool, rows * n_branch, out=digits[level])
+    return digits.T
+
+
 def _grow_tree(
-    model: StochasticModel,
-    controls,
-    config: SamplerConfig,
-    log: list[PruneRecord] | None,
+    model: StochasticModel, controls, config: SamplerConfig, log: list[PruneRecord] | None
 ) -> TrajectorySet:
     """Grow the tree of every tree sampler, pruned to ``config.prune_width`` per depth when it is set."""
     u = as_controls(model, controls)
@@ -182,16 +199,14 @@ def _grow_tree(
         2,
     ).reshape(depths, n_reps, 2)
 
-    # Every replication holds the same number of rows at every depth, in one
-    # contiguous block per replication.
+    # Rows are replication-major, the same number per replication at every depth.
     states = np.repeat(model.initial_state[None, :], n_reps, axis=0)
-    history = np.empty((n_reps, horizon + 1, model.state_dim))
-    history[:, 0] = states
     likeliness = np.ones(n_reps)
     costs = np.zeros(n_reps)
-    paths = np.zeros((n_reps, max(horizon - 1, 0)), dtype=np.intp)
+    rank = np.arange(n_reps)
+    tree = []
 
-    for level in range(horizon - 1):
+    for level in range(depths):
         count = states.shape[0]
         per_rep = count // n_reps * n_branch
         if count * n_branch > _TREE_CAP:
@@ -200,50 +215,36 @@ def _grow_tree(
                 f"{_TREE_CAP}; lower prune_width"
             )
         draws, draw_w = law.sample_batch(_Rekeyed(philox_keys[level]), per_rep)
-
         stage = _stage_costs(model, states, u[level], level)
-        parents = np.repeat(states, n_branch, axis=0)
-        children = _transitions(model, parents, u[level], draws, level)
-
-        history = np.repeat(history, n_branch, axis=0)
-        history[:, level + 1] = children
+        states = _transitions(model, np.repeat(states, n_branch, axis=0), u[level], draws, level)
         likeliness = np.repeat(likeliness, n_branch) * draw_w
         costs = np.repeat(costs + stage, n_branch)
-        paths = np.repeat(paths, n_branch, axis=0)
-        paths[:, level] = np.tile(np.arange(n_branch, dtype=np.intp), count)
-        states = children
-
+        kept = None
+        if config.prune_width is not None:
+            rank = (rank[:, None] * n_branch + np.arange(n_branch)).ravel()
         if config.prune_width is not None and per_rep > config.prune_width:
-            # Within each replication, rank by likeliness descending, ties
-            # by branch digits (most significant first); lexsort keys go
-            # least to most significant, so the replication index comes last.
-            keys = tuple(paths[:, col] for col in range(level, -1, -1))
-            replication = np.repeat(np.arange(n_reps, dtype=np.intp), per_rep)
-            order = np.lexsort(keys + (-likeliness, replication))
-            kept = order.reshape(n_reps, per_rep)[:, :config.prune_width].ravel()
+            # lexsort's last key is its most significant.
+            replication = np.repeat(np.arange(n_reps), per_rep)
+            order = np.lexsort((rank, -likeliness, replication))
+            kept = order.reshape(n_reps, per_rep)[:, :config.prune_width].flatten()  # copy; order is freed
             if log is not None:
-                log.append(
-                    PruneRecord(
-                        level=level,
-                        likeliness=likeliness.copy(),
-                        branch_paths=paths.copy(),
-                        kept=kept.copy(),
-                    )
-                )
-            states = states[kept]
-            history = history[kept]
-            likeliness = likeliness[kept]
-            costs = costs[kept]
-            paths = paths[kept]
+                paths = _walk_back(tree + [(states, None)], np.arange(len(states)), n_branch, depths)
+                log.append(PruneRecord(level, likeliness, paths, kept))
+            states = np.take(states, kept, axis=0)
+            likeliness, costs, rank = np.take(likeliness, kept), np.take(costs, kept), np.take(rank, kept)
+            rank[np.argsort(rank)] = np.arange(rank.size)  # dense: rank * N + digit cannot overflow
+        tree.append((states, kept))
 
     # Final step: nominal completion with the noise mean at neutral weight 1.
-    last = horizon - 1
-    costs = costs + _stage_costs(model, states, u[last], last)
+    costs = costs + _stage_costs(model, states, u[depths], depths)
     terminal_draws = np.broadcast_to(law.mean, (states.shape[0], law.dim))
-    final_states = _transitions(model, states, u[last], terminal_draws, last)
-    history[:, horizon] = final_states
+    final_states = _transitions(model, states, u[depths], terminal_draws, depths)
     costs = costs + _terminal_costs(model, final_states)
-    return _as_set(config, history, likeliness, costs, paths)
+    history = np.empty((horizon + 1, *final_states.shape))
+    history[0] = model.initial_state
+    history[horizon] = final_states
+    paths = _walk_back(tree, np.arange(len(states)), n_branch, depths, history)
+    return _as_set(config, history.transpose(1, 0, 2), likeliness, costs, paths)
 
 
 def sample_tree(model: StochasticModel, controls, config: SamplerConfig) -> TrajectorySet:
@@ -289,8 +290,7 @@ def sample_tree_pruned_logged(
         raise ValueError("sample_tree_pruned_logged takes a single replication, got "
                          f"{len(config.seeds)} seeds")
     log: list[PruneRecord] = []
-    out = _grow_tree(model, controls, config, log=log)
-    return out, log
+    return _grow_tree(model, controls, config, log=log), log
 
 
 def _independent_blocks(philox_keys: np.ndarray, count: int, rows: int) -> Iterator[tuple[Streams, int]]:

@@ -625,3 +625,22 @@ def test_model_rejects_nonpositive_horizon():
             horizon=0,
             initial_state=[0.0],
         )
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [
+        lambda x: linear_stochastic_model(LinearModel(0.5, 1.0, 1.0, 0.0, 1.0, horizon=2), x).initial_state,
+        lambda x: GaussianNoise(x, [[1.0]]).mean,
+        lambda x: LinearModel(x, 1.0, 1.0, 0.0, 1.0, horizon=2).a_matrix,
+    ],
+    ids=["initial_state", "gaussian_mean", "a_matrix"],
+)
+def test_models_keep_read_only_copies_of_caller_arrays(stored):
+    # The caller's array stays writable, and a later edit of it does not
+    # reach the model, whose own copy cannot be edited either.
+    caller = np.array([0.5])
+    kept = stored(caller)
+    caller[0] = 1.0
+    assert np.all(kept == 0.5)
+    assert not kept.flags.writeable

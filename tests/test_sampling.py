@@ -215,16 +215,42 @@ def test_pruned_single_path_follows_highest_weight_at_each_depth():
         assert rec.kept[0] == int(np.argmax(rec.likeliness))
 
 
+def _pruned_digits_reference(probs, n_branch, width, horizon):
+    """The survivors' branch digits by the pruning rule, in plain Python, when child d weighs ``probs[d]``.
+
+    Each depth's pool, once wider than ``width``, is sorted by (-likeliness,
+    digit tuple) and cut to its first ``width``.
+    """
+    survivors = [(1.0, ())]
+    for _ in range(horizon - 1):
+        pool = [(lik * probs[d], digits + (d,)) for lik, digits in survivors for d in range(n_branch)]
+        survivors = sorted(pool, key=lambda c: (-c[0], c[1]))[:width] if len(pool) > width else pool
+    return [list(digits) for _, digits in survivors]
+
+
 def test_pruned_ties_break_by_branch_digits():
-    noise = CyclicNoise([-1.0, 1.0], [0.5, 0.5])
-    model = accumulator_model(noise, horizon=3)
-    out = sample_tree_pruned(
-        model,
-        np.zeros(3),
-        SamplerConfig(branch_factor=2, prune_width=2),
-    )
-    # The cyclic law hands both parents the same two draws, so all four candidates tie at likeliness 0.25; lexicographic branch order wins.
-    assert out.branch_paths.tolist() == [[0, 0], [0, 1]]
+    cases = [
+        # All four candidates tie at 0.25; lexicographic branch order wins.
+        ([0.5, 0.5], 2, 3),
+        # Digits 1 and 2 tie and both beat 0, at every one of 47 cuts: ties
+        # after earlier cuts, and past the 40 depths at which a base-3 digit
+        # key would pass 2^63.
+        ([0.2, 0.4, 0.4], 3, 48),
+    ]
+    for probs, width, horizon in cases:
+        # With as many support points as branches, the cyclic law hands
+        # every parent the same draws, so child d weighs probs[d].
+        n_branch = len(probs)
+        noise = CyclicNoise(np.arange(n_branch, dtype=float), probs)
+        out = sample_tree_pruned(
+            accumulator_model(noise, horizon=horizon),
+            np.zeros(horizon),
+            SamplerConfig(branch_factor=n_branch, prune_width=width),
+        )
+        assert out.branch_paths.tolist() == _pruned_digits_reference(probs, n_branch, width, horizon)
+    # The reference itself, on the two cases.
+    assert _pruned_digits_reference([0.5, 0.5], 2, 2, 3) == [[0, 0], [0, 1]]
+    assert _pruned_digits_reference([0.2, 0.4, 0.4], 3, 3, 48) == [[1] * 47, [1] * 46 + [2], [1] * 45 + [2, 1]]
 
 
 def test_independent_single_path():
@@ -280,6 +306,25 @@ def test_independent_peak_memory_is_outputs_plus_a_few_blocks():
         tracemalloc.stop()
     outputs = out.states.nbytes + out.raw_likeliness.nbytes + out.costs.nbytes
     assert peak < outputs + 4 * 2**20, (peak, outputs)
+
+
+def test_long_pruned_tree_peak_memory_is_a_few_times_its_outputs():
+    # A pruned tree keeps each depth's survivors' states and pool rows once,
+    # about the size of its outputs, and walks back to fill its paths; it
+    # copies no history or digit string per depth (numpy reports its
+    # buffers to tracemalloc).
+    horizon = 200
+    model = linear_stochastic_model(LinearModel([[0.9]], [[1.0]], [0.0], [1.0], [[1.0]], horizon=horizon), [0.3])
+    controls = np.linspace(-1.0, 1.0, horizon)
+    sample_tree_pruned(model, controls, SamplerConfig(branch_factor=10, prune_width=100))
+    tracemalloc.start()
+    try:
+        out = sample_tree_pruned(model, controls, SamplerConfig(branch_factor=10, prune_width=100, master_seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = out.states.nbytes + out.raw_likeliness.nbytes + out.costs.nbytes + out.branch_paths.nbytes
+    assert peak < 4 * outputs, (peak, outputs)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
