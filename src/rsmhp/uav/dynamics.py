@@ -3,17 +3,21 @@
 A fixed-wing style vehicle moves in the plane under forward acceleration
 and bank angle (coordinated turn: heading rate g tan(bank) / speed).  The
 tracked object follows a near-constant-velocity model with white
-acceleration noise, the same on each axis.  An onboard position sensor
+acceleration noise, the same on each axis and independent between them,
+so one per-axis step, ``target_axis_step``, moves the flown truth
+(``target_step``), draws the episode's initial truth and samples the
+planner's futures.  An onboard position sensor
 reports the target with isotropic noise whose variance grows with the
 vehicle-to-target range, which is what couples vehicle motion to tracking
 quality; ``sensor_cov`` returns that one per-axis variance.  A
 ``UavState`` holds Python floats, so states compare and hash by value.
+No step uses a matrix product, so no BLAS kernel can change a bit.
 
 The step functions read every world parameter (time step, speed bounds,
 noise levels) from the episode's ``ScenarioConfig``, which validates them
-once and derives the transition matrix and the process covariance's
-factor from them; none has a default of its own.  Gravity is the
-constant ``GRAVITY``, read as the class attribute ``ScenarioConfig.gravity``.
+once and derives the per-axis noise factors from them; none has a default
+of its own.  Gravity is the constant ``GRAVITY``, read as the class
+attribute ``ScenarioConfig.gravity``.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
 __all__ = [
-    "GRAVITY", "UavState", "UavControl", "uav_step", "uav_step_floats", "target_transition_matrix",
-    "target_process_cov", "target_step", "sensor_cov", "sensor_measure",
+    "GRAVITY", "UavState", "UavControl", "uav_step", "uav_step_floats", "target_axis_step", "target_step",
+    "sensor_cov", "sensor_measure",
 ]
 
 GRAVITY = 9.81
@@ -90,50 +94,43 @@ def uav_step(state: UavState, control: UavControl, scenario: ScenarioConfig) -> 
     return UavState(position=(x, y), heading=heading, speed=speed)
 
 
-def target_transition_matrix(dt: float) -> np.ndarray:
-    """Constant-velocity transition for the (px, py, vx, vy) state."""
-    f = np.eye(4)
-    f[0, 2] = dt
-    f[1, 3] = dt
-    return f
+def target_axis_step(p, v, z_p, z_v, dt: float, factor: tuple) -> tuple:
+    """The constant-velocity target's step on each axis: ``(p', v')`` after ``dt``.
 
-
-def target_process_cov(intensity: float, dt: float) -> np.ndarray:
-    """White-acceleration process covariance for the constant-velocity model.
-
-    ``intensity`` is the acceleration power spectral density q; the familiar
-    block form has position variance q dt^3/3, velocity variance q dt and
-    cross term q dt^2/2 per axis.
+    ``p' = p + dt v + l_pp z_p`` and ``v' = v + (l_vp z_p + l_vv z_v)``,
+    where ``factor`` is the lower Cholesky factor ``(l_pp, l_vp, l_vv)`` of
+    one axis's noise covariance and ``z_p``, ``z_v`` are standard normals.
+    The arguments may be Python floats or numpy arrays that broadcast: one
+    axis, both axes, or both axes of many futures.  Each operation is one
+    rounded multiply or add, elementwise and in this order, so the flown
+    truth and the planner's futures give the same bits on every CPU.
     """
-    q3 = intensity * dt**3 / 3.0
-    q2 = intensity * dt**2 / 2.0
-    q1 = intensity * dt
-    return np.array(
-        [
-            [q3, 0.0, q2, 0.0],
-            [0.0, q3, 0.0, q2],
-            [q2, 0.0, q1, 0.0],
-            [0.0, q2, 0.0, q1],
-        ]
-    )
+    l_pp, l_vp, l_vv = factor
+    return p + dt * v + l_pp * z_p, v + (l_vp * z_p + l_vv * z_v)
 
 
-def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator):
-    """Advance the true target state: ``scenario.target_transition`` times it, plus noise scaled by ``process_root``.
+def target_step(state, scenario: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Advance the true (px, py, vx, vy) target state by ``target_axis_step`` with the ``process_factor``.
 
-    At ``process_intensity`` 0 the step is the noiseless prediction and draws nothing.
+    Four standard normals from ``rng`` are ordered like the state, so the
+    x axis takes the first and third and the y axis the second and fourth.
+    At ``process_intensity`` 0 the step is the noiseless prediction and
+    draws nothing.
     """
-    mean = scenario.target_transition @ np.asarray(state, dtype=float)
-    if scenario.process_intensity == 0.0:
-        return mean
-    return mean + scenario.process_root @ rng.standard_normal(4)
+    state = np.asarray(state, dtype=float)
+    z = rng.standard_normal(4) if scenario.process_intensity > 0.0 else np.zeros(4)
+    return np.concatenate(target_axis_step(state[:2], state[2:], z[:2], z[2:], scenario.dt, scenario.process_factor))
 
 
 def sensor_cov(uav_position, target_position, scenario: ScenarioConfig) -> float:
-    """Per-axis measurement noise variance sigma0^2 + eta * range^2; the covariance is that times I."""
-    delta = np.asarray(target_position, dtype=float) - np.asarray(uav_position, dtype=float)
-    range_sq = float(delta @ delta)
-    return scenario.sigma0**2 + scenario.eta * range_sq
+    """Per-axis measurement noise variance sigma0^2 + eta * (dx dx + dy dy); the covariance is that times I.
+
+    (dx, dy) is the target's offset from the vehicle.  Each square and sum
+    is one rounded float operation, in the order of the planner's kernels,
+    so a planned future's noise is the flown noise of its geometry.
+    """
+    dx, dy = (float(t) - float(u) for t, u in zip(target_position, uav_position, strict=True))
+    return scenario.sigma0**2 + scenario.eta * (dx * dx + dy * dy)
 
 
 def sensor_measure(target_position, variance: float, rng: np.random.Generator) -> np.ndarray:

@@ -24,9 +24,12 @@ P_vv) block that both axes share, and a position sensor of isotropic noise
 keeps it shared, so the recursion runs once over that block and the trace
 is twice its P_pp + P_vv.  The first predict reads only the prior, so it
 is the filter's own ``kalman_predict``, done once per objective.  The
-target model's constants (the transition matrix, the process covariance's
-Cholesky factor and its per-axis block) are read from the
-``ScenarioConfig``, which derives them once.
+target paths are the flown truth's ``target_axis_step`` on numpy lanes,
+and each noise variance is ``sensor_cov``'s formula in its order, so a
+future driven by the flown normals is the flown one bit for bit.  The
+target model's per-axis constants (the process covariance's block and its
+Cholesky factor) are read from the ``ScenarioConfig``, which derives them
+once.
 
 Two kernels run that recursion.  ``_trace_terms`` holds every future of
 every candidate in numpy arrays, the candidates' futures stacked on one
@@ -53,7 +56,7 @@ import numpy as np
 
 from .._checks import check_int, check_seed
 from .._seeds import generators
-from .dynamics import UavControl, uav_step_floats
+from .dynamics import UavControl, target_axis_step, uav_step_floats
 from .filtering import TargetBelief, kalman_predict
 from .scenario import ScenarioConfig
 
@@ -127,14 +130,18 @@ def _target_paths(belief, scenario, process_raw) -> np.ndarray:
 
     ``process_raw`` holds the frozen standard-normal process draws, shaped
     (n, H, 4); all zeros gives the noiseless prediction of the belief mean.
+    Each step is ``target_axis_step`` on (2, n) lanes, both axes of every
+    future, the flown truth's step.  The draws are read as one contiguous
+    (4, H, n) copy, so each step's normals are two contiguous (2, n) rows.
     """
     n, horizon, _ = process_raw.shape
-    f = scenario.target_transition
-    truths = np.broadcast_to(belief.mean, (n, 4))
+    draws = np.ascontiguousarray(process_raw.transpose(2, 1, 0))
+    (px, vx), (py, vy) = belief.means
+    p, v = np.array([[px], [py]]), np.array([[vx], [vy]])
     paths = np.empty((2, horizon, n))
     for k in range(horizon):
-        truths = truths @ f.T + process_raw[:, k] @ scenario.process_root.T
-        paths[:, k] = truths[:, :2].T
+        p, v = target_axis_step(p, v, draws[:2, k], draws[2:, k], scenario.dt, scenario.process_factor)
+        paths[:, k] = p
     return paths
 
 

@@ -3,19 +3,36 @@
 Everything an episode needs to be reproducible lives here: time step,
 episode length, vehicle actuator and speed bounds, sensor and target noise
 levels, initial conditions, and the master seed that derives every stream.
+The target's per-axis noise factors are derived from these in closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .._checks import check_int, check_real, check_seed, check_vector
-from .dynamics import GRAVITY, target_process_cov, target_transition_matrix
+from .dynamics import GRAVITY
 from .filtering import covariance_block
 
 __all__ = ["ScenarioConfig"]
+
+
+def _axis_factor(pp: float, pv: float, vv: float):
+    """Lower Cholesky factor (sqrt(pp), pv / l_pp, sqrt(vv - l_vp^2)) of [[pp, pv], [pv, vv]].
+
+    None where a pivot is not positive, NaN or an underflow to 0 included.
+    """
+    if not pp > 0.0:
+        return None
+    l_pp = math.sqrt(pp)
+    l_vp = pv / l_pp
+    rest = vv - l_vp * l_vp
+    if not rest > 0.0:
+        return None
+    return l_pp, l_vp, math.sqrt(rest)
 
 
 @dataclass(frozen=True)
@@ -32,15 +49,16 @@ class ScenarioConfig:
     isotropic, so ``target_cov`` must have equal x and y blocks and no
     cross-axis entries (``covariance_block``).  ``gravity`` is a constant
     of the class, not a field.  The target model's constants are derived
-    once, not passed: the read-only lower Cholesky factors ``target_root``
-    of ``target_cov + 1e-12 I`` (the initial target draw) and
-    ``process_root`` of the process covariance (zeros at intensity 0), the
-    read-only ``target_transition`` matrix of ``dt``, and
-    ``process_block``, the process covariance's (q_pp, q_pv, q_vv), the
-    same on each axis.  Configs without these
-    factors are rejected, and so are ``sigma0``, ``eta`` and
-    ``process_intensity`` all 0.  The derived fields are not compared, so
-    configs compare and hash equal when their given values are equal.
+    once, not passed, each a tuple of floats shared by both axes:
+    ``process_block``, the process covariance's per-axis (q_pp, q_pv,
+    q_vv) = (q dt^3/3, q dt^2/2, q dt), and two lower Cholesky factors
+    (l_pp, l_vp, l_vv) for ``target_axis_step``: ``target_factor`` of the
+    prior block of ``target_cov`` with 1e-12 added to both variances (the
+    initial target draw), and ``process_factor`` of ``process_block``
+    (zeros at intensity 0).  Configs without these factors are rejected,
+    and so are ``sigma0``, ``eta`` and ``process_intensity`` all 0.  The
+    derived fields are not compared, so configs compare and hash equal
+    when their given values are equal.
     """
 
     dt: float = 1.0
@@ -58,10 +76,9 @@ class ScenarioConfig:
     target_mean: tuple = (600.0, 400.0, 5.0, 0.0)
     target_cov: tuple = ((400.0, 0.0, 0.0, 0.0), (0.0, 400.0, 0.0, 0.0), (0.0, 0.0, 16.0, 0.0), (0.0, 0.0, 0.0, 16.0))
     master_seed: int = 0
-    target_root: np.ndarray = field(init=False, repr=False, compare=False)
-    target_transition: np.ndarray = field(init=False, repr=False, compare=False)
-    process_root: np.ndarray = field(init=False, repr=False, compare=False)
+    target_factor: tuple = field(init=False, repr=False, compare=False)
     process_block: tuple = field(init=False, repr=False, compare=False)
+    process_factor: tuple = field(init=False, repr=False, compare=False)
     gravity: ClassVar[float] = GRAVITY
 
     def __post_init__(self) -> None:
@@ -92,22 +109,16 @@ class ScenarioConfig:
             raise ValueError("sigma0, eta and process_intensity are all 0: no episode can filter without noise")
         for name, size in (("uav_position", 2), ("target_mean", 4)):
             object.__setattr__(self, name, check_vector(name, getattr(self, name), size))
-        covariance_block(self.target_cov, "target_cov")
+        pp, pv, vv = covariance_block(self.target_cov, "target_cov")
         object.__setattr__(self, "target_cov", tuple(tuple(map(float, row)) for row in self.target_cov))
-        try:
-            root = np.linalg.cholesky(np.array(self.target_cov) + 1e-12 * np.eye(4))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"target_cov must have a Cholesky factor after adding 1e-12 I: {exc}") from None
-        process = target_process_cov(self.process_intensity, self.dt)
-        try:
-            process_root = np.linalg.cholesky(process) if self.process_intensity > 0.0 else np.zeros((4, 4))
-        except np.linalg.LinAlgError:
-            raise ValueError(f"process_intensity {self.process_intensity!r} is too small to factor") from None
-        transition = target_transition_matrix(self.dt)
-        for array in (root, transition, process_root):
-            array.setflags(write=False)
-        q = process.tolist()
-        object.__setattr__(self, "target_root", root)
-        object.__setattr__(self, "target_transition", transition)
-        object.__setattr__(self, "process_root", process_root)
-        object.__setattr__(self, "process_block", (q[0][0], q[0][2], q[2][2]))
+        target_factor = _axis_factor(pp + 1e-12, pv, vv + 1e-12)
+        if target_factor is None:
+            raise ValueError(f"target_cov must have a Cholesky factor after adding 1e-12 I, got block {(pp, pv, vv)!r}")
+        q = self.process_intensity
+        block = (q * self.dt**3 / 3.0, q * self.dt**2 / 2.0, q * self.dt)
+        process_factor = _axis_factor(*block) if q > 0.0 else (0.0, 0.0, 0.0)
+        if process_factor is None:
+            raise ValueError(f"process_intensity {q!r} is too small to factor")
+        object.__setattr__(self, "target_factor", target_factor)
+        object.__setattr__(self, "process_block", block)
+        object.__setattr__(self, "process_factor", process_factor)

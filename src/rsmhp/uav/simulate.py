@@ -8,9 +8,12 @@ noise (common random numbers).
 Each step's measurement is two standard normals from the measurement
 stream, which ``sensor_measure`` scales by the square root of the
 geometry-dependent per-axis variance ``sensor_cov``, so the pairing is
-exact even though planners steer different vehicle paths.  Every step function reads its parameters from the one
-``ScenarioConfig``.  Episodes are independent given their run index, which
-is what lets the experiment runner fan them out over worker processes.
+exact even though planners steer different vehicle paths.  The initial
+truth and every target step are ``target_axis_step``, the step the
+planner samples its futures with.  Every step function reads its
+parameters from the one ``ScenarioConfig``.  Episodes are independent
+given their run index, which is what lets the experiment runner fan them
+out over worker processes.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .._checks import check_int
 from .._seeds import generators
-from .dynamics import UavState, sensor_cov, sensor_measure, target_step, uav_step
+from .dynamics import UavState, sensor_cov, sensor_measure, target_axis_step, target_step, uav_step
 from .filtering import TargetBelief, kalman_predict, kalman_update
 from .planning import PlannerConfig, plan_step
 from .scenario import ScenarioConfig
@@ -45,7 +48,9 @@ def run_episode(
     (planner_rng,) = generators(config.master_seed, (run_index,))
 
     belief = TargetBelief(scenario.target_mean, scenario.target_cov)
-    truth = np.array(scenario.target_mean) + scenario.target_root @ init_rng.standard_normal(4)
+    # The initial truth: a step of dt 0 from the prior mean, by the prior's factor.
+    mean, z = np.array(scenario.target_mean), init_rng.standard_normal(4)
+    truth = np.concatenate(target_axis_step(mean[:2], mean[2:], z[:2], z[2:], 0.0, scenario.target_factor))
     uav = UavState(position=scenario.uav_position, heading=scenario.uav_heading, speed=scenario.uav_speed)
 
     errors = np.empty(scenario.n_steps)

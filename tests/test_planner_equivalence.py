@@ -10,12 +10,14 @@ floats, and that kernel must equal the numpy one bit for bit.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import target_process_cov, target_transition_matrix
 from rsmhp.uav import (
     PlannerConfig,
     PlannerObjective,
@@ -28,9 +30,7 @@ from rsmhp.uav import (
     objective_mhp,
     objective_nbo,
     sensor_cov,
-    target_process_cov,
     target_step,
-    target_transition_matrix,
     uav_step,
 )
 from rsmhp.uav import planning
@@ -260,15 +260,22 @@ def test_one_future_float_kernel_matches_numpy_at_zero_innovation_variance():
 # ------------------------------------------------------------ batched scoring
 
 
-def _per_axis_totals(uav, belief, sc, process_raw, flat):
-    """Per-future totals of both axes' recursions, each run in full on floats from the 4x4 covariance, (n,)."""
+def _noise_vars(uav, belief, sc, process_raw, flat):
+    """Per-future, per-step noise variances of the planned path against the sampled target paths, (n, H)."""
     targets = planning._target_paths(belief, sc, process_raw)
     path = np.array(planning._planned_path(uav, flat, sc))
-    noise_vars = sc.sigma0**2 + sc.eta * np.square(targets - path.T[:, :, None]).sum(axis=0)
+    return (sc.sigma0**2 + sc.eta * np.square(targets - path.T[:, :, None]).sum(axis=0)).T
+
+
+def _per_axis_totals(belief, sc, noise_vars):
+    """Per-future totals of both axes' recursions, each run in full on floats from the 4x4 covariance, (n,).
+
+    ``noise_vars`` holds each future's per-step noise variances, (n, H).
+    """
     q = target_process_cov(sc.process_intensity, sc.dt)
     c = belief.covariance.tolist()
     totals = []
-    for r_future in noise_vars.T.tolist():
+    for r_future in np.asarray(noise_vars).tolist():
         axis_totals = []
         for pp, pv, vv in ((c[i][i], c[i][i + 2], c[i + 2][i + 2]) for i in (0, 1)):
             acc_pp = acc_vv = 0.0
@@ -312,7 +319,7 @@ def test_batched_scores_equal_each_candidates_own_score(block, n, k, sc, horizon
     assert len(scores) == k and all(type(value) is float for value in scores)
     for flat, row, value in zip(candidates, batched, scores):
         assert row.tobytes() == terms([flat])[0].tobytes()
-        assert row.tobytes() == _per_axis_totals(uav, belief, sc, process_raw, flat).tobytes()
+        assert row.tobytes() == _per_axis_totals(belief, sc, _noise_vars(uav, belief, sc, process_raw, flat)).tobytes()
         assert value == score([flat])[0] == _future_mean(row)
 
 
@@ -328,3 +335,48 @@ def test_row_future_means_equal_each_rows_future_mean(n):
     assert means.shape == (terms.shape[0],)
     assert [float(m) for m in means] == [_future_mean(row) for row in terms]
     assert means[-1] == 1234.5678
+
+
+# ------------------------------------------------------- planned and flown
+
+
+@given(
+    means=st.tuples(_means, _means),
+    block=_block,
+    dt=st.floats(1e-3, 10.0),
+    eta=st.just(0.0) | st.floats(1e-6, 1.0),
+    sigma0=st.floats(0.1, 10.0),
+    intensity=st.just(0.0) | st.floats(1e-3, 1e3),
+    horizon=st.integers(1, 8),
+    n=st.sampled_from([1, 2, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_planned_future_is_the_flown_future_bit_for_bit(means, block, dt, eta, sigma0, intensity, horizon, n, seed):
+    # Mirrors test_planned_path_is_the_flown_path_bit_for_bit for the
+    # sensor and the target.  First, the noise variance the planner scores
+    # at each step is sensor_cov of that step's geometry: both kernels'
+    # totals equal a float recursion fed sensor_cov's variances.  Second,
+    # each sampled future's target path is the truth target_step flies
+    # under the same normals.
+    sc = ScenarioConfig(dt=dt, eta=eta, sigma0=sigma0, process_intensity=intensity)
+    belief = _belief(means, block)
+    uav = UavState(position=np.array([150.0, -80.0]), heading=1.0, speed=22.0)
+    rng = np.random.default_rng(seed)
+    # The flown truth draws no normals at intensity 0; the planner's nominal future is zeros.
+    process_raw = rng.standard_normal((n, horizon, 4)) if intensity > 0.0 else np.zeros((n, horizon, 4))
+    flat = (rng.uniform(-1.0, 1.0, (horizon, 2)) * [sc.accel_max, sc.bank_max]).ravel().tolist()
+    targets = planning._target_paths(belief, sc, process_raw)
+    path = planning._planned_path(uav, flat, sc)
+    noise_vars = [[sensor_cov(path[k], targets[:, k, future], sc) for k in range(horizon)] for future in range(n)]
+    expected = _per_axis_totals(belief, sc, noise_vars)
+    assert planning._trace_terms(uav, belief, sc, process_raw)([flat])[0].tobytes() == expected.tobytes()
+    if n == 1:
+        assert planning._trace_objective(uav, belief, sc, process_raw)([flat]) == [float(expected[0])]
+    for future, raw in enumerate(process_raw):
+        normals = iter(raw)
+        stream = SimpleNamespace(standard_normal=lambda size: next(normals))
+        truth = belief.mean
+        for k in range(horizon):
+            truth = target_step(truth, sc, stream)
+            assert truth[:2].tobytes() == targets[:, k, future].tobytes()

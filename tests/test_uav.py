@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import target_process_cov, target_transition_matrix
 from rsmhp import GaussianNoise, LinearModel, LqgParams, SamplerConfig, StochasticModel
 from rsmhp.experiments import load_spec, run_experiment
 from rsmhp.uav import (
@@ -30,9 +36,7 @@ from rsmhp.uav import (
     run_episode,
     sensor_cov,
     sensor_measure,
-    target_process_cov,
     target_step,
-    target_transition_matrix,
     uav_step,
 )
 from rsmhp.uav import planning, simulate
@@ -138,12 +142,21 @@ def test_target_fixed_point_with_zero_velocity_and_noise():
     np.testing.assert_array_equal(out, state)
 
 
+_EPS = np.finfo(float).eps
+
+
 @pytest.mark.parametrize("dt", [1.0, 0.1, 2.5])
-def test_scenario_derives_the_target_transition(dt):
-    sc = ScenarioConfig(dt=dt)
-    assert sc.target_transition.tobytes() == target_transition_matrix(dt).tobytes()
-    assert not sc.target_transition.flags.writeable
-    assert dataclasses.replace(sc, dt=2.0 * dt).target_transition[0, 2] == 2.0 * dt
+def test_noiseless_target_step_is_the_transition(dt):
+    # Bit for bit p + dt v on each axis; within a rounding of the 4x4
+    # product F x, whose kernel may fuse the multiply-add p + dt v.
+    sc = ScenarioConfig(dt=dt, process_intensity=0.0)
+    state = np.array([600.0, -400.3, 5.7, -3.1])
+    px, py, vx, vy = state.tolist()
+    stepped = target_step(state, sc, np.random.default_rng(0))
+    assert stepped.tobytes() == np.array([px + dt * vx, py + dt * vy, vx, vy]).tobytes()
+    f = target_transition_matrix(dt)
+    assert np.all(np.abs(stepped - f @ state) <= _EPS * (np.abs(f) @ np.abs(state)))
+    assert target_step(state, dataclasses.replace(sc, dt=2.0 * dt), np.random.default_rng(0))[0] == px + 2.0 * dt * vx
 
 
 def test_scenario_stores_given_arrays_as_float_tuples():
@@ -171,25 +184,61 @@ def test_target_sample_mean_matches_noiseless_prediction():
     )
 
 
+def _ref_factor(pp, pv, vv):
+    """The lower Cholesky factor (l_pp, l_vp, l_vv) of [[pp, pv], [pv, vv]] on floats: the per-axis reference."""
+    l_pp = math.sqrt(pp)
+    l_vp = pv / l_pp
+    return l_pp, l_vp, math.sqrt(vv - l_vp * l_vp)
+
+
+def _factor_matrix(factor):
+    """The 4x4 lower factor of the (px, py, vx, vy) state whose axes each carry the per-axis ``factor``."""
+    l_pp, l_vp, l_vv = factor
+    return np.array([[l_pp, 0.0, 0.0, 0.0], [0.0, l_pp, 0.0, 0.0], [l_vp, 0.0, l_vv, 0.0], [0.0, l_vp, 0.0, l_vv]])
+
+
+# LAPACK may scale by a reciprocal and fuse multiply-adds where the closed
+# form rounds a division and each operation, so a factor entry may differ
+# from LAPACK's by a few units in the last place of the terms it is formed
+# from.  The process covariance's l_vv^2 = q dt / 4 cancels three quarters
+# of q dt, which stays within 8 eps as well.
+_FACTOR_ULPS = 8.0
+
+
 def _ref_target_step(state, scenario, rng):
-    """The target step with a Cholesky factor computed per call: the reference."""
-    mean = target_transition_matrix(scenario.dt) @ np.asarray(state, dtype=float)
+    """The target step on Python floats, with the closed-form factor computed per call: the per-axis reference."""
+    px, py, vx, vy = (float(x) for x in state)
+    dt, q = scenario.dt, target_process_cov(scenario.process_intensity, scenario.dt)
     if scenario.process_intensity == 0.0:
-        return mean
-    root = np.linalg.cholesky(target_process_cov(scenario.process_intensity, scenario.dt))
-    return mean + root @ rng.standard_normal(4)
+        (l_pp, l_vp, l_vv), z = (0.0, 0.0, 0.0), [0.0] * 4
+    else:
+        (l_pp, l_vp, l_vv), z = _ref_factor(q[0, 0], q[0, 2], q[2, 2]), rng.standard_normal(4).tolist()
+    px, vx = px + dt * vx + l_pp * z[0], vx + (l_vp * z[0] + l_vv * z[2])
+    py, vy = py + dt * vy + l_pp * z[1], vy + (l_vp * z[1] + l_vv * z[3])
+    return np.array([px, py, vx, vy])
+
+
+def _matrix_target_step(state, scenario, rng):
+    """The target step as 4x4 products with LAPACK's Cholesky factor, and the scale of its terms."""
+    f = target_transition_matrix(scenario.dt)
+    if scenario.process_intensity == 0.0:
+        return f @ state, np.abs(f) @ np.abs(state)
+    root, z = np.linalg.cholesky(target_process_cov(scenario.process_intensity, scenario.dt)), rng.standard_normal(4)
+    return f @ state + root @ z, np.abs(f) @ np.abs(state) + np.abs(root) @ np.abs(z)
 
 
 @pytest.mark.parametrize("dt, intensity", [(1.0, 2.0), (0.1, 8.0), (0.37, 1e-6), (2.5, 0.0)])
 def test_target_step_is_the_per_call_cholesky_step_bit_for_bit(dt, intensity):
     sc = ScenarioConfig(dt=dt, process_intensity=intensity)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    rng, ref_rng, matrix_rng = (np.random.default_rng(5) for _ in range(3))
     state = ref_state = np.array([600.0, 400.0, 5.0, -3.0])
     for _ in range(50):
+        matrix_state, scale = _matrix_target_step(state, sc, matrix_rng)
         state, ref_state = target_step(state, sc, rng), _ref_target_step(ref_state, sc, ref_rng)
         assert state.tobytes() == ref_state.tobytes()
-    # Both draw the same normals, and at intensity 0 none.
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.all(np.abs(state - matrix_state) <= _FACTOR_ULPS * _EPS * scale)
+    # All three draw the same normals, and at intensity 0 none.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state == matrix_rng.bit_generator.state
     if intensity == 0.0:
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
@@ -716,6 +765,63 @@ def test_monte_carlo_runs_differ_across_run_indices():
     assert len(set(out)) == 3
 
 
+def test_episode_initial_truth_is_a_dt_0_step_by_the_prior_factor(monkeypatch):
+    # The first measurement sees the initial truth: the prior mean moved by
+    # target_axis_step with dt 0 and target_factor, on the first four
+    # normals of the initial-state stream.
+    sc = _small_scenario(n_steps=1, target_cov=_block_cov((900.0, 30.0, 25.0)), master_seed=3)
+    seen = []
+    monkeypatch.setattr(simulate, "sensor_cov", lambda uav, target, scenario: seen.append(target) or 1.0)
+    run_episode(sc, _small_planner(), run_index=2)
+    init_rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(2,)).spawn(3)[0])
+    z = init_rng.standard_normal(4).tolist()
+    l_pp, _, _ = sc.target_factor
+    px, py, vx, vy = sc.target_mean
+    assert np.array(seen[0]).tobytes() == np.array([px + 0.0 * vx + l_pp * z[0], py + 0.0 * vy + l_pp * z[1]]).tobytes()
+
+
+def _blas_kernel_is_switchable() -> bool:
+    """Whether ``OPENBLAS_CORETYPE=Prescott`` selects another kernel for numpy's BLAS.
+
+    It does only for an OpenBLAS built with ``DYNAMIC_ARCH`` on x86; MKL,
+    Accelerate, a single-target OpenBLAS or an ARM build ignore it.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and platform.machine().lower() in ("x86_64", "amd64", "i686", "x86"))
+
+
+@pytest.mark.skipif(not _blas_kernel_is_switchable(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86, so OPENBLAS_CORETYPE switches no kernel")
+def test_tracking_csvs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # A four-run study with the shipped study's noise, natively and under
+    # OpenBLAS's Prescott kernel, numpy's SIMD dispatch left as it is.  A
+    # BLAS product on the episode path fuses multiply-adds on one kernel and
+    # not on another, which moves last bits of the CSVs.
+    config = Path(__file__).resolve().parent / "data" / "tracking_blas.ini"
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    native = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    runs = {}
+    for label, extra in (("native", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        runs[label] = subprocess.Popen(
+            [sys.executable, "-m", "rsmhp.experiments.cli", "run", str(config), "--out", str(tmp_path / label)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=dict(native, PYTHONPATH=path, **extra),
+        )
+    for proc in runs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    csvs = sorted(p.name for p in (tmp_path / "native").glob("*.csv"))
+    assert csvs == ["cdf_nbo.csv", "cdf_nt50.csv"]
+    native_bytes, prescott_bytes = ({name: (tmp_path / label / name).read_bytes() for name in csvs}
+                                    for label in ("native", "prescott"))
+    assert [name for name in csvs if native_bytes[name] != prescott_bytes[name]] == []
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(dt=0.0)
@@ -756,22 +862,46 @@ def test_scenario_rejects_target_cov_without_a_cholesky_factor():
         ScenarioConfig(target_cov=cov)
 
 
-def test_scenario_target_root_is_the_cholesky_factor():
+def test_scenario_target_factor_is_the_cholesky_factor():
     cov = _block_cov((900.0, 30.0, 25.0))
-    root = ScenarioConfig(target_cov=cov).target_root
-    assert np.array_equal(root, np.linalg.cholesky(cov + 1e-12 * np.eye(4)))
+    factor = ScenarioConfig(target_cov=cov).target_factor
+    assert factor == _ref_factor(900.0 + 1e-12, 30.0, 25.0 + 1e-12)
+    root = np.linalg.cholesky(cov + 1e-12 * np.eye(4))
+    assert np.all(np.abs(_factor_matrix(factor) - root) <= _FACTOR_ULPS * _EPS * np.abs(root))
 
 
 @pytest.mark.parametrize("dt, intensity", [(1.0, 2.0), (0.1, 8.0), (0.37, 1e-6), (2.5, 0.0)])
 def test_scenario_derives_the_process_factor_and_block(dt, intensity):
     sc = ScenarioConfig(dt=dt, process_intensity=intensity)
     q = target_process_cov(intensity, dt)
-    root = np.linalg.cholesky(q) if intensity > 0.0 else np.zeros((4, 4))
-    assert sc.process_root.tobytes() == root.tobytes()
-    assert not sc.process_root.flags.writeable
     assert sc.process_block == (q[0, 0], q[0, 2], q[2, 2])
-    assert all(type(entry) is float for entry in sc.process_block)
+    assert sc.process_factor == (_ref_factor(*sc.process_block) if intensity > 0.0 else (0.0, 0.0, 0.0))
+    assert all(type(entry) is float for entry in sc.process_block + sc.process_factor)
+    root = np.linalg.cholesky(q) if intensity > 0.0 else np.zeros((4, 4))
+    assert np.all(np.abs(_factor_matrix(sc.process_factor) - root) <= _FACTOR_ULPS * _EPS * np.abs(root))
     assert dataclasses.replace(sc, eta=0.0).process_block == sc.process_block
+
+
+# Blocks within the PSD tolerance 1e-9 of singular, near the 1e-12 added to
+# the prior's variances, and subnormal; intensities down to the least subnormal.
+_tiny = st.floats(-1e-9, 1e-9) | st.sampled_from([-1e-12, -1e-12 + 1e-28, 0.0, 5e-324, 1e-310])
+
+
+@given(block=st.tuples(_tiny, _tiny, _tiny), intensity=st.floats(0.0, 1e-280), dt=st.floats(1e-3, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_scenario_factors_near_underflow_are_rejected_by_name(block, intensity, dt):
+    # The closed-form factor divides by l_pp and takes the square root of
+    # vv - l_vp^2: a pivot that underflows to 0 or goes negative must be
+    # rejected naming its field, never raise ZeroDivisionError or
+    # "math domain error".
+    try:
+        sc = ScenarioConfig(dt=dt, process_intensity=intensity, target_cov=_block_cov(block))
+    except ValueError as exc:
+        assert str(exc).startswith(("target_cov must", "process_intensity ")), str(exc)
+        return
+    for factor in (sc.target_factor,) + ((sc.process_factor,) if intensity > 0.0 else ()):
+        assert all(math.isfinite(entry) for entry in factor)
+        assert factor[0] > 0.0 and factor[2] > 0.0
 
 
 def test_scenario_rejects_a_process_intensity_too_small_to_factor():
